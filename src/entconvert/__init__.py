@@ -19,7 +19,8 @@ from .locc import (Announce, Branch, BranchLimitError, ExactMonomial,
                    LoccProtocol, LocalMeasurement, LocalUnitary,
                    MajorizationError, MeasurementOutcome,
                    MonotoneViolationError, ProtocolError, SimulationReport,
-                   apply_measurement, build_full_protocol,
+                   apply_measurement, audit_trajectories,
+                   build_full_protocol,
                    deterministic_protocol, exhaustive_run,
                    exhaustive_run_exact, monotone_audit, monte_carlo_run,
                    success_probability)

@@ -17,8 +17,8 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          multi_copy_bound, optimal_probability,
                          optimal_probability_detail,
                          tensor_conversion_probability)
-from .locc import (BranchLimitError, build_full_protocol, exhaustive_run,
-                   exhaustive_run_exact, monotone_audit, monte_carlo_run,
+from .locc import (BranchLimitError, audit_trajectories, build_full_protocol,
+                   exhaustive_run, exhaustive_run_exact, monte_carlo_run,
                    success_probability)
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every branch instead of sampling")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for sampling (results are "
-                        "identical for any value)")
+                   help="accepted for compatibility (must be >= 1); "
+                        "sampling runs in one thread and results are "
+                        "identical for any value")
     p.add_argument("--no-fallback", action="store_true",
                    help="fail instead of sampling when --exhaustive "
                         "exceeds the branch cap")
@@ -176,12 +177,13 @@ def cmd_simulate(args) -> int:
                                           tol=args.tolerance)
             p = success_probability(branches, protocol.success_predicate)
             exact, decimal = _prob_pair(p)
-            dims = plan.source.n
-            audit = []
-            for k in range(1, dims + 1):
-                avgs = monotone_audit(branches, k, tol=args.tolerance)
-                audit.extend({"step": s, "k": k, "avg_E": round12(float(v))}
-                             for s, v in enumerate(avgs))
+            ks = range(1, plan.source.n + 1)
+            table = audit_trajectories(
+                [(b.probability, b.states) for b in branches], ks,
+                tol=args.tolerance)
+            audit = [{"step": s, "k": k, "avg_E": round12(float(v))}
+                     for k, avgs in zip(ks, table)
+                     for s, v in enumerate(avgs)]
             doc = {
                 "mode": "exhaustive",
                 "branches": len(branches),

@@ -7,18 +7,16 @@ floating-point one that handles arbitrary operators, and an exact
 rational one for protocols whose operators are monomial with rational
 squared entries (which is true of everything the builders here emit) —
 plus a seeded Monte-Carlo sampler whose per-trial randomness depends only
-on (seed, trial index).
+on (seed, trial index).  The monotone audit profiles each distinct state
+object once, however many branches or trials pass through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-import threading
 from typing import Callable
 
 import numpy as np
@@ -47,6 +45,7 @@ __all__ = [
     "exhaustive_run_exact",
     "success_probability",
     "monotone_audit",
+    "audit_trajectories",
     "deterministic_protocol",
     "build_full_protocol",
     "monte_carlo_run",
@@ -326,12 +325,18 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
     exact monomial data (true of protocols built by this module), and
     local unitaries never change Schmidt coefficients, so they and the
     announcements pass through.  The initial vector must be exact.
+
+    Equal post-measurement vectors of one step are one shared object, so
+    the branches of a deterministic stage, which all land on the same
+    vector, carry a single state per step boundary.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
     frontier = [((), Fraction(1), [initial])]
     for step in protocol.steps:
         new_frontier = []
+        outcomes = {}   # id(pre-measurement state) -> [(idx, p, post)]
+        interned = {}   # post probs -> the step's one SchmidtVector of them
         for history, prob, states in frontier:
             if isinstance(step, (Announce, LocalUnitary)):
                 new_frontier.append((history, prob, states + [states[-1]]))
@@ -341,12 +346,20 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
                     "measurement lacks exact monomial data; "
                     "use the amplitude-level exhaustive_run instead")
             current = states[-1]
-            for idx, mono in enumerate(step.exact):
-                p, post = mono.outcome(current.probs)
-                if post is None:
-                    continue
+            results = outcomes.get(id(current))
+            if results is None:
+                results = []
+                for idx, mono in enumerate(step.exact):
+                    p, post = mono.outcome(current.probs)
+                    if post is None:
+                        continue
+                    if post not in interned:
+                        interned[post] = SchmidtVector(post)
+                    results.append((idx, p, interned[post]))
+                outcomes[id(current)] = results
+            for idx, p, post in results:
                 new_frontier.append((history + (idx,), prob * p,
-                                     states + [SchmidtVector(post)]))
+                                     states + [post]))
         if len(new_frontier) > branch_cap:
             raise BranchLimitError(
                 f"branch count {len(new_frontier)} exceeds cap {branch_cap}")
@@ -362,10 +375,77 @@ def success_probability(branches, predicate=None):
     return total
 
 
-def _branch_monotone(state, k):
-    if isinstance(state, SchmidtVector):
-        return entanglement_monotone(state, k)
-    return entanglement_monotone(schmidt_decompose(state), k)
+def _state_monotones(state, ks):
+    sv = state if isinstance(state, SchmidtVector) else schmidt_decompose(state)
+    return [entanglement_monotone(sv, k) for k in ks]
+
+
+def audit_trajectories(trajectories, ks, *, tol=DEFAULT_TOL, check=True):
+    """Per-step weighted averages of the monotones E_k for every k in ``ks``.
+
+    ``trajectories`` is a sequence of (weight, states) pairs, ``states``
+    holding one snapshot per step boundary (index 0 = initial state).
+    Each distinct state object is profiled once, keyed by ``id`` while
+    the trajectories hold the objects.  Returns one list per k of
+    ``sum(weight * E_k) / sum(weight)`` per boundary.  Exact weights on
+    exact states are added up per distinct state before multiplying,
+    which leaves the rational result unchanged; otherwise the products
+    are summed over the trajectories in order, so float results do not
+    depend on which states are shared.
+
+    With ``check`` set, raises MonotoneViolationError at the first k (then
+    step) whose average increases beyond tolerance — no LOCC protocol may
+    do that.
+    """
+    if not trajectories:
+        raise ValueError("no branches to audit")
+    depth = len(trajectories[0][1])
+    if any(len(states) != depth for _, states in trajectories):
+        raise ValueError("branches disagree on step count")
+    ks = tuple(ks)
+    profiles = {}
+    for _, states in trajectories:
+        for state in states:
+            if id(state) not in profiles:
+                profiles[id(state)] = _state_monotones(state, ks)
+    total = sum(w for w, _ in trajectories)
+    exact = (all(isinstance(w, (int, Fraction)) for w, _ in trajectories)
+             and all(isinstance(v, Fraction)
+                     for values in profiles.values() for v in values))
+    table = [[] for _ in ks]
+    if exact:
+        # rationals add up exactly in any grouping: one normalized weight
+        # per sequence of state objects, then one per distinct state
+        paths = {}
+        for w, states in trajectories:
+            key = tuple(map(id, states))
+            paths[key] = paths.get(key, 0) + w
+        paths = [(Fraction(w) / total, key) for key, w in paths.items()]
+        for s in range(depth):
+            merged = {}
+            for w, key in paths:
+                merged[key[s]] = merged.get(key[s], 0) + w
+            for i, averages in enumerate(table):
+                averages.append(sum(w * profiles[key][i]
+                                    for key, w in merged.items()))
+    else:
+        for s in range(depth):
+            terms = [(w, profiles[id(states[s])])
+                     for w, states in trajectories]
+            for i, averages in enumerate(table):
+                averages.append(sum(w * values[i] for w, values in terms)
+                                / total)
+    if check:
+        for k, averages in zip(ks, table):
+            for i in range(depth - 1):
+                drop = averages[i] - averages[i + 1]
+                bad = (drop < 0 if isinstance(drop, Fraction)
+                       else float(drop) < -tol)
+                if bad:
+                    raise MonotoneViolationError(
+                        f"averaged monotone k={k} increased at step {i + 1}: "
+                        f"{averages[i]} -> {averages[i + 1]}")
+    return table
 
 
 def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL, check=True):
@@ -375,26 +455,8 @@ def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL, check=True):
     ``check`` set, raises MonotoneViolationError if the sequence
     increases beyond tolerance — no LOCC protocol may do that.
     """
-    if not branches:
-        raise ValueError("no branches to audit")
-    depth = len(branches[0].states)
-    if any(len(b.states) != depth for b in branches):
-        raise ValueError("branches disagree on step count")
-    total = sum(b.probability for b in branches)
-    averages = []
-    for s in range(depth):
-        avg = sum(b.probability * _branch_monotone(b.states[s], k)
-                  for b in branches) / total
-        averages.append(avg)
-    if check:
-        for i in range(len(averages) - 1):
-            drop = averages[i] - averages[i + 1]
-            bad = drop < 0 if isinstance(drop, Fraction) else float(drop) < -tol
-            if bad:
-                raise MonotoneViolationError(
-                    f"averaged monotone k={k} increased at step {i + 1}: "
-                    f"{averages[i]} -> {averages[i + 1]}")
-    return averages
+    trajectories = [(b.probability, b.states) for b in branches]
+    return audit_trajectories(trajectories, (k,), tol=tol, check=check)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,25 +637,37 @@ class _LazyBranchTree:
 
     A node is keyed by its outcome history; it stores the state snapshots
     accumulated since the parent measurement and the outcome-probability
-    vector of the pending measurement (None once the protocol ends).
-    Expansion is locked so threaded samplers stay consistent.
+    vector of the pending measurement (None once the protocol ends), with
+    its running sums and the outcome each pick falls back to.  Asking for
+    a node expands its unexpanded ancestors first.
     """
 
     def __init__(self, protocol, initial, tol):
         self._protocol = protocol
         self._tol = tol
-        self._lock = threading.Lock()
         self._nodes = {}
         self._root = self._make_node((), 0, initial)
 
     class _Node:
-        __slots__ = ("states", "probs", "posts", "next_pos")
+        __slots__ = ("states", "probs", "cumulative", "fallback", "posts",
+                     "next_pos")
 
         def __init__(self, states, probs, posts, next_pos):
             self.states = states
             self.probs = probs
             self.posts = posts
             self.next_pos = next_pos
+            if probs is None:
+                self.cumulative = self.fallback = None
+                return
+            # running sums in order, as a per-trial ``acc += p`` loop has them
+            self.cumulative = np.cumsum(probs)
+            fallback = []
+            for idx in range(len(posts)):
+                while posts[idx] is None:   # never land on a pruned branch
+                    idx -= 1
+                fallback.append(idx)
+            self.fallback = fallback
 
     def _make_node(self, history, pos, state):
         steps = self._protocol.steps
@@ -620,18 +694,14 @@ class _LazyBranchTree:
         return node
 
     def node(self, history):
-        try:
-            return self._nodes[history]
-        except KeyError:
-            pass
-        with self._lock:
-            if history in self._nodes:
-                return self._nodes[history]
+        node = self._nodes.get(history)
+        if node is None:
             parent = self.node(history[:-1])
             post = parent.posts[history[-1]]
             if post is None:
                 raise ProtocolError("sampled a pruned zero-probability branch")
-            return self._make_node(history, parent.next_pos, post)
+            node = self._make_node(history, parent.next_pos, post)
+        return node
 
     def trajectory(self, history):
         """State snapshots along a complete history (len(steps) + 1).
@@ -646,28 +716,41 @@ class _LazyBranchTree:
         return states
 
 
-def _sample_chunk(tree, uniforms, lo, hi):
-    counts = Counter()
-    for t in range(lo, hi):
-        history = ()
-        node = tree.node(history)
-        draw = 0
-        while node.probs is not None:
-            u = uniforms[t, draw]
-            draw += 1
-            acc = 0.0
-            idx = len(node.probs) - 1
-            for i, p in enumerate(node.probs):
-                acc += p
-                if u < acc:
-                    idx = i
-                    break
-            while node.posts[idx] is None:   # never land on a pruned branch
-                idx -= 1
-            history = history + (idx,)
+_DRAW_BLOCK = 8192  # trials whose uniforms are drawn at once
+
+
+def _sample_histories(tree, trials, seed, n_meas):
+    """{history: trial count} for ``trials`` sampled trials, ordered by
+    the first trial that took each history.
+
+    Trial t uses row t of a Philox uniform matrix keyed by ``seed``, its
+    column d for the measurement after d outcomes.  The rows are drawn in
+    blocks, which yields the same numbers as one draw of the whole
+    matrix.  Within a block, the rows are grouped per tree node.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    first, counts = {}, {}
+    for lo in range(0, trials, _DRAW_BLOCK):
+        uniforms = rng.random((min(_DRAW_BLOCK, trials - lo), n_meas))
+        pending = [((), np.arange(len(uniforms)))]
+        while pending:
+            history, rows = pending.pop()
             node = tree.node(history)
-        counts[history] += 1
-    return counts
+            if node.probs is None:
+                t = lo + int(rows[0])
+                if t < first.get(history, trials):
+                    first[history] = t
+                counts[history] = counts.get(history, 0) + len(rows)
+                continue
+            # the first outcome whose running sum exceeds u, else the last
+            picks = np.searchsorted(node.cumulative,
+                                    uniforms[rows, len(history)], side="right")
+            np.minimum(picks, len(node.probs) - 1, out=picks)
+            sizes = np.bincount(picks, minlength=len(node.probs))
+            for idx in np.flatnonzero(sizes).tolist():
+                child = history + (node.fallback[idx],)
+                pending.append((child, rows[picks == idx]))
+    return {h: counts[h] for h in sorted(counts, key=first.__getitem__)}
 
 
 def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
@@ -677,14 +760,16 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
 
     Reproducibility: trial t consumes row t of a Philox-generated uniform
     matrix keyed by ``seed``, so its outcomes are a pure function of
-    (seed, t).  Results are aggregated as integer counts, which makes the
-    report identical for any ``workers`` value (chunks merge by addition).
+    (seed, t).  Trials are sampled together, grouped per node of the
+    branch tree, and aggregated as integer counts.
 
     Parameters
     ----------
     protocol, initial : the protocol and the start state.
     trials, seed : sample size and RNG key.
-    workers : number of threads to spread trial chunks over.
+    workers : accepted for compatibility and validated (>= 1); sampling
+        runs in the calling thread and the report is the same for any
+        value.
     predicted : closed-form probability to embed in the report.
 
     Returns
@@ -697,37 +782,21 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
     if workers < 1:
         raise ValueError("workers must be positive")
     n_meas = max(protocol.measurement_count, 1)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    uniforms = rng.random((trials, n_meas))
     tree = _LazyBranchTree(protocol, initial, tol)
-    chunk = math.ceil(trials / workers)
-    ranges = [(lo, min(lo + chunk, trials))
-              for lo in range(0, trials, chunk)]
-    if workers == 1 or len(ranges) == 1:
-        chunks = [_sample_chunk(tree, uniforms, lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sample_chunk, tree, uniforms, lo, hi)
-                       for lo, hi in ranges]
-            chunks = [f.result() for f in futures]
-    counts = Counter()
-    for c in chunks:
-        counts.update(c)
+    counts = _sample_histories(tree, trials, seed, n_meas)
     predicate = protocol.success_predicate
     successes = sum(cnt for hist, cnt in counts.items()
                     if predicate is None or predicate(hist))
     empirical = successes / trials
     std_error = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
     # audit from the visited trajectories, weighted by visit counts
-    trajectories = {hist: tree.trajectory(hist) for hist in counts}
-    depth = len(protocol.steps) + 1
-    dims = min(initial.n_a, initial.n_b)
-    audit = []
-    for s in range(depth):
-        for k in range(1, dims + 1):
-            avg = sum(cnt * _branch_monotone(trajectories[hist][s], k)
-                      for hist, cnt in counts.items()) / trials
-            audit.append((s, k, float(avg)))
+    ks = range(1, min(initial.n_a, initial.n_b) + 1)
+    table = audit_trajectories(
+        [(cnt, tree.trajectory(hist)) for hist, cnt in counts.items()], ks,
+        tol=tol, check=False)
+    audit = [(s, k, float(averages[s]))
+             for s in range(len(protocol.steps) + 1)
+             for k, averages in zip(ks, table)]
     return SimulationReport(trials=trials, successes=successes,
                             empirical_probability=empirical,
                             std_error=std_error, predicted=predicted,

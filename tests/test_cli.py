@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -211,3 +212,41 @@ class TestFailureModes:
                                     "--copies", "0"])
         assert code == 1
         assert "error:" in err
+
+
+# Full stdout of three simulate runs, pinned by size and SHA-256: any
+# change to the printed digits, such as a different summation order in
+# the audit averages, shows here.  The exact and sampled runs share a
+# 5-level pair with three balancing measurements (8 branches); the float
+# run uses decimal inputs that float mode plans without refusal.
+GOLDEN_STATES = {
+    "e": ["37/100", "23/100", "19/100", "13/100", "8/100"],
+    "f": ["27/100", "26/100", "21/100", "17/100", "9/100"],
+    "fa": ["0.3115", "0.2869", "0.1967", "0.1311", "0.0738"],
+    "fb": ["0.2566", "0.2566", "0.25", "0.2039", "0.0329"],
+}
+GOLDEN_RUNS = {
+    "exhaustive-exact": (
+        ["e", "f", "--exhaustive"], 2833,
+        "0ea1b3f211e91416e4714207e868ff20552990285879f9c25139d87542628587"),
+    "exhaustive-float": (
+        ["fa", "fb", "--exhaustive", "--mode", "float"], 4899,
+        "9c2b4b92836bf146477a6c669e6b7102516c3763fa3587a75e2f29d53601cc2d"),
+    "monte-carlo": (
+        ["e", "f", "--trials", "3000", "--seed", "5"], 2861,
+        "e08fd18e50d4013e0a4765932f78e08f15f4d659ebcf96fbdbfcbcdfb86d7f55"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_simulate_stdout_is_pinned(capsys, tmp_path, name):
+    paths = {}
+    for label, values in GOLDEN_STATES.items():
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(json.dumps({"schmidt_sq": values}))
+    args, size, sha = GOLDEN_RUNS[name]
+    argv = ["simulate"] + [str(paths.get(a, a)) for a in args]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == sha

@@ -1,6 +1,8 @@
 """Protocol execution engines, builders, and the Monte-Carlo sampler."""
 
 import math
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,14 @@ from entconvert import (Announce, BipartiteState, BranchLimitError,
                         ExactMonomial, InfeasibleConversionError,
                         LocalMeasurement, LocalUnitary, LoccProtocol,
                         MajorizationError, ProtocolError, SchmidtVector,
-                        apply_measurement, build_full_protocol, build_plan,
-                        deterministic_protocol, exhaustive_run,
-                        exhaustive_run_exact, monotone_audit,
+                        SimulationReport, apply_measurement,
+                        audit_trajectories, build_full_protocol, build_plan,
+                        deterministic_protocol, entanglement_monotone,
+                        exhaustive_run, exhaustive_run_exact, monotone_audit,
                         monte_carlo_run, schmidt_decompose,
                         state_from_schmidt, success_probability)
+from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree
+from entconvert.numeric import DEFAULT_TOL
 from util import rand_kraus, rand_majorized_below, rand_rational_schmidt, rand_state
 
 F = Fraction
@@ -273,6 +278,44 @@ class TestMonotoneAudit:
         with pytest.raises(ValueError):
             monotone_audit([], 1)
 
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_out_of_range_rejected(self, k):
+        plan = build_plan(ALPHA3, BETA3)
+        branches = exhaustive_run_exact(build_full_protocol(plan), plan.source)
+        with pytest.raises(ValueError, match="out of range"):
+            monotone_audit(branches, k)
+
+    def test_all_k_table_matches_single_k_audits(self):
+        plan = build_plan(ALPHA3, BETA3)
+        proto = build_full_protocol(plan)
+        for branches in (exhaustive_run_exact(proto, plan.source),
+                         exhaustive_run(proto, state_from_schmidt(plan.source))):
+            table = audit_trajectories(
+                [(b.probability, b.states) for b in branches], range(1, 4))
+            assert table == [monotone_audit(branches, k) for k in (1, 2, 3)]
+
+    def test_float_averages_keep_branch_order(self):
+        # one shared state object, weights whose float sum depends on order
+        state = state_from_schmidt(SchmidtVector((0.7, 0.2, 0.1)))
+        weights = [0.1, 0.2, 0.3, 1e-17, 0.4]
+        [averages] = audit_trajectories(
+            [(w, (state,)) for w in weights], (2,))
+        e2 = entanglement_monotone(schmidt_decompose(state), 2)
+        assert averages == [sum(w * e2 for w in weights) / sum(weights)]
+
+    def test_exact_run_shares_equal_states(self):
+        # every branch of the deterministic stage lands on the same vector
+        rng = np.random.default_rng(11)
+        gamma = rand_rational_schmidt(rng, 6)
+        alpha = rand_majorized_below(rng, gamma, steps=5)
+        branches = exhaustive_run_exact(deterministic_protocol(alpha, gamma),
+                                        alpha)
+        assert len(branches) > 2
+        for s in range(len(branches[0].states)):
+            assert len({id(b.states[s]) for b in branches}) <= 2
+        assert len({id(b.final_state) for b in branches}) == 1
+        assert all(b.final_state == gamma for b in branches)
+
 
 class TestBranchCap:
     def test_cap_enforced(self):
@@ -295,6 +338,132 @@ class TestBranchCap:
         proto = LoccProtocol((meas,))
         with pytest.raises(ProtocolError):
             exhaustive_run_exact(proto, BELL)
+
+
+def _reference_monte_carlo(protocol, initial, trials, seed):
+    """The sampler as a per-trial loop over one Philox uniform matrix.
+
+    Trial t walks the protocol step by step; at each measurement it takes
+    the first outcome whose running probability sum exceeds its next
+    uniform (the last outcome if none does), stepping down past pruned
+    outcomes.  The audit sums over histories in first-trial order.
+    """
+    n_meas = max(protocol.measurement_count, 1)
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
+        (trials, n_meas))
+    measured = {}   # history -> outcomes of the measurement that follows
+    counts = Counter()
+    paths = {}
+    for t in range(trials):
+        history, states, draw = (), [initial], 0
+        for step in protocol.steps:
+            current = states[-1]
+            if isinstance(step, LocalMeasurement):
+                if history not in measured:
+                    measured[history] = apply_measurement(
+                        current, step.party, step.operators)
+                outs = measured[history]
+                u = uniforms[t, draw]
+                draw += 1
+                acc = 0.0
+                idx = len(outs) - 1
+                for i, out in enumerate(outs):
+                    acc += out.probability
+                    if u < acc:
+                        idx = i
+                        break
+                while outs[idx].post_state is None:
+                    idx -= 1
+                history += (idx,)
+                states.append(outs[idx].post_state)
+            elif isinstance(step, LocalUnitary) and (
+                    step.condition is None or step.condition(history)):
+                amps = current.amplitudes
+                amps = (step.matrix @ amps if step.party == "A"
+                        else amps @ step.matrix.T)
+                states.append(BipartiteState(amps))
+            else:
+                states.append(current)
+        counts[history] += 1
+        paths.setdefault(history, states)
+    predicate = protocol.success_predicate
+    successes = sum(c for h, c in counts.items()
+                    if predicate is None or predicate(h))
+    empirical = successes / trials
+    audit = []
+    for s in range(len(protocol.steps) + 1):
+        for k in range(1, min(initial.n_a, initial.n_b) + 1):
+            avg = sum(c * entanglement_monotone(
+                schmidt_decompose(paths[h][s]), k)
+                for h, c in counts.items()) / trials
+            audit.append((s, k, float(avg)))
+    return SimulationReport(
+        trials=trials, successes=successes, empirical_probability=empirical,
+        std_error=math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials),
+        predicted=None, monotone_audit=tuple(audit), seed=seed)
+
+
+def _assert_same_report(report, reference):
+    assert report == reference
+    # bitwise, not just ==
+    assert ([v.hex() for _, _, v in report.monotone_audit]
+            == [v.hex() for _, _, v in reference.monotone_audit])
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_exact_protocols(self, n):
+        rng = np.random.default_rng(700 + n)
+        plan = build_plan(rand_rational_schmidt(rng, n),
+                          rand_rational_schmidt(rng, n))
+        proto = build_full_protocol(plan)
+        initial = state_from_schmidt(plan.source)
+        for seed in (n, 100 + n):
+            _assert_same_report(
+                monte_carlo_run(proto, initial, 700, seed),
+                _reference_monte_carlo(proto, initial, 700, seed))
+
+    def test_pruned_outcome(self):
+        # outcome 1 projects onto the empty third level: probability 0
+        initial = state_from_schmidt(SchmidtVector((0.6, 0.4, 0.0)))
+        projectors = [np.diag(d).astype(complex)
+                      for d in ([1, 0, 0], [0, 0, 1], [0, 1, 0])]
+        first = LocalMeasurement("A", tuple(projectors))
+        mixer = LocalMeasurement("B", tuple(rand_kraus(
+            np.random.default_rng(5), 3, 2)))
+        proto = LoccProtocol((first, Announce(), mixer),
+                             success_predicate=lambda h: h[-1] == 0)
+        tree = _LazyBranchTree(proto, initial, DEFAULT_TOL)
+        assert tree.node(()).posts[1] is None
+        assert tree.node(()).fallback == [0, 0, 2]
+        report = monte_carlo_run(proto, initial, 3000, seed=8)
+        _assert_same_report(report,
+                            _reference_monte_carlo(proto, initial, 3000, 8))
+        assert 0 < report.successes < 3000
+
+    def test_trials_cross_the_draw_block(self):
+        plan = build_plan(ALPHA3, BETA3)
+        proto = build_full_protocol(plan)
+        initial = state_from_schmidt(plan.source)
+        trials = _DRAW_BLOCK + 37
+        _assert_same_report(
+            monte_carlo_run(proto, initial, trials, seed=31),
+            _reference_monte_carlo(proto, initial, trials, 31))
+
+    def test_node_expands_unexpanded_parents(self):
+        # asking for a grandchild first must return, not wait on itself
+        plan = build_plan(ALPHA3, BETA3)
+        proto = build_full_protocol(plan)
+        tree = _LazyBranchTree(proto, state_from_schmidt(plan.source),
+                               DEFAULT_TOL)
+        found = []
+        worker = threading.Thread(target=lambda: found.append(
+            tree.node((0, 0))), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "node() did not return"
+        assert found and found[0].probs is None   # a leaf: protocol over
+        assert len(tree.trajectory((0, 0))) == len(proto.steps) + 1
 
 
 class TestMonteCarlo:
