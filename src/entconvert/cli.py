@@ -370,12 +370,12 @@ _HANDLERS = {
     "tensor": cmd_tensor,
     "demo": cmd_demo,
 }
+_PARSER = build_parser()   # parse_args leaves it unchanged, so build once
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on unparsable arguments; that code is reserved
         # for infeasible requests here, so bad arguments report as 1

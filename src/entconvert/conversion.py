@@ -65,6 +65,15 @@ def _padded_pair(alpha: SchmidtVector, beta: SchmidtVector):
     return alpha.padded(n), beta.padded(n)
 
 
+def _trimmed_length(a: SchmidtVector, b: SchmidtVector, tol) -> int:
+    """Length of the padded pair less trailing positions where both are 0."""
+    n = a.n
+    while n > 1 and all(v <= 0 if isinstance(v, Fraction) else float(v) <= tol
+                        for v in (a.probs[n - 1], b.probs[n - 1])):
+        n -= 1
+    return n
+
+
 def optimal_probability(alpha: SchmidtVector, beta: SchmidtVector,
                         *, tol=DEFAULT_TOL):
     """Best LOCC conversion probability from ``alpha`` to ``beta``.
@@ -129,13 +138,7 @@ def breakpoints(alpha: SchmidtVector, beta: SchmidtVector,
     a, b = _padded_pair(alpha, beta)
     exact = a.is_exact and b.is_exact
     zero_floor = Fraction(0) if exact else tol
-
-    def _is_zero(v):
-        return v <= 0 if isinstance(v, Fraction) else float(v) <= tol
-
-    n = a.n
-    while n > 1 and _is_zero(a.probs[n - 1]) and _is_zero(b.probs[n - 1]):
-        n -= 1
+    n = _trimmed_length(a, b, tol)
     avals = a.probs[:n]
     bvals = b.probs[:n]
     if a.nonzero_count(tol) < b.nonzero_count(tol):
@@ -209,14 +212,13 @@ class Breakpoints:
 
 
 def intermediate_state(bp: Breakpoints, beta: SchmidtVector,
-                       *, verify_order=True, tol=DEFAULT_TOL) -> SchmidtVector:
+                       *, tol=DEFAULT_TOL) -> SchmidtVector:
     """Scale each target segment by its tail ratio: gamma_i = r_j beta_i.
 
     The result is the state the deterministic stage aims for; it
     majorizes the source and is mapped onto the target by the final
     filter with probability r_1.  The construction provably yields a
-    sorted vector; this is asserted and, only when ``verify_order`` is
-    False, repaired by re-sorting instead.
+    sorted vector; IntermediateOrderError flags a breach.
     """
     if beta.n != bp.n:
         raise ValueError(
@@ -230,12 +232,9 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector,
     for i in range(bp.n - 1):
         drop = gamma[i] - gamma[i + 1]
         if (exact and drop < 0) or (not exact and float(drop) < -tol):
-            if verify_order:
-                raise IntermediateOrderError(
-                    f"intermediate state out of order at position {i + 1}: "
-                    f"{gamma[i]} < {gamma[i + 1]}")
-            gamma.sort(reverse=True)
-            break
+            raise IntermediateOrderError(
+                f"intermediate state out of order at position {i + 1}: "
+                f"{gamma[i]} < {gamma[i + 1]}")
     return SchmidtVector(tuple(gamma))
 
 
@@ -331,13 +330,7 @@ def build_plan(alpha: SchmidtVector, beta: SchmidtVector,
     """
     a, b = _padded_pair(alpha, beta)
     exact = a.is_exact and b.is_exact
-
-    def _is_zero(v):
-        return v <= 0 if isinstance(v, Fraction) else float(v) <= tol
-
-    n = a.n
-    while n > 1 and _is_zero(a.probs[n - 1]) and _is_zero(b.probs[n - 1]):
-        n -= 1
+    n = _trimmed_length(a, b, tol)
     a = SchmidtVector(a.probs[:n])
     b = SchmidtVector(b.probs[:n])
     if a.nonzero_count(tol) < b.nonzero_count(tol):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conversion import (Breakpoints, ConversionPlan, DiagonalOperator,
-                         intermediate_state)
+                         intermediate_state, measurement_operators)
 from .numeric import DEFAULT_TOL, RATIONAL, parse_scalar, scalar_to_json
 from .schmidt import BipartiteState, SchmidtVector, schmidt_decompose
 
@@ -123,29 +123,43 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
     """Rebuild a plan from its JSON document (round-trip of plan_to_dict)."""
     if not isinstance(doc, dict):
         raise StateFileError("plan document must be a JSON object")
+
+    def scalars(values):
+        return tuple(parse_scalar(v, mode) for v in values)
+
     try:
         source = SchmidtVector.from_values(doc["source"], mode=mode, tol=tol)
         target = SchmidtVector.from_values(doc["target"], mode=mode, tol=tol)
         probability = parse_scalar(doc["probability"], mode)
+        if doc.get("breakpoints") is None:
+            if probability != 0:
+                raise StateFileError("a plan without breakpoints has "
+                                     "probability 0")
+            return ConversionPlan(source, target, None, None, None, None,
+                                  probability)
+        bp_doc = doc["breakpoints"]
+        bp = Breakpoints(tuple(int(b) for b in bp_doc["boundaries"]),
+                         scalars(bp_doc["ratios"]))
+        gamma = SchmidtVector(scalars(doc["intermediate"]))
+        success = DiagonalOperator(scalars(doc["success_squared"]))
+        failure = DiagonalOperator(scalars(doc["failure_squared"]))
     except KeyError as err:
         raise StateFileError(f"plan document missing key {err}") from err
-    if doc.get("breakpoints") is None:
-        return ConversionPlan(source, target, None, None, None, None,
-                              probability)
-    bp_doc = doc["breakpoints"]
-    bp = Breakpoints(tuple(int(b) for b in bp_doc["boundaries"]),
-                     tuple(parse_scalar(r, mode) for r in bp_doc["ratios"]))
-    gamma = SchmidtVector(tuple(parse_scalar(v, mode)
-                                for v in doc["intermediate"]))
-    success = DiagonalOperator(tuple(parse_scalar(v, mode)
-                                     for v in doc["success_squared"]))
-    failure = DiagonalOperator(tuple(parse_scalar(v, mode)
-                                     for v in doc["failure_squared"]))
-    rebuilt = intermediate_state(bp, target, tol=tol)
-    if rebuilt != gamma and not all(
-            abs(float(x) - float(y)) <= max(tol, 1e-9)
-            for x, y in zip(rebuilt.probs, gamma.probs)):
-        raise StateFileError("plan document is internally inconsistent")
+    except TypeError as err:
+        raise StateFileError(f"malformed plan document: {err}") from err
+    # the document's own values are kept; they must match the breakpoints
+    want_success, want_failure = measurement_operators(bp)
+    for key, got, want in (
+            ("intermediate", gamma.probs,
+             intermediate_state(bp, target, tol=tol).probs),
+            ("success_squared", success.squared, want_success.squared),
+            ("failure_squared", failure.squared, want_failure.squared),
+            ("probability", (probability,), bp.ratios[:1])):
+        if len(got) != len(want) or (got != want and not all(
+                abs(float(x) - float(y)) <= max(tol, 1e-9)
+                for x, y in zip(got, want))):
+            raise StateFileError(
+                f"plan document is internally inconsistent: {key}")
     return ConversionPlan(source, target, bp, gamma, success, failure,
                           probability)
 

@@ -2,13 +2,13 @@
 
 A protocol is a finite sequence of steps: local generalized measurements
 (branching), outcome-conditioned local unitaries, and classical outcome
-announcements.  Two execution engines are provided — an amplitude-level
-floating-point one that handles arbitrary operators, and an exact
-rational one for protocols whose operators are monomial with rational
-squared entries (which is true of everything the builders here emit) —
-plus a seeded Monte-Carlo sampler whose per-trial randomness depends only
-on (seed, trial index).  The monotone audit profiles each distinct state
-object once, however many branches or trials pass through it.
+announcements.  Exhaustive enumeration and a seeded Monte-Carlo sampler
+(per-trial randomness a function of (seed, trial index) alone) share one
+step interpreter, and the state's type picks the level: a BipartiteState
+runs in floating point on amplitudes with arbitrary operators, a
+SchmidtVector exactly on the rational monomial data that every
+measurement built here carries.  The monotone audit profiles each
+distinct state object once, however many branches or trials pass.
 """
 
 from __future__ import annotations
@@ -203,20 +203,13 @@ class LoccProtocol:
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
     index: int
-    probability: float
-    post_state: BipartiteState | None  # None flags a probability-0 outcome
+    probability: object  # float, or Fraction for a SchmidtVector
+    post_state: object   # like the measured state; None flags a pruned one
 
 
 def _apply_operator(amps: np.ndarray, party: str, op: np.ndarray) -> np.ndarray:
     # A acts on rows, B on columns of the amplitude matrix
     return op @ amps if party == "A" else amps @ op.T
-
-
-def _check_completeness(operators, tol):
-    n = operators[0].shape[0]
-    total = sum(op.conj().T @ op for op in operators)
-    if not np.allclose(total, np.eye(n), atol=max(tol, 1e-9)):
-        raise ProtocolError("measurement operators do not resolve the identity")
 
 
 def apply_measurement(state: BipartiteState, party: str, operators,
@@ -247,7 +240,9 @@ def apply_measurement(state: BipartiteState, party: str, operators,
     if any(op.shape != (dim, dim) for op in ops):
         raise ProtocolError(
             f"operator shape mismatch: party {party} has dimension {dim}")
-    _check_completeness(ops, tol)
+    if not np.allclose(sum(op.conj().T @ op for op in ops), np.eye(dim),
+                       atol=max(tol, 1e-9)):
+        raise ProtocolError("measurement operators do not resolve the identity")
     outcomes = []
     for idx, op in enumerate(ops):
         branch = _apply_operator(state.amplitudes, party, op)
@@ -278,6 +273,84 @@ class Branch:
         return self.states[-1]
 
 
+def _advance(protocol, pos, state, history):
+    """Snapshots after each step from ``pos`` up to the next measurement,
+    and its position.  An announcement repeats the state; a unitary whose
+    condition holds on ``history`` acts on a BipartiteState, while a
+    SchmidtVector passes every unitary through as the same object."""
+    steps = protocol.steps
+    snapshots = []
+    while pos < len(steps) and not isinstance(steps[pos], LocalMeasurement):
+        step = steps[pos]
+        if isinstance(step, LocalUnitary) and isinstance(
+                state, BipartiteState) and (
+                step.condition is None or step.condition(history)):
+            state = BipartiteState(_apply_operator(state.amplitudes,
+                                                   step.party, step.matrix))
+        snapshots.append(state)
+        pos += 1
+    return snapshots, pos
+
+
+def _measure(step, state, tol, interned):
+    """One MeasurementOutcome per outcome of ``step``: a BipartiteState
+    through apply_measurement, a SchmidtVector from the step's exact
+    monomial data, equal post vectors becoming the one object kept in
+    ``interned``."""
+    if isinstance(state, BipartiteState):
+        return apply_measurement(state, step.party, step.operators, tol=tol)
+    if step.exact is None:
+        raise ProtocolError(
+            "measurement lacks exact monomial data; "
+            "use the amplitude-level exhaustive_run instead")
+    results = []
+    for idx, mono in enumerate(step.exact):
+        p, post = mono.outcome(state.probs)
+        if post is not None and post not in interned:
+            interned[post] = SchmidtVector(post)
+        results.append(MeasurementOutcome(idx, p, interned.get(post)))
+    return results
+
+
+def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
+    """Every unpruned branch in history order, one level at a time, with
+    probabilities multiplied left to right from ``one``.  A BipartiteState
+    belongs to one branch, but equal SchmidtVectors are one object shared
+    by many, so each of those is measured, or advanced, once per level."""
+    steps = protocol.steps
+    frontier, pos = [((), one, [initial])], 0
+    while frontier and pos < len(steps):
+        grown, shared, interned = [], {}, {}   # shared: id(state) -> result
+        if isinstance(steps[pos], LocalMeasurement):
+            for history, prob, states in frontier:
+                outcomes = shared.get(id(states[-1]))
+                if outcomes is None:
+                    outcomes = _measure(steps[pos], states[-1], tol, interned)
+                    if isinstance(states[-1], SchmidtVector):
+                        shared[id(states[-1])] = outcomes
+                for out in outcomes:
+                    if out.post_state is not None:
+                        grown.append((history + (out.index,),
+                                      prob * out.probability,
+                                      states + [out.post_state]))
+            pos += 1
+        else:
+            for history, prob, states in frontier:
+                advanced = shared.get(id(states[-1]))
+                if advanced is None:
+                    advanced = _advance(protocol, pos, states[-1], history)
+                    if isinstance(states[-1], SchmidtVector):
+                        shared[id(states[-1])] = advanced
+                snapshots, end = advanced
+                grown.append((history, prob, states + snapshots))
+            pos = end
+        if len(grown) > branch_cap:
+            raise BranchLimitError(
+                f"branch count {len(grown)} exceeds cap {branch_cap}")
+        frontier = grown
+    return [Branch(h, p, tuple(s)) for h, p, s in frontier]
+
+
 def exhaustive_run(protocol: LoccProtocol, initial: BipartiteState,
                    *, branch_cap=BRANCH_CAP, tol=DEFAULT_TOL):
     """Enumerate every branch of a protocol at the amplitude level.
@@ -286,35 +359,7 @@ def exhaustive_run(protocol: LoccProtocol, initial: BipartiteState,
     dropped; the probabilities of the returned branches sum to 1 within
     tolerance.  Raises BranchLimitError beyond ``branch_cap`` branches.
     """
-    frontier = [((), 1.0, [initial])]
-    for step in protocol.steps:
-        new_frontier = []
-        for history, prob, states in frontier:
-            current = states[-1]
-            if isinstance(step, Announce):
-                new_frontier.append((history, prob, states + [current]))
-            elif isinstance(step, LocalUnitary):
-                if step.condition is None or step.condition(history):
-                    amps = _apply_operator(current.amplitudes, step.party,
-                                           step.matrix)
-                    nxt = BipartiteState(amps)
-                else:
-                    nxt = current
-                new_frontier.append((history, prob, states + [nxt]))
-            else:
-                outcomes = apply_measurement(current, step.party,
-                                             step.operators, tol=tol)
-                for out in outcomes:
-                    if out.post_state is None:
-                        continue
-                    new_frontier.append((history + (out.index,),
-                                         prob * out.probability,
-                                         states + [out.post_state]))
-        if len(new_frontier) > branch_cap:
-            raise BranchLimitError(
-                f"branch count {len(new_frontier)} exceeds cap {branch_cap}")
-        frontier = new_frontier
-    return [Branch(h, p, tuple(s)) for h, p, s in frontier]
+    return _enumerate(protocol, initial, 1.0, branch_cap, tol)
 
 
 def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
@@ -332,47 +377,14 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
-    frontier = [((), Fraction(1), [initial])]
-    for step in protocol.steps:
-        new_frontier = []
-        outcomes = {}   # id(pre-measurement state) -> [(idx, p, post)]
-        interned = {}   # post probs -> the step's one SchmidtVector of them
-        for history, prob, states in frontier:
-            if isinstance(step, (Announce, LocalUnitary)):
-                new_frontier.append((history, prob, states + [states[-1]]))
-                continue
-            if step.exact is None:
-                raise ProtocolError(
-                    "measurement lacks exact monomial data; "
-                    "use the amplitude-level exhaustive_run instead")
-            current = states[-1]
-            results = outcomes.get(id(current))
-            if results is None:
-                results = []
-                for idx, mono in enumerate(step.exact):
-                    p, post = mono.outcome(current.probs)
-                    if post is None:
-                        continue
-                    if post not in interned:
-                        interned[post] = SchmidtVector(post)
-                    results.append((idx, p, interned[post]))
-                outcomes[id(current)] = results
-            for idx, p, post in results:
-                new_frontier.append((history + (idx,), prob * p,
-                                     states + [post]))
-        if len(new_frontier) > branch_cap:
-            raise BranchLimitError(
-                f"branch count {len(new_frontier)} exceeds cap {branch_cap}")
-        frontier = new_frontier
-    return [Branch(h, p, tuple(s)) for h, p, s in frontier]
+    return _enumerate(protocol, initial, Fraction(1), branch_cap)
 
 
 def success_probability(branches, predicate=None):
     """Total probability of branches whose history satisfies the predicate
     (all branches when predicate is None)."""
-    total = sum(b.probability for b in branches
-                if predicate is None or predicate(b.history))
-    return total
+    return sum(b.probability for b in branches
+               if predicate is None or predicate(b.history))
 
 
 def _state_monotones(state, ks):
@@ -512,13 +524,6 @@ def _outcome_equals(meas_index, value, history):
     return history[meas_index] == value
 
 
-def _swap_matrix(n, j, k):
-    mat = np.eye(n, dtype=complex)
-    mat[j, j] = mat[k, k] = 0.0
-    mat[j, k] = mat[k, j] = 1.0
-    return mat
-
-
 def _mixing_step(x, y, j, k, n, meas_index):
     """Two-outcome measurement turning sorted ``x`` into sorted ``y``
     (which differ only at positions j < k, with y_j > x_j >= x_k > y_k
@@ -544,7 +549,7 @@ def _mixing_step(x, y, j, k, n, meas_index):
         "A", (m1.matrix(), m2.matrix()), exact=(m1, m2),
         label=f"balance levels {j + 1},{k + 1}")
     correction = LocalUnitary(
-        "B", _swap_matrix(n, j, k),
+        "B", np.eye(n, dtype=complex)[rows2],
         condition=partial(_outcome_equals, meas_index, 1),
         label=f"relabel levels {j + 1},{k + 1} on the swap branch")
     return [meas, Announce(label="broadcast outcome"), correction]
@@ -652,45 +657,30 @@ class _LazyBranchTree:
         __slots__ = ("states", "probs", "cumulative", "fallback", "posts",
                      "next_pos")
 
-        def __init__(self, states, probs, posts, next_pos):
+        def __init__(self, states, outcomes, next_pos):
             self.states = states
-            self.probs = probs
-            self.posts = posts
             self.next_pos = next_pos
-            if probs is None:
-                self.cumulative = self.fallback = None
+            if outcomes is None:
+                self.probs = self.posts = self.cumulative = self.fallback = None
                 return
+            self.probs = np.array([out.probability for out in outcomes])
+            self.posts = posts = [out.post_state for out in outcomes]
             # running sums in order, as a per-trial ``acc += p`` loop has them
-            self.cumulative = np.cumsum(probs)
-            fallback = []
+            self.cumulative = np.cumsum(self.probs)
+            self.fallback = []
             for idx in range(len(posts)):
                 while posts[idx] is None:   # never land on a pruned branch
                     idx -= 1
-                fallback.append(idx)
-            self.fallback = fallback
+                self.fallback.append(idx)
 
     def _make_node(self, history, pos, state):
         steps = self._protocol.steps
-        states = [state]
-        while pos < len(steps) and not isinstance(steps[pos], LocalMeasurement):
-            step = steps[pos]
-            if isinstance(step, LocalUnitary) and (
-                    step.condition is None or step.condition(history)):
-                amps = _apply_operator(states[-1].amplitudes, step.party,
-                                       step.matrix)
-                states.append(BipartiteState(amps))
-            else:
-                states.append(states[-1])
-            pos += 1
-        if pos == len(steps):
-            node = self._Node(tuple(states), None, None, pos)
-        else:
-            outcomes = apply_measurement(states[-1], steps[pos].party,
-                                         steps[pos].operators, tol=self._tol)
-            probs = np.array([o.probability for o in outcomes])
-            posts = [o.post_state for o in outcomes]
-            node = self._Node(tuple(states), probs, posts, pos + 1)
-        self._nodes[history] = node
+        snapshots, pos = _advance(self._protocol, pos, state, history)
+        states = (state, *snapshots)
+        outcomes = None
+        if pos < len(steps):
+            outcomes = _measure(steps[pos], states[-1], self._tol, {})
+        node = self._nodes[history] = self._Node(states, outcomes, pos + 1)
         return node
 
     def node(self, history):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from entconvert.cli import DEMO_NAMES, main
+from entconvert.locc import BranchLimitError
 
 
 @pytest.fixture
@@ -121,6 +122,37 @@ class TestPlanAndSimulate:
         assert out1 == out2
         _, out3, _ = run(capsys, args + ["--workers", "3"])
         assert out3 == out1
+
+    def test_branch_cap_falls_back_to_sampling(self, capsys, states,
+                                               monkeypatch):
+        def over_cap(*args, **kwargs):
+            raise BranchLimitError("branch count 9 exceeds cap 8")
+
+        monkeypatch.setattr("entconvert.cli.exhaustive_run_exact", over_cap)
+        args = ["simulate", states["skewed"], states["bell"], "--exhaustive",
+                "--trials", "500"]
+        code, out, err = run(capsys, args)
+        assert code == 0
+        assert err == ("warning: branch count 9 exceeds cap 8; "
+                       "falling back to Monte-Carlo sampling\n")
+        assert json.loads(out)["mode"] == "monte_carlo"
+        code, out, err = run(capsys, args + ["--no-fallback"])
+        assert (code, out) == (2, "")
+        assert err == "infeasible: branch count 9 exceeds cap 8\n"
+
+    def test_inconsistent_plan_is_invalid_input(self, capsys, states,
+                                                tmp_path):
+        plan_path = tmp_path / "plan.json"
+        run(capsys, ["plan", states["three_a"], states["three_b"], "--out",
+                     str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        doc["success_squared"] = ["1", "1", "1"]
+        plan_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["simulate", "--plan", str(plan_path),
+                                      "--exhaustive"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: plan document is internally "
+                              "inconsistent")
 
     def test_simulate_needs_inputs(self, capsys):
         code, _, err = run(capsys, ["simulate"])

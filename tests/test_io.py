@@ -102,6 +102,50 @@ class TestPlanRoundTrip:
         with pytest.raises(StateFileError):
             plan_from_dict(doc)
 
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d.update(breakpoints={}),
+        lambda d: d.pop("intermediate"),
+        lambda d: d.update(breakpoints=[1, 2]),
+        lambda d: d["breakpoints"].update(ratios=5),
+        lambda d: d.update(success_squared=None),
+    ])
+    def test_malformed_nested_fields_rejected(self, tamper):
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        tamper(doc)
+        with pytest.raises(StateFileError):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize("key, values", [
+        ("success_squared", ["1", "1", "1"]),
+        ("failure_squared", ["0", "0", "0"]),
+        ("probability", "1"),
+        ("intermediate", ["1/2", "1/3", "1/6", "0"]),
+    ])
+    def test_fields_must_match_breakpoints(self, key, values):
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        doc[key] = values
+        with pytest.raises(StateFileError, match=key):
+            plan_from_dict(doc)
+
+    def test_degenerate_plan_needs_probability_zero(self):
+        plan = build_plan(SchmidtVector((F(1, 2), F(1, 2))),
+                          SchmidtVector((F(1, 3),) * 3))
+        doc = plan_to_dict(plan)
+        doc["probability"] = "1"
+        with pytest.raises(StateFileError):
+            plan_from_dict(doc)
+
+    def test_float_document_keeps_its_own_values(self):
+        plan = build_plan(SchmidtVector((0.5, 0.3, 0.2)),
+                          SchmidtVector((0.4, 0.4, 0.2)))
+        doc = json.loads(dumps(plan_to_dict(plan)), parse_float=str)
+        back = plan_from_dict(doc, mode="float")
+        assert back.probability == float(doc["probability"])
+        assert back.success_operator.squared == tuple(
+            float(v) for v in doc["success_squared"])
+        assert back.intermediate.probs == tuple(
+            float(v) for v in doc["intermediate"])
+
     def test_missing_key_rejected(self):
         with pytest.raises(StateFileError):
             plan_from_dict({"source": ["1"]})

@@ -333,6 +333,22 @@ class TestBranchCap:
         with pytest.raises(BranchLimitError):
             exhaustive_run_exact(proto, BELL, branch_cap=4)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_cap_is_inclusive(self, exact):
+        mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
+        meas = LocalMeasurement("A", (mono.matrix(), mono.matrix()),
+                                exact=(mono, mono))
+        proto = LoccProtocol((meas, Announce(), meas, meas))
+        engine = exhaustive_run_exact if exact else exhaustive_run
+        initial = BELL if exact else state_from_schmidt(BELL)
+        branches = engine(proto, initial, branch_cap=8)
+        assert [b.history for b in branches] == [
+            (i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+        assert all(len(b.states) == 5 for b in branches)
+        with pytest.raises(BranchLimitError) as info:
+            engine(proto, initial, branch_cap=7)
+        assert str(info.value) == "branch count 8 exceeds cap 7"
+
     def test_exact_engine_needs_monomial_data(self):
         meas = LocalMeasurement("A", (np.eye(2, dtype=complex),))
         proto = LoccProtocol((meas,))
