@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conversion import (Breakpoints, ConversionPlan, DiagonalOperator,
+                         InfeasibleConversionError, breakpoints,
                          intermediate_state, measurement_operators)
 from .numeric import DEFAULT_TOL, RATIONAL, parse_scalar, scalar_to_json
 from .schmidt import BipartiteState, SchmidtVector, schmidt_decompose
@@ -43,10 +44,16 @@ class LoadedState:
     state: BipartiteState | None
 
 
+def _reject_constant(name):
+    raise StateFileError(f"non-finite number {name} is not allowed")
+
+
 def _loads(text: str):
-    # floats arrive as strings so rational mode can parse them exactly
+    # floats arrive as strings so rational mode can parse them exactly;
+    # the non-standard literals NaN and (-)Infinity are refused
     try:
-        return json.loads(text, parse_float=str)
+        return json.loads(text, parse_float=str,
+                          parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise StateFileError(f"invalid JSON: {err}") from err
 
@@ -131,22 +138,34 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
         source = SchmidtVector.from_values(doc["source"], mode=mode, tol=tol)
         target = SchmidtVector.from_values(doc["target"], mode=mode, tol=tol)
         probability = parse_scalar(doc["probability"], mode)
-        if doc.get("breakpoints") is None:
-            if probability != 0:
-                raise StateFileError("a plan without breakpoints has "
-                                     "probability 0")
-            return ConversionPlan(source, target, None, None, None, None,
-                                  probability)
-        bp_doc = doc["breakpoints"]
-        bp = Breakpoints(tuple(int(b) for b in bp_doc["boundaries"]),
-                         scalars(bp_doc["ratios"]))
-        gamma = SchmidtVector(scalars(doc["intermediate"]))
-        success = DiagonalOperator(scalars(doc["success_squared"]))
-        failure = DiagonalOperator(scalars(doc["failure_squared"]))
+        bp, bp_doc = None, doc.get("breakpoints")
+        if bp_doc is not None:
+            bp = Breakpoints(tuple(int(b) for b in bp_doc["boundaries"]),
+                             scalars(bp_doc["ratios"]))
+            gamma = SchmidtVector(scalars(doc["intermediate"]))
+            success = DiagonalOperator(scalars(doc["success_squared"]))
+            failure = DiagonalOperator(scalars(doc["failure_squared"]))
     except KeyError as err:
         raise StateFileError(f"plan document missing key {err}") from err
     except TypeError as err:
         raise StateFileError(f"malformed plan document: {err}") from err
+    # An exact pair fixes its breakpoints (none when infeasible).  A float
+    # document keeps its own: its 12-digit rounding can move a near-tie
+    # boundary until float mode plans on exact values (ROADMAP item 4).
+    if source.is_exact and target.is_exact:
+        try:
+            want_bp = breakpoints(source, target, tol=tol)
+        except InfeasibleConversionError:
+            want_bp = None
+        if bp != want_bp:
+            raise StateFileError(
+                "plan document is internally inconsistent: breakpoints")
+    if bp is None:
+        if probability != 0:
+            raise StateFileError("a plan without breakpoints has "
+                                 "probability 0")
+        return ConversionPlan(source, target, None, None, None, None,
+                              probability)
     # the document's own values are kept; they must match the breakpoints
     want_success, want_failure = measurement_operators(bp)
     for key, got, want in (

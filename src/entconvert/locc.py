@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .conversion import ConversionPlan, InfeasibleConversionError
-from .monotones import entanglement_monotone
+from .monotones import _tails, entanglement_monotone
 from .numeric import DEFAULT_TOL, as_exact
 from .schmidt import (BipartiteState, InvalidStateError, SchmidtVector,
                       majorizes, schmidt_decompose, state_from_schmidt)
@@ -231,6 +231,13 @@ def apply_measurement(state: BipartiteState, party: str, operators,
         probabilities sum to 1 within tolerance.  Outcomes below the
         pruning threshold carry ``post_state=None``.
     """
+    ops = _checked_operators(state, party, operators, tol)
+    return _outcomes(state, party, ops)
+
+
+def _checked_operators(state, party, operators, tol):
+    """The operators as complex arrays, once they fit the measured party
+    of ``state`` and resolve its identity within ``tol``."""
     if party not in ("A", "B"):
         raise ProtocolError(f"party must be 'A' or 'B', got {party!r}")
     ops = [np.array(op, dtype=complex) for op in operators]
@@ -243,6 +250,11 @@ def apply_measurement(state: BipartiteState, party: str, operators,
     if not np.allclose(sum(op.conj().T @ op for op in ops), np.eye(dim),
                        atol=max(tol, 1e-9)):
         raise ProtocolError("measurement operators do not resolve the identity")
+    return ops
+
+
+def _outcomes(state, party, ops):
+    """One MeasurementOutcome per operator, the checks already passed."""
     outcomes = []
     for idx, op in enumerate(ops):
         branch = _apply_operator(state.amplitudes, party, op)
@@ -292,13 +304,18 @@ def _advance(protocol, pos, state, history):
     return snapshots, pos
 
 
-def _measure(step, state, tol, interned):
+def _measure(step, state, tol, interned, checked):
     """One MeasurementOutcome per outcome of ``step``: a BipartiteState
-    through apply_measurement, a SchmidtVector from the step's exact
+    as apply_measurement gives them, a SchmidtVector from the step's exact
     monomial data, equal post vectors becoming the one object kept in
-    ``interned``."""
+    ``interned``.  A step's operators are checked the first time a
+    BipartiteState meets it and then added to ``checked``: every state of
+    one run has the same shape, so that check holds for the whole run."""
     if isinstance(state, BipartiteState):
-        return apply_measurement(state, step.party, step.operators, tol=tol)
+        if step not in checked:
+            _checked_operators(state, step.party, step.operators, tol)
+            checked.add(step)
+        return _outcomes(state, step.party, step.operators)
     if step.exact is None:
         raise ProtocolError(
             "measurement lacks exact monomial data; "
@@ -318,14 +335,15 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
     belongs to one branch, but equal SchmidtVectors are one object shared
     by many, so each of those is measured, or advanced, once per level."""
     steps = protocol.steps
-    frontier, pos = [((), one, [initial])], 0
+    frontier, pos, checked = [((), one, [initial])], 0, set()
     while frontier and pos < len(steps):
         grown, shared, interned = [], {}, {}   # shared: id(state) -> result
         if isinstance(steps[pos], LocalMeasurement):
             for history, prob, states in frontier:
                 outcomes = shared.get(id(states[-1]))
                 if outcomes is None:
-                    outcomes = _measure(steps[pos], states[-1], tol, interned)
+                    outcomes = _measure(steps[pos], states[-1], tol,
+                                        interned, checked)
                     if isinstance(states[-1], SchmidtVector):
                         shared[id(states[-1])] = outcomes
                 for out in outcomes:
@@ -389,7 +407,10 @@ def success_probability(branches, predicate=None):
 
 def _state_monotones(state, ks):
     sv = state if isinstance(state, SchmidtVector) else schmidt_decompose(state)
-    return [entanglement_monotone(sv, k) for k in ks]
+    tails = _tails(sv)
+    # entanglement_monotone raises the ValueError for a k outside 1..n
+    return [tails[k - 1] if isinstance(k, int) and 1 <= k <= sv.n
+            else entanglement_monotone(sv, k) for k in ks]
 
 
 def audit_trajectories(trajectories, ks, *, tol=DEFAULT_TOL, check=True):
@@ -651,6 +672,7 @@ class _LazyBranchTree:
         self._protocol = protocol
         self._tol = tol
         self._nodes = {}
+        self._checked = set()   # measurement steps whose operators passed
         self._root = self._make_node((), 0, initial)
 
     class _Node:
@@ -679,7 +701,8 @@ class _LazyBranchTree:
         states = (state, *snapshots)
         outcomes = None
         if pos < len(steps):
-            outcomes = _measure(steps[pos], states[-1], self._tol, {})
+            outcomes = _measure(steps[pos], states[-1], self._tol, {},
+                                self._checked)
         node = self._nodes[history] = self._Node(states, outcomes, pos + 1)
         return node
 

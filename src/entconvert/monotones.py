@@ -42,10 +42,35 @@ def entanglement_monotone(sv: SchmidtVector, k: int):
     return min(max(float(tail), 0.0), 1.0)
 
 
+def _tails(sv: SchmidtVector) -> list:
+    """[E_1, ..., E_n] of a state.
+
+    An exact vector takes one running sum from its last entry back to its
+    first: n Fraction additions, where summing each tail anew takes about
+    n**2 / 2.  Rationals add exactly in any order, so every value equals
+    entanglement_monotone's.
+    """
+    if not sv.is_exact:
+        # A running float sum rounds differently from each tail summed left
+        # to right, and rendered digits could change; floats stay per k
+        # until float mode plans on exact values (ROADMAP item 4).
+        return [entanglement_monotone(sv, k) for k in range(1, sv.n + 1)]
+    tails, run = [], Fraction(0)
+    for p in reversed(sv.probs):
+        run += p
+        tails.append(run)
+    tails.reverse()
+    return tails
+
+
 def monotone_profile(sv: SchmidtVector) -> "MonotoneVector":
-    """All n monotones of a state, from normalization down to the smallest tail."""
-    return MonotoneVector(tuple(entanglement_monotone(sv, k)
-                                for k in range(1, sv.n + 1)))
+    """All n monotones of a state, from normalization down to the smallest tail.
+
+    An exact vector's profile takes one pass over its entries (n rational
+    additions); a float vector's tails are summed one by one, as
+    entanglement_monotone sums them.
+    """
+    return MonotoneVector(tuple(_tails(sv)))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,12 @@ def parse_scalar(value, mode: str = RATIONAL):
             raise ValueError(f"cannot parse scalar {value!r}") from err
     else:
         raise ValueError(f"cannot parse scalar of type {type(value).__name__}")
-    return float(exact) if mode == FLOAT else exact
+    if mode == RATIONAL:
+        return exact
+    try:
+        return float(exact)
+    except OverflowError as err:
+        raise ValueError(f"scalar {value!r} is too large for a float") from err
 
 
 def is_exact_scalar(value) -> bool:

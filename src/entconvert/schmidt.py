@@ -62,6 +62,8 @@ class SchmidtVector:
                 cleaned.append(p)
             else:
                 p = float(p)
+                if not math.isfinite(p):
+                    raise InvalidStateError(f"non-finite squared coefficient {p}")
                 if p < -DEFAULT_TOL:
                     raise InvalidStateError(f"negative squared coefficient {p}")
                 cleaned.append(max(p, 0.0))
@@ -84,6 +86,8 @@ class SchmidtVector:
         elif abs(float(total) - 1.0) > DEFAULT_TOL:
             raise InvalidStateError(f"entries sum to {float(total)}, not 1")
         object.__setattr__(self, "probs", probs)
+        # not a field, so __eq__, __hash__ and repr still see probs alone
+        object.__setattr__(self, "_exact", exact)
 
     @classmethod
     def from_values(cls, values, *, mode="rational", normalize=False,
@@ -127,7 +131,7 @@ class SchmidtVector:
 
     @property
     def is_exact(self) -> bool:
-        return all_exact(self.probs)
+        return self._exact
 
     def nonzero_count(self, tol=DEFAULT_TOL) -> int:
         """Number of entries that carry weight (exact > 0, float > tol)."""
@@ -161,7 +165,7 @@ class BipartiteState:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidStateError("amplitudes must form a 2-d matrix")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > DEFAULT_TOL:
+        if not abs(norm - 1.0) <= DEFAULT_TOL:   # a NaN norm fails too
             raise InvalidStateError(f"state norm {norm} deviates from 1")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)

@@ -3,10 +3,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from entconvert.cli import DEMO_NAMES, main
 from entconvert.locc import BranchLimitError
+from util import rand_rational_schmidt
 
 
 @pytest.fixture
@@ -154,6 +156,40 @@ class TestPlanAndSimulate:
         assert err.startswith("error: plan document is internally "
                               "inconsistent")
 
+    def test_plan_with_foreign_source_is_invalid_input(self, capsys,
+                                                      states, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        run(capsys, ["plan", states["three_a"], states["three_b"], "--out",
+                     str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        doc["source"] = ["1/3", "1/3", "1/3"]
+        plan_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["simulate", "--plan", str(plan_path),
+                                      "--exhaustive"])
+        assert (code, out) == (1, "")
+        assert err == ("error: plan document is internally inconsistent: "
+                       "breakpoints\n")
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_plan_round_trips_through_simulate(self, capsys, tmp_path, n):
+        rng = np.random.default_rng(5100 + n)
+        paths = {}
+        for name in ("a", "b"):
+            sv = rand_rational_schmidt(rng, n)
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(
+                {"schmidt_sq": [str(p) for p in sv.probs]}))
+        plan_path = tmp_path / "plan.json"
+        code, _, _ = run(capsys, ["plan", str(paths["a"]), str(paths["b"]),
+                                  "--out", str(plan_path)])
+        assert code == 0
+        flags = ["--trials", "100", "--seed", str(n)]
+        code, out, err = run(capsys, ["simulate", "--plan", str(plan_path)]
+                             + flags)
+        assert (code, err) == (0, "")
+        assert (0, out, "") == run(
+            capsys, ["simulate", str(paths["a"]), str(paths["b"])] + flags)
+
     def test_simulate_needs_inputs(self, capsys):
         code, _, err = run(capsys, ["simulate"])
         assert code == 1
@@ -227,6 +263,28 @@ class TestFailureModes:
         code, _, err = run(capsys, ["monotones", str(bad)])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["compare", "prob", "plan"])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_non_finite_entry_is_invalid_input(self, capsys, states,
+                                               tmp_path, command, mode):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"schmidt_sq": [NaN, 0.5, 0.5]}')
+        code, out, err = run(capsys, [command, str(bad), states["bell"],
+                                      "--mode", mode])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_non_finite_plan_is_invalid_input(self, capsys, states,
+                                              tmp_path):
+        plan_path = tmp_path / "plan.json"
+        run(capsys, ["plan", states["three_a"], states["three_b"], "--out",
+                     str(plan_path)])
+        plan_path.write_text(plan_path.read_text().replace('"5/6"', "NaN"))
+        code, out, err = run(capsys, ["simulate", "--plan", str(plan_path),
+                                      "--exhaustive"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     def test_infeasible_simulation_exits_two(self, capsys, states):
         code, _, err = run(capsys, ["simulate", states["bell"],

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entconvert import SchmidtVector, build_plan, monte_carlo_run, \
@@ -11,6 +12,7 @@ from entconvert import SchmidtVector, build_plan, monte_carlo_run, \
 from entconvert.io import (StateFileError, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
+from util import rand_rational_schmidt
 
 F = Fraction
 
@@ -68,6 +70,24 @@ class TestStateDocuments:
         path.write_text("{not json")
         with pytest.raises(StateFileError):
             load_state_file(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"schmidt_sq": [NaN, 0.5, 0.5]}',
+        '{"schmidt_sq": [Infinity, 0.5]}',
+        '{"schmidt_sq": [1, -Infinity]}',
+        '{"amplitudes": [[[NaN, 0]]]}',
+    ])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_load_rejects_non_finite_literals(self, tmp_path, text, mode):
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        with pytest.raises(StateFileError, match="non-finite"):
+            load_state_file(path, mode=mode)
+
+    def test_float_overflow_rejected(self):
+        with pytest.raises(StateFileError):
+            parse_state_document({"schmidt_sq": ["1e400", "0.5"]},
+                                 mode="float")
 
     def test_trim_on_load(self, tmp_path):
         path = tmp_path / "padded.json"
@@ -134,6 +154,41 @@ class TestPlanRoundTrip:
         doc["probability"] = "1"
         with pytest.raises(StateFileError):
             plan_from_dict(doc)
+
+    def test_breakpoints_must_match_the_source(self):
+        # the 3-level plan with its source flattened: prob() gives 1 there
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        doc["source"] = ["1/3", "1/3", "1/3"]
+        with pytest.raises(StateFileError, match="breakpoints"):
+            plan_from_dict(doc)
+
+    def test_feasible_pair_needs_breakpoints(self):
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        doc.update(breakpoints=None, intermediate=None, success_squared=None,
+                   failure_squared=None, probability="0")
+        with pytest.raises(StateFileError, match="breakpoints"):
+            plan_from_dict(doc)
+
+    def test_infeasible_pair_has_no_breakpoints(self):
+        # a feasible plan's fields under a source with too small a support
+        doc = plan_to_dict(build_plan(SchmidtVector((F(1, 2), F(1, 2))),
+                                      SchmidtVector((F(1, 2), F(1, 2)))))
+        doc["source"] = ["1", "0"]
+        with pytest.raises(StateFileError, match="breakpoints"):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_random_exact_plans_round_trip(self, n):
+        rng = np.random.default_rng(4100 + n)
+        a = rand_rational_schmidt(rng, n)
+        b = rand_rational_schmidt(rng, n)
+        # a source padded with zeros cannot reach a full-support target
+        short = rand_rational_schmidt(rng, n - 1).padded(n)
+        for source, target in ((a, b), (b, a), (short, b), (a, short)):
+            plan = build_plan(source, target)
+            doc = json.loads(dumps(plan_to_dict(plan)), parse_float=str)
+            back = plan_from_dict(doc)
+            assert back == plan
 
     def test_float_document_keeps_its_own_values(self):
         plan = build_plan(SchmidtVector((0.5, 0.3, 0.2)),

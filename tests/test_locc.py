@@ -79,6 +79,53 @@ class TestApplyMeasurement:
         assert outs[1].post_state is None
 
 
+class TestMeasurementCheckPerStep:
+    """The engines check a step's operators once per run, when the step
+    is first measured, and raise what apply_measurement raises."""
+
+    @staticmethod
+    def _protocol(second_ops):
+        half = tuple(np.eye(2, dtype=complex) / math.sqrt(2) for _ in range(2))
+        return LoccProtocol((LocalMeasurement("A", half), Announce(),
+                             LocalMeasurement("A", second_ops)))
+
+    @pytest.mark.parametrize("second_ops, message", [
+        ((np.eye(2) / 2,), "do not resolve the identity"),
+        ((np.eye(3),), "shape mismatch"),
+    ])
+    def test_bad_later_step_raises_in_every_engine(self, second_ops,
+                                                   message):
+        proto = self._protocol(second_ops)
+        initial = state_from_schmidt(BELL)
+        with pytest.raises(ProtocolError, match=message):
+            apply_measurement(initial, "A", second_ops)
+        with pytest.raises(ProtocolError, match=message):
+            exhaustive_run(proto, initial)
+        with pytest.raises(ProtocolError, match=message):
+            monte_carlo_run(proto, initial, 50, 1)
+
+    def test_checked_once_per_step_per_run(self, monkeypatch):
+        import entconvert.locc as locc
+        calls = []
+        real = locc._checked_operators
+
+        def counting(state, party, operators, tol):
+            calls.append(len(operators))
+            return real(state, party, operators, tol)
+
+        monkeypatch.setattr(locc, "_checked_operators", counting)
+        plan = build_plan(rand_rational_schmidt(np.random.default_rng(8), 6),
+                          rand_rational_schmidt(np.random.default_rng(9), 6))
+        proto = build_full_protocol(plan)
+        initial = state_from_schmidt(plan.source)
+        branches = exhaustive_run(proto, initial)
+        assert len(branches) > proto.measurement_count
+        assert len(calls) == proto.measurement_count
+        calls.clear()
+        monte_carlo_run(proto, initial, 500, 3)
+        assert 0 < len(calls) <= proto.measurement_count
+
+
 class TestExactMonomial:
     def test_matrix_layout(self):
         mono = ExactMonomial((1, 0), (F(1, 4), F(1)))
@@ -293,6 +340,24 @@ class TestMonotoneAudit:
             table = audit_trajectories(
                 [(b.probability, b.states) for b in branches], range(1, 4))
             assert table == [monotone_audit(branches, k) for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 9])
+    def test_all_k_table_on_random_exact_runs(self, n):
+        rng = np.random.default_rng(3100 + n)
+        plan = build_plan(rand_rational_schmidt(rng, n),
+                          rand_rational_schmidt(rng, n))
+        branches = exhaustive_run_exact(build_full_protocol(plan),
+                                        plan.source)
+        ks = range(1, n + 1)
+        table = audit_trajectories(
+            [(b.probability, b.states) for b in branches], ks)
+        assert table == [monotone_audit(branches, k) for k in ks]
+        for k, averages in zip(ks, table):
+            assert averages == [
+                sum(b.probability * entanglement_monotone(b.states[s], k)
+                    for b in branches)
+                for s in range(len(branches[0].states))]
+            assert all(type(v) is Fraction for v in averages)
 
     def test_float_averages_keep_branch_order(self):
         # one shared state object, weights whose float sum depends on order

@@ -10,7 +10,8 @@ from entconvert import (DensityOperator, Ensemble, InvalidStateError,
                         entanglement_monotone, entropy_of_entanglement,
                         monotone_profile, reduced_density,
                         schmidt_decompose, smallest_eigenvalue_sum)
-from util import haar_unitary, rand_density, rand_state
+from util import (haar_unitary, rand_density, rand_float_schmidt,
+                  rand_rational_schmidt, rand_state)
 
 F = Fraction
 
@@ -38,6 +39,50 @@ class TestEntanglementMonotone:
         assert entanglement_monotone(sv, 3) == 0
         assert entanglement_monotone(sv, 4) == 0
         assert entanglement_monotone(sv, 2) == F(1, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 64, 97, 150, 211,
+                                   256, 300])
+    def test_profile_matches_per_k_tails_exact(self, n):
+        sv = rand_rational_schmidt(np.random.default_rng(900 + n), n)
+        values = monotone_profile(sv).values
+        assert values == tuple(entanglement_monotone(sv, k)
+                               for k in range(1, n + 1))
+        assert all(type(v) is Fraction for v in values)
+
+    @pytest.mark.parametrize("probs", [
+        (F(1, 2), F(1, 4), F(1, 4), F(0), F(0)),   # tie, then zero tails
+        (F(1, 3), F(1, 3), F(1, 3)),               # all tied
+        (F(1), F(0), F(0)),                        # product state
+        (F(1),),
+    ])
+    def test_profile_with_ties_and_zero_tails(self, probs):
+        sv = SchmidtVector(probs)
+        values = monotone_profile(sv).values
+        assert values == tuple(entanglement_monotone(sv, k)
+                               for k in range(1, sv.n + 1))
+        assert values == tuple(sum(probs[k:], F(0)) for k in range(len(probs)))
+        assert all(type(v) is Fraction for v in values)
+
+    def test_exact_profile_takes_n_additions(self):
+        added = []
+
+        class Counted(Fraction):
+            def __radd__(self, other):   # tried first: a Fraction subclass
+                added.append(self)
+                return Fraction.__radd__(self, other)
+
+        sv = SchmidtVector(tuple(Counted(1, 100) for _ in range(100)))
+        added.clear()
+        assert monotone_profile(sv).values == tuple(
+            F(100 - i, 100) for i in range(100))
+        assert len(added) == 100
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
+    def test_profile_matches_per_k_tails_float_bitwise(self, n):
+        sv = rand_float_schmidt(np.random.default_rng(1900 + n), n)
+        values = monotone_profile(sv).values
+        assert [repr(v) for v in values] == [
+            repr(entanglement_monotone(sv, k)) for k in range(1, n + 1)]
 
     def test_k_out_of_range(self):
         sv = SchmidtVector((F(1, 2), F(1, 2)))

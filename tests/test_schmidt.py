@@ -45,6 +45,29 @@ class TestSchmidtVector:
         with pytest.raises(InvalidStateError):
             SchmidtVector(())
 
+    @pytest.mark.parametrize("probs", [
+        (math.nan, 0.5, 0.5),
+        (0.5, 0.5, math.nan),
+        (math.inf, 0.5),
+        (F(1, 2), F(1, 2), math.nan),   # exact entries, one NaN
+    ])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            SchmidtVector(probs)
+        with pytest.raises(InvalidStateError):
+            SchmidtVector.from_values(list(probs))
+
+    def test_is_exact_is_stored_outside_the_fields(self):
+        exact = SchmidtVector((F(1, 2), F(1, 2)))
+        mixed = SchmidtVector((F(1, 2), 0.5))
+        assert exact.is_exact and not mixed.is_exact
+        assert not SchmidtVector((0.5, 0.5)).is_exact
+        # equality, hashing and repr still see probs alone
+        twin = SchmidtVector((F(1, 2), F(1, 2)))
+        assert twin == exact and hash(twin) == hash(exact)
+        assert repr(exact) == ("SchmidtVector(probs=(Fraction(1, 2), "
+                               "Fraction(1, 2)))")
+
     def test_tiny_float_negative_clamped(self):
         sv = SchmidtVector((1.0, -1e-15))
         assert sv.probs[1] == 0.0
@@ -99,6 +122,11 @@ class TestBipartiteState:
     def test_norm_enforced(self):
         with pytest.raises(InvalidStateError):
             BipartiteState(np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(InvalidStateError):
+            BipartiteState(np.array([[bad, 0.0], [0.0, 0.0]]))
 
     def test_from_amplitudes_normalize(self):
         st_ = BipartiteState.from_amplitudes(np.eye(2), normalize=True)
