@@ -18,8 +18,8 @@ from .conversion import (Breakpoints, ConversionPlan, DiagonalOperator,
 from .locc import (Announce, Branch, BranchLimitError, ExactMonomial,
                    LoccProtocol, LocalMeasurement, LocalUnitary,
                    MajorizationError, MeasurementOutcome,
-                   MonotoneViolationError, ProtocolError, SimulationReport,
-                   apply_measurement, audit_trajectories,
+                   MonotoneViolationError, OutcomeIs, ProtocolError,
+                   SimulationReport, apply_measurement, audit_trajectories,
                    build_full_protocol,
                    deterministic_protocol, exhaustive_run,
                    exhaustive_run_exact, monotone_audit, monte_carlo_run,

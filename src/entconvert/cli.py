@@ -9,6 +9,7 @@ Machine-readable JSON goes to stdout (demos print aligned text tables);
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -30,12 +31,25 @@ from .schmidt import (InvalidStateError, SchmidtVector, state_from_schmidt,
 DEMO_NAMES = ("paper-cycle", "non-additivity", "lo-popescu", "multi-copy")
 
 
+def _tolerance(text):
+    """--tolerance: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _common_flags(parser):
     parser.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL,
                         help="numeric mode for parsing inputs "
                              "(default: rational, exact where possible)")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="float comparison tolerance (default 1e-9)")
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                        help="float comparison tolerance, a finite number "
+                             ">= 0 (default 1e-9)")
     parser.add_argument("--trim-zeros", action="store_true",
                         help="drop trailing (near-)zero Schmidt entries on load")
     parser.add_argument("--out", metavar="PATH",

@@ -2,13 +2,15 @@
 
 A protocol is a finite sequence of steps: local generalized measurements
 (branching), outcome-conditioned local unitaries, and classical outcome
-announcements.  Exhaustive enumeration and a seeded Monte-Carlo sampler
-(per-trial randomness a function of (seed, trial index) alone) share one
-step interpreter, and the state's type picks the level: a BipartiteState
-runs in floating point on amplitudes with arbitrary operators, a
-SchmidtVector exactly on the rational monomial data that every
-measurement built here carries.  The monotone audit profiles each
-distinct state object once, however many branches or trials pass.
+announcements.  The protocols built here are plain data: a measurement
+is its rational monomials, with dense operators derived from them, and
+an outcome condition is an ``OutcomeIs``.  Exhaustive enumeration and a
+seeded Monte-Carlo sampler (per-trial randomness a function of (seed,
+trial index) alone) share one step interpreter, and the state's type
+picks the level: a BipartiteState runs in floating point on amplitudes
+with arbitrary operators, a SchmidtVector exactly on the monomials.  The
+monotone audit profiles each distinct state object once, however many
+branches or trials pass.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "MonotoneViolationError",
     "MajorizationError",
     "ExactMonomial",
+    "OutcomeIs",
     "LocalMeasurement",
     "LocalUnitary",
     "Announce",
@@ -117,14 +118,28 @@ class ExactMonomial:
         return p, tuple(post)
 
 
+@dataclass(frozen=True)
+class OutcomeIs:
+    """Whether outcome ``index`` of a history equals ``value``.  A negative
+    index counts from the latest; a history too short for it fails."""
+
+    index: int
+    value: int
+
+    def __call__(self, history) -> bool:
+        return (-len(history) <= self.index < len(history)
+                and history[self.index] == self.value)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalMeasurement:
     """Generalized measurement on one party; operators must satisfy
     sum K^dag K = identity.  ``exact`` optionally carries the monomial
-    description of each operator for rational bookkeeping."""
+    description of each operator for rational bookkeeping; without
+    ``operators`` the dense operators are derived from it."""
 
     party: str
-    operators: tuple
+    operators: tuple = ()
     exact: tuple | None = None
     label: str = ""
 
@@ -132,6 +147,8 @@ class LocalMeasurement:
         if self.party not in ("A", "B"):
             raise ProtocolError(f"party must be 'A' or 'B', got {self.party!r}")
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
+        if not ops and self.exact:
+            ops = tuple(mono.matrix() for mono in self.exact)
         if not ops:
             raise ProtocolError("a measurement needs at least one operator")
         shape = ops[0].shape
@@ -153,11 +170,11 @@ class LocalMeasurement:
 @dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """Local basis change on one party, optionally applied only when the
-    outcome history so far satisfies ``condition``."""
+    outcome history so far satisfies ``condition`` (say an OutcomeIs)."""
 
     party: str
     matrix: np.ndarray
-    condition: Callable | None = None
+    condition: object = None
     label: str = ""
 
     def __post_init__(self):
@@ -186,7 +203,7 @@ class LoccProtocol:
     outcome history (None means every branch counts as success)."""
 
     steps: tuple
-    success_predicate: Callable | None = None
+    success_predicate: object = None
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -541,10 +558,6 @@ def _t_transform_chain(target, start):
     return records
 
 
-def _outcome_equals(meas_index, value, history):
-    return history[meas_index] == value
-
-
 def _mixing_step(x, y, j, k, n, meas_index):
     """Two-outcome measurement turning sorted ``x`` into sorted ``y``
     (which differ only at positions j < k, with y_j > x_j >= x_k > y_k
@@ -564,14 +577,13 @@ def _mixing_step(x, y, j, k, n, meas_index):
     sq2[k] = u * y[j] / x[k]   # column k feeds row j
     rows2 = list(range(n))
     rows2[j], rows2[k] = k, j
-    m1 = ExactMonomial(rows1, tuple(sq1))
-    m2 = ExactMonomial(tuple(rows2), tuple(sq2))
     meas = LocalMeasurement(
-        "A", (m1.matrix(), m2.matrix()), exact=(m1, m2),
+        "A", exact=(ExactMonomial(rows1, tuple(sq1)),
+                    ExactMonomial(tuple(rows2), tuple(sq2))),
         label=f"balance levels {j + 1},{k + 1}")
     correction = LocalUnitary(
         "B", np.eye(n, dtype=complex)[rows2],
-        condition=partial(_outcome_equals, meas_index, 1),
+        condition=OutcomeIs(meas_index, 1),
         label=f"relabel levels {j + 1},{k + 1} on the swap branch")
     return [meas, Announce(label="broadcast outcome"), correction]
 
@@ -612,10 +624,6 @@ def deterministic_protocol(alpha: SchmidtVector, gamma: SchmidtVector,
     return LoccProtocol(tuple(steps), success_predicate=None)
 
 
-def _last_outcome_is_success(history):
-    return bool(history) and history[-1] == 0
-
-
 def build_full_protocol(plan: ConversionPlan, *, tol=DEFAULT_TOL) -> LoccProtocol:
     """Executable protocol realizing a feasible plan end to end.
 
@@ -626,19 +634,14 @@ def build_full_protocol(plan: ConversionPlan, *, tol=DEFAULT_TOL) -> LoccProtoco
         raise InfeasibleConversionError(
             "plan has probability 0; no protocol exists")
     det = deterministic_protocol(plan.source, plan.intermediate, tol=tol)
-    n = plan.intermediate.n
-    success, failure = plan.success_operator, plan.failure_operator
-    if plan.is_exact:
-        identity_rows = tuple(range(n))
-        exact = (ExactMonomial(identity_rows, success.squared),
-                 ExactMonomial(identity_rows, failure.squared))
-    else:
-        exact = None
-    filter_step = LocalMeasurement(
-        "A", (success.matrix, failure.matrix), exact=exact,
+    rows = tuple(range(plan.intermediate.n))
+    # squares clipped to [0, 1], as DiagonalOperator.matrix clips floats
+    filter_step = LocalMeasurement("A", exact=tuple(
+        ExactMonomial(rows, tuple(min(max(s, 0), 1) for s in op.squared))
+        for op in (plan.success_operator, plan.failure_operator)),
         label="final two-outcome filter")
     return LoccProtocol(det.steps + (filter_step,),
-                        success_predicate=_last_outcome_is_success)
+                        success_predicate=OutcomeIs(-1, 0))
 
 
 # ---------------------------------------------------------------------------

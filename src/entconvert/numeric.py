@@ -12,6 +12,10 @@ from fractions import Fraction
 from numbers import Integral
 
 DEFAULT_TOL = 1e-9
+# Largest decimal exponent a scalar string may carry: Fraction builds
+# 10**exponent, whose cost grows fast with it.  Equal to Python's default
+# limit on integer string digits, which already bounds the mantissa.
+MAX_DECIMAL_EXPONENT = 4300
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -23,7 +27,9 @@ def parse_scalar(value, mode: str = RATIONAL):
     Strings may be fractions ("108/144") or decimal literals ("0.4"); in
     rational mode both parse exactly (so "0.4" becomes 2/5).  Integers are
     exact in either mode.  A Python float stays a float: whoever produced
-    it has already committed to the float representation.
+    it has already committed to the float representation.  A decimal
+    exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused before
+    parsing.
     """
     if mode not in (RATIONAL, FLOAT):
         raise ValueError(f"unknown numeric mode {mode!r}")
@@ -36,8 +42,11 @@ def parse_scalar(value, mode: str = RATIONAL):
     elif isinstance(value, Integral):
         exact = Fraction(int(value))
     elif isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            _check_exponent(text, value)
         try:
-            exact = Fraction(value.strip())
+            exact = Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"cannot parse scalar {value!r}") from err
     else:
@@ -48,6 +57,16 @@ def parse_scalar(value, mode: str = RATIONAL):
         return float(exact)
     except OverflowError as err:
         raise ValueError(f"scalar {value!r} is too large for a float") from err
+
+
+def _check_exponent(text, value):
+    try:
+        exponent = int(text.lower().rpartition("e")[2])
+    except ValueError:
+        return   # no exponent that Fraction would read
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"exponent of scalar {value!r} exceeds "
+                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
 
 
 def is_exact_scalar(value) -> bool:

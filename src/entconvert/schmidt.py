@@ -28,7 +28,12 @@ __all__ = [
     "tensor_power",
     "reduced_density",
     "majorizes",
+    "MAX_TENSOR_ENTRIES",
+    "MAX_TENSOR_COPIES",
 ]
+
+MAX_TENSOR_ENTRIES = 65_536   # entries of a tensor power's vector
+MAX_TENSOR_COPIES = 16        # log2 of the above: the most any n >= 2 allows
 
 
 class InvalidStateError(ValueError):
@@ -253,11 +258,19 @@ def tensor_power(sv: SchmidtVector, copies: int) -> SchmidtVector:
 
     Entries are all products of one entry per copy, re-sorted descending;
     the result has n**copies entries and stays exact for exact input.
+    Beyond one copy, more than MAX_TENSOR_COPIES copies or
+    MAX_TENSOR_ENTRIES entries are refused before any product is formed.
     """
     if not isinstance(copies, int) or copies < 1:
         raise ValueError(f"copies must be a positive integer, got {copies!r}")
     if copies == 1:
         return sv
+    # the copies bound comes first, so n**copies stays small to evaluate
+    if copies > MAX_TENSOR_COPIES or sv.n ** copies > MAX_TENSOR_ENTRIES:
+        raise ValueError(
+            f"tensor power too large: {copies} copies of {sv.n} entries "
+            f"(limits {MAX_TENSOR_COPIES} copies, {MAX_TENSOR_ENTRIES} "
+            "entries)")
     products = [math.prod(combo)
                 for combo in itertools.product(sv.probs, repeat=copies)]
     products.sort(reverse=True)

@@ -303,6 +303,67 @@ class TestFailureModes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["prob"], ["plan"], ["compare"], ["tensor"], ["simulate"],
+        ["simulate", "--exhaustive"]])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-15", "-0.5"])
+    def test_invalid_tolerance_is_invalid_input(self, capsys, states,
+                                                tmp_path, argv, tolerance):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"schmidt_sq": ["1/2", "1/2", "0"]}))
+        code, out, err = run(capsys, argv + [
+            states["three_a"], str(zero), "--mode", "float",
+            f"--tolerance={tolerance}"])
+        assert (code, out) == (1, "")
+        assert "--tolerance" in err
+        assert "Traceback" not in err
+
+    def test_zero_tolerance_is_accepted(self, capsys, states):
+        code, out, _ = run(capsys, ["prob", states["skewed"], states["bell"],
+                                    "--mode", "float", "--tolerance", "0"])
+        assert code == 0
+        assert json.loads(out)["probability_decimal"] == 0.4
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_exponent_over_limit_is_invalid_input(self, capsys, states,
+                                                  tmp_path, mode):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"schmidt_sq": ["1e5000", "1"]}))
+        code, out, err = run(capsys, ["prob", str(huge), states["bell"],
+                                      "--mode", mode])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exponent" in err
+
+    @pytest.mark.parametrize("levels, copies", [(2, "17"),
+                                                (1, "1000000000")])
+    def test_tensor_power_over_limit_is_invalid_input(self, capsys, tmp_path,
+                                                      levels, copies):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"schmidt_sq": [f"1/{levels}"] * levels}))
+        code, out, err = run(capsys, ["tensor", str(state), str(state),
+                                      "--copies", copies])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tensor power too large")
+
+    @pytest.mark.parametrize("extra", [["--exhaustive"],
+                                       ["--trials", "500", "--seed", "3"]])
+    def test_float_plan_refused_in_exact_arithmetic(self, capsys, tmp_path,
+                                                    extra):
+        # float mode plans in floats, and the synthesized protocol checks
+        # majorization on the exact value of those floats
+        paths = []
+        for name, values in (
+                ("source", [0.4178899101020145, 0.29413420190845246,
+                            0.22282938363663637, 0.06514650435289661]),
+                ("target", [0.3525155968935936, 0.2720785050141842,
+                            0.216458009209973, 0.15894788888224937])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"schmidt_sq": values}))
+        code, out, err = run(capsys, ["simulate", *map(str, paths),
+                                      "--mode", "float", *extra])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: majorization fails in exact arithmetic")
+
 
 # Full stdout of three simulate runs, pinned by size and SHA-256: any
 # change to the printed digits, such as a different summation order in

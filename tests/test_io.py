@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from entconvert import SchmidtVector, build_plan, monte_carlo_run, \
 from entconvert.io import (StateFileError, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
+from entconvert.numeric import MAX_DECIMAL_EXPONENT, parse_scalar
 from util import rand_rational_schmidt
 
 F = Fraction
@@ -83,6 +85,23 @@ class TestStateDocuments:
         path.write_text(text)
         with pytest.raises(StateFileError, match="non-finite"):
             load_state_file(path, mode=mode)
+
+    @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "1E+4300",
+                                      " 25e-43_00 "])
+    def test_exponent_at_the_limit_parses(self, text):
+        assert parse_scalar(text) == Fraction(text.strip())
+
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "2.5E+4301",
+                                      "1e5000"])
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_exponent_over_the_limit_refused(self, text, mode):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(text, mode)
+        with pytest.raises(StateFileError, match="exponent"):
+            parse_state_document({"schmidt_sq": [text, "1"]}, mode=mode)
+
+    def test_exponent_limit_matches_the_digit_limit(self):
+        assert MAX_DECIMAL_EXPONENT == sys.int_info.default_max_str_digits
 
     def test_float_overflow_rejected(self):
         with pytest.raises(StateFileError):

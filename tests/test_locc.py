@@ -1,6 +1,8 @@
 """Protocol execution engines, builders, and the Monte-Carlo sampler."""
 
+import dataclasses
 import math
+import pickle
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from entconvert import (Announce, BipartiteState, BranchLimitError,
-                        ExactMonomial, InfeasibleConversionError,
-                        LocalMeasurement, LocalUnitary, LoccProtocol,
-                        MajorizationError, ProtocolError, SchmidtVector,
+                        DiagonalOperator, ExactMonomial,
+                        InfeasibleConversionError, LocalMeasurement,
+                        LocalUnitary, LoccProtocol, MajorizationError,
+                        OutcomeIs, ProtocolError, SchmidtVector,
                         SimulationReport, apply_measurement,
                         audit_trajectories, build_full_protocol, build_plan,
                         deterministic_protocol, entanglement_monotone,
@@ -28,6 +31,13 @@ ALPHA2 = SchmidtVector((F(4, 5), F(1, 5)))
 BELL = SchmidtVector((F(1, 2), F(1, 2)))
 ALPHA3 = SchmidtVector((F(1, 2), F(3, 10), F(1, 5)))
 BETA3 = SchmidtVector((F(2, 5), F(2, 5), F(1, 5)))
+# a float pair whose plan is refused: the intermediate state majorizes
+# the source only up to rounding, not on the exact value of the floats
+FLOAT_REFUSED = (
+    SchmidtVector((0.4178899101020145, 0.29413420190845246,
+                   0.22282938363663637, 0.06514650435289661)),
+    SchmidtVector((0.3525155968935936, 0.2720785050141842,
+                   0.216458009209973, 0.15894788888224937)))
 
 
 def _final_schmidt(branch):
@@ -284,6 +294,113 @@ class TestDeterministicProtocol:
             alpha = rand_majorized_below(rng, gamma, steps=4)
             proto = deterministic_protocol(alpha, gamma)
             assert proto.measurement_count <= n - 1
+
+    def test_float_majorization_checked_exactly(self):
+        plan = build_plan(*FLOAT_REFUSED)
+        with pytest.raises(MajorizationError,
+                           match="^majorization fails in exact arithmetic"):
+            deterministic_protocol(plan.source, plan.intermediate)
+
+
+class TestOutcomeIs:
+    @pytest.mark.parametrize("index, value, history, expected", [
+        (-1, 0, (), False),
+        (-1, 0, (1, 0), True),
+        (-1, 0, (0, 1), False),
+        (-2, 0, (0, 1), True),
+        (-3, 0, (0, 1), False),
+        (0, 1, (1,), True),
+        (1, 1, (0, 1), True),
+        (1, 1, (1, 0), False),
+        (2, 1, (1, 1), False),
+    ])
+    def test_reads_one_outcome(self, index, value, history, expected):
+        assert OutcomeIs(index, value)(history) is expected
+
+    def test_is_plain_data(self):
+        test = OutcomeIs(-1, 0)
+        assert test == OutcomeIs(-1, 0) != OutcomeIs(0, 0)
+        assert hash(test) == hash(OutcomeIs(-1, 0))
+        assert len({test, OutcomeIs(-1, 0), OutcomeIs(3, 1)}) == 2
+        assert pickle.loads(pickle.dumps(test)) == test
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            test.index = 0
+
+
+def _float_plan(alpha, beta):
+    return build_plan(SchmidtVector(tuple(float(p) for p in alpha.probs)),
+                      SchmidtVector(tuple(float(p) for p in beta.probs)))
+
+
+class TestProtocolAsData:
+    PLANS = {
+        "exact-2": lambda: build_plan(ALPHA2, BELL),
+        "exact-3": lambda: build_plan(ALPHA3, BETA3),
+        "exact-6": lambda: build_plan(
+            *(rand_rational_schmidt(np.random.default_rng(41), 6)
+              for _ in range(2))),
+        "float-2": lambda: _float_plan(ALPHA2, BELL),
+        "float-3": lambda: _float_plan(ALPHA3, BETA3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_conditions_are_outcome_tests(self, name):
+        proto = build_full_protocol(self.PLANS[name]())
+        assert proto.success_predicate == OutcomeIs(-1, 0)
+        measured = 0
+        for step in proto.steps:
+            if isinstance(step, LocalMeasurement):
+                measured += 1
+            elif isinstance(step, LocalUnitary):
+                assert step.condition == OutcomeIs(measured - 1, 1)
+        assert measured == proto.measurement_count
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_operators_derive_from_monomials(self, name):
+        proto = build_full_protocol(self.PLANS[name]())
+        for step in proto.steps:
+            if isinstance(step, LocalMeasurement):
+                assert step.exact is not None
+                assert len(step.operators) == len(step.exact)
+                for op, mono in zip(step.operators, step.exact):
+                    assert np.array_equal(op, mono.matrix())
+
+    @pytest.mark.parametrize("name", ["float-2", "float-3"])
+    def test_float_filter_matches_diagonal_operators(self, name):
+        plan = self.PLANS[name]()
+        final = build_full_protocol(plan).steps[-1]
+        assert [op.tobytes() for op in final.operators] == [
+            plan.success_operator.matrix.tobytes(),
+            plan.failure_operator.matrix.tobytes()]
+
+    def test_filter_squares_clipped_to_unit_range(self):
+        # a float plan document may carry squares just outside [0, 1]
+        plan = _float_plan(ALPHA2, BELL)
+        success, failure = (op.squared for op in (plan.success_operator,
+                                                   plan.failure_operator))
+        plan = dataclasses.replace(
+            plan,
+            success_operator=DiagonalOperator(
+                tuple(1 + 1e-12 if s == 1 else s for s in success)),
+            failure_operator=DiagonalOperator(
+                tuple(-1e-12 if s == 0 else s for s in failure)))
+        final = build_full_protocol(plan).steps[-1]
+        assert all(0 <= s <= 1 for mono in final.exact for s in mono.squared)
+        assert [op.tobytes() for op in final.operators] == [
+            plan.success_operator.matrix.tobytes(),
+            plan.failure_operator.matrix.tobytes()]
+
+    def test_measurement_from_monomials_alone(self):
+        monos = (ExactMonomial((0, 1), (F(1, 4), F(1))),
+                 ExactMonomial((1, 0), (F(3, 4), F(0))))
+        meas = LocalMeasurement("A", exact=monos)
+        assert meas.exact == monos
+        for op, mono in zip(meas.operators, monos):
+            assert np.array_equal(op, mono.matrix())
+            assert not op.flags.writeable
+        for empty in ({}, {"exact": ()}):
+            with pytest.raises(ProtocolError, match="at least one operator"):
+                LocalMeasurement("A", **empty)
 
 
 class TestMonotoneAudit:

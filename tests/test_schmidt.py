@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from entconvert import (BipartiteState, InvalidStateError, SchmidtVector,
                         majorizes, reduced_density, schmidt_decompose,
                         state_from_schmidt, tensor_power)
+from entconvert.schmidt import MAX_TENSOR_COPIES, MAX_TENSOR_ENTRIES
 from util import haar_unitary, rand_float_schmidt, rand_rational_schmidt, rand_state
 
 F = Fraction
@@ -212,6 +213,18 @@ class TestTensorPower:
             tensor_power(sv, 0)
         with pytest.raises(ValueError):
             tensor_power(sv, 1.5)
+
+    @pytest.mark.parametrize("n, copies", [(2, 17), (1, 10**9), (1, 17),
+                                           (4, 9), (257, 2)])
+    def test_refuses_powers_over_the_limits(self, n, copies):
+        sv = SchmidtVector((F(1, n),) * n)
+        with pytest.raises(ValueError, match="tensor power too large"):
+            tensor_power(sv, copies)
+
+    def test_limits(self):
+        assert MAX_TENSOR_ENTRIES == 2 ** MAX_TENSOR_COPIES == 65_536
+        one = SchmidtVector((F(1),))
+        assert tensor_power(one, MAX_TENSOR_COPIES).probs == (F(1),)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exactness_and_sum(self, seed):
