@@ -60,7 +60,9 @@ class IntermediateOrderError(RuntimeError):
     """The intermediate state came out of order (should be impossible)."""
 
 
-def _padded_pair(alpha: SchmidtVector, beta: SchmidtVector):
+def _padded_pair(alpha: SchmidtVector, beta: SchmidtVector, tol):
+    if not 0 <= tol < float("inf"):   # NaN fails too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     n = max(alpha.n, beta.n)
     return alpha.padded(n), beta.padded(n)
 
@@ -88,15 +90,23 @@ def optimal_probability(alpha: SchmidtVector, beta: SchmidtVector,
 def optimal_probability_detail(alpha: SchmidtVector, beta: SchmidtVector,
                                *, tol=DEFAULT_TOL):
     """(probability, minimizing tail index l); smallest l on ties."""
-    a, b = _padded_pair(alpha, beta)
+    a, b = _padded_pair(alpha, beta, tol)
     n = a.n
-    exact = a.is_exact and b.is_exact
-    zero = Fraction(0) if exact else 0.0
-    denom_floor = zero if exact else tol
+    if a.is_exact and b.is_exact:
+        (xa, da), (xb, db) = a._scaled, b._scaled
+        best, tail_a, tail_b = None, 0, 0
+        for l in range(n, 0, -1):   # integer tails; <= keeps the smallest l
+            tail_a += xa[l - 1]
+            tail_b += xb[l - 1]
+            if tail_b and (best is None or tail_a * best[1] <= best[0] * tail_b):
+                best = (tail_a, tail_b, l)
+        if best is None:
+            raise InvalidStateError("target state carries no weight")
+        return Fraction(best[0] * db, best[1] * da), best[2]
     # suffix sums, tail[l-1] = sum_{i>=l}
-    tails_a = [zero] * n
-    tails_b = [zero] * n
-    run_a, run_b = zero, zero
+    tails_a = [0.0] * n
+    tails_b = [0.0] * n
+    run_a, run_b = 0.0, 0.0
     for i in range(n - 1, -1, -1):
         run_a = run_a + a.probs[i]
         run_b = run_b + b.probs[i]
@@ -106,7 +116,7 @@ def optimal_probability_detail(alpha: SchmidtVector, beta: SchmidtVector,
     best_l = None
     for l in range(1, n + 1):
         denom = tails_b[l - 1]
-        if denom <= denom_floor:
+        if denom <= tol:
             continue  # no constraint from a weightless target tail
         ratio = tails_a[l - 1] / denom
         if best is None or ratio < best:
@@ -114,9 +124,7 @@ def optimal_probability_detail(alpha: SchmidtVector, beta: SchmidtVector,
             best_l = l
     if best is None:
         raise InvalidStateError("target state carries no weight")
-    if not exact:
-        best = min(max(float(best), 0.0), 1.0)
-    return best, best_l
+    return min(max(float(best), 0.0), 1.0), best_l
 
 
 def breakpoints(alpha: SchmidtVector, beta: SchmidtVector,
@@ -135,38 +143,50 @@ def breakpoints(alpha: SchmidtVector, beta: SchmidtVector,
         If the source has fewer nonzero coefficients than the target
         (conversion probability 0 — no operators exist).
     """
-    a, b = _padded_pair(alpha, beta)
-    exact = a.is_exact and b.is_exact
-    zero_floor = Fraction(0) if exact else tol
+    a, b = _padded_pair(alpha, beta, tol)
     n = _trimmed_length(a, b, tol)
-    avals = a.probs[:n]
-    bvals = b.probs[:n]
     if a.nonzero_count(tol) < b.nonzero_count(tol):
         raise InfeasibleConversionError(
             "target has more nonzero Schmidt coefficients than source; "
             "conversion probability is 0")
+    exact = a.is_exact and b.is_exact
+    if exact:
+        (xa, da), (xb, db) = a._scaled, b._scaled
+        # integer suffix sums: a segment's tails are differences of two
+        tail_a, tail_b = [0] * (n + 2), [0] * (n + 2)
+        for l in range(n, 0, -1):
+            tail_a[l] = tail_a[l + 1] + xa[l - 1]
+            tail_b[l] = tail_b[l + 1] + xb[l - 1]
+    avals = a.probs[:n]
+    bvals = b.probs[:n]
     boundaries = [n + 1]
     ratios = []
     upper = n  # inclusive end of the unresolved head range
     while True:
-        best = None
-        best_l = None
-        run_a = Fraction(0) if exact else 0.0
-        run_b = Fraction(0) if exact else 0.0
-        for l in range(upper, 0, -1):
-            run_a = run_a + avals[l - 1]
-            run_b = run_b + bvals[l - 1]
-            if run_b <= zero_floor:
-                continue
-            ratio = run_a / run_b
-            if best is None or ratio <= best:  # ties resolve to smaller l
-                best = ratio
-                best_l = l
+        best = best_l = None
+        if exact:
+            base_a, base_b = tail_a[upper + 1], tail_b[upper + 1]
+            for l in range(upper, 0, -1):
+                run_a, run_b = tail_a[l] - base_a, tail_b[l] - base_b
+                if run_b and (best is None
+                              or run_a * best[1] <= best[0] * run_b):
+                    best, best_l = (run_a, run_b), l  # ties: smaller l
+        else:
+            run_a = run_b = 0.0
+            for l in range(upper, 0, -1):
+                run_a = run_a + avals[l - 1]
+                run_b = run_b + bvals[l - 1]
+                if run_b <= tol:
+                    continue
+                ratio = run_a / run_b
+                if best is None or ratio <= best:  # ties resolve to smaller l
+                    best = ratio
+                    best_l = l
         if best is None:
             raise InfeasibleConversionError(
                 "no admissible tail ratio in the remaining range")
         boundaries.append(best_l)
-        ratios.append(best)
+        ratios.append(Fraction(best[0] * db, best[1] * da) if exact else best)
         if best_l == 1:
             break
         upper = best_l - 1
@@ -230,8 +250,8 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector,
             gamma[i - 1] = r * beta.probs[i - 1]
     exact = all(isinstance(g, Fraction) for g in gamma)
     for i in range(bp.n - 1):
-        drop = gamma[i] - gamma[i + 1]
-        if (exact and drop < 0) or (not exact and float(drop) < -tol):
+        if (gamma[i] < gamma[i + 1] if exact
+                else float(gamma[i] - gamma[i + 1]) < -tol):
             raise IntermediateOrderError(
                 f"intermediate state out of order at position {i + 1}: "
                 f"{gamma[i]} < {gamma[i + 1]}")
@@ -254,7 +274,7 @@ class DiagonalOperator:
             raise InvalidStateError("empty diagonal operator")
         for s in sq:
             if isinstance(s, Fraction):
-                ok = 0 <= s <= 1
+                ok = 0 <= s.numerator <= s.denominator
             else:
                 ok = -DEFAULT_TOL <= float(s) <= 1 + DEFAULT_TOL
             if not ok:
@@ -280,12 +300,11 @@ def measurement_operators(bp: Breakpoints):
     branch has probability r_1 and lands exactly on the target.
     """
     r1 = bp.ratios[0]
-    success = [None] * bp.n
-    for j, lo, hi in bp.segments():
+    success, failure = [], []
+    for j, lo, hi in reversed(tuple(bp.segments())):
         s = r1 / bp.ratios[j - 1]
-        for i in range(lo, hi + 1):
-            success[i - 1] = s
-    failure = [1 - s for s in success]
+        success += [s] * (hi - lo + 1)
+        failure += [1 - s] * (hi - lo + 1)
     return DiagonalOperator(tuple(success)), DiagonalOperator(tuple(failure))
 
 
@@ -328,7 +347,7 @@ def build_plan(alpha: SchmidtVector, beta: SchmidtVector,
     closed-form optimum by construction — the two are computed through
     independent code paths and cross-checked in the tests.
     """
-    a, b = _padded_pair(alpha, beta)
+    a, b = _padded_pair(alpha, beta, tol)
     exact = a.is_exact and b.is_exact
     n = _trimmed_length(a, b, tol)
     a = SchmidtVector(a.probs[:n])
@@ -343,10 +362,14 @@ def build_plan(alpha: SchmidtVector, beta: SchmidtVector,
         raise PlanInvariantError(
             "intermediate state fails to majorize the source")
     r1 = bp.ratios[0]
-    for g, s, t in zip(gamma.probs, success.squared, b.probs):
+    if exact:
+        # on integer numerators: g/D_g * s == r_1 * t/D_t, cross-multiplied
+        (gn, dg), (tn, dt) = gamma._scaled, b._scaled
+        scale_g, scale_t = r1.denominator * dt, r1.numerator * dg
+    for i, (g, s, t) in enumerate(zip(gamma.probs, success.squared, b.probs)):
         # filter identity: gamma_i * M_ii^2 == r_1 * beta_i
-        diff = g * s - r1 * t
-        if (exact and diff != 0) or (not exact and abs(float(diff)) > tol):
+        if (gn[i] * s.numerator * scale_g != tn[i] * s.denominator * scale_t
+                if exact else abs(float(g * s - r1 * t)) > tol):
             raise PlanInvariantError(
                 f"filter identity violated: {g}*{s} != {r1}*{t}")
     return ConversionPlan(a, b, bp, gamma, success, failure, r1)

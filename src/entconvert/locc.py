@@ -51,10 +51,12 @@ __all__ = [
     "build_full_protocol",
     "monte_carlo_run",
     "BRANCH_CAP",
+    "MAX_TREE_BYTES",
     "PRUNE_EPS",
 ]
 
 BRANCH_CAP = 100_000
+MAX_TREE_BYTES = 2 ** 30   # amplitude bytes a Monte-Carlo branch tree keeps
 PRUNE_EPS = 1e-12  # outcomes below this are never normalized into states
 
 
@@ -668,7 +670,9 @@ class _LazyBranchTree:
     accumulated since the parent measurement and the outcome-probability
     vector of the pending measurement (None once the protocol ends), with
     its running sums and the outcome each pick falls back to.  Asking for
-    a node expands its unexpanded ancestors first.
+    a node expands its unexpanded ancestors first.  ``nbytes`` counts the
+    distinct amplitude matrices kept; a node that would take it past
+    MAX_TREE_BYTES raises ValueError instead.
     """
 
     def __init__(self, protocol, initial, tol):
@@ -676,6 +680,7 @@ class _LazyBranchTree:
         self._tol = tol
         self._nodes = {}
         self._checked = set()   # measurement steps whose operators passed
+        self.nbytes = initial.amplitudes.nbytes
         self._root = self._make_node((), 0, initial)
 
     class _Node:
@@ -706,6 +711,16 @@ class _LazyBranchTree:
         if pos < len(steps):
             outcomes = _measure(steps[pos], states[-1], self._tol, {},
                                 self._checked)
+        # ``state`` is already counted, and an announcement repeats a state
+        fresh = {id(s): s.amplitudes.nbytes for s in (
+            *snapshots, *(out.post_state for out in outcomes or ()))
+            if s is not None and s is not state}
+        nbytes = self.nbytes + sum(fresh.values())
+        if nbytes > MAX_TREE_BYTES:
+            raise ValueError(
+                f"sampled branch tree would keep more than {MAX_TREE_BYTES} "
+                "bytes of amplitude matrices; use fewer trials (--trials)")
+        self.nbytes = nbytes
         node = self._nodes[history] = self._Node(states, outcomes, pos + 1)
         return node
 

@@ -39,16 +39,22 @@ def parse_scalar(value, mode: str = RATIONAL):
         return value
     if isinstance(value, Fraction):
         exact = value
-    elif isinstance(value, Integral):
-        exact = Fraction(int(value))
     elif isinstance(value, str):
         text = value.strip()
         if "e" in text or "E" in text:
             _check_exponent(text, value)
+        num, _, den = text.partition("/")
         try:
-            exact = Fraction(text)
+            if (num.isascii() and num.isdigit() and den.isascii()
+                    and den.isdigit()):
+                # "digits/digits" needs none of Fraction's string parsing
+                exact = Fraction(int(num), int(den))
+            else:
+                exact = Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"cannot parse scalar {value!r}") from err
+    elif isinstance(value, Integral):
+        exact = Fraction(int(value))
     else:
         raise ValueError(f"cannot parse scalar of type {type(value).__name__}")
     if mode == RATIONAL:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, all_exact, parse_scalar
+from .numeric import DEFAULT_TOL, parse_scalar
 
 __all__ = [
     "InvalidStateError",
@@ -59,40 +59,48 @@ class SchmidtVector:
         probs = tuple(self.probs)
         if len(probs) == 0:
             raise InvalidStateError("a Schmidt vector needs at least one entry")
-        cleaned = []
-        for p in probs:
-            if isinstance(p, Fraction):
-                if p < 0:
-                    raise InvalidStateError(f"negative squared coefficient {p}")
-                cleaned.append(p)
-            else:
-                p = float(p)
-                if not math.isfinite(p):
-                    raise InvalidStateError(f"non-finite squared coefficient {p}")
-                if p < -DEFAULT_TOL:
-                    raise InvalidStateError(f"negative squared coefficient {p}")
-                cleaned.append(max(p, 0.0))
-        probs = tuple(cleaned)
-        exact = all_exact(probs)
-        for a, b in itertools.pairwise(probs):
-            if exact:
-                if a < b:
-                    raise InvalidStateError(
-                        f"entries not sorted non-increasing: {a} < {b}"
-                    )
-            elif float(a) < float(b) - DEFAULT_TOL:
+        scaled = None
+        if all(isinstance(p, Fraction) for p in probs):
+            # integer numerators over D = lcm(denominators): the exact
+            # form every check here and every exact loop downstream reads
+            den = math.lcm(*(p.denominator for p in probs))
+            keys = tuple(p.numerator * (den // p.denominator) for p in probs)
+            if min(keys) < 0:
+                bad = next(p for p, x in zip(probs, keys) if x < 0)
+                raise InvalidStateError(f"negative squared coefficient {bad}")
+            scaled, slack = (keys, den), 0
+        else:
+            cleaned = []
+            for p in probs:
+                if isinstance(p, Fraction):
+                    if p < 0:
+                        raise InvalidStateError(
+                            f"negative squared coefficient {p}")
+                    cleaned.append(p)
+                else:
+                    p = float(p)
+                    if not math.isfinite(p):
+                        raise InvalidStateError(
+                            f"non-finite squared coefficient {p}")
+                    if p < -DEFAULT_TOL:
+                        raise InvalidStateError(
+                            f"negative squared coefficient {p}")
+                    cleaned.append(max(p, 0.0))
+            probs = tuple(cleaned)
+            keys, slack = [float(p) for p in probs], DEFAULT_TOL
+        for i in range(len(keys) - 1):
+            if keys[i] < keys[i + 1] - slack:
                 raise InvalidStateError(
-                    f"entries not sorted non-increasing: {a} < {b}"
-                )
-        total = sum(probs)
-        if exact:
-            if total != 1:
-                raise InvalidStateError(f"exact entries sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > DEFAULT_TOL:
-            raise InvalidStateError(f"entries sum to {float(total)}, not 1")
+                    f"entries not sorted non-increasing: {probs[i]} < "
+                    f"{probs[i + 1]}")
+        if scaled and sum(keys) != den:
+            raise InvalidStateError(
+                f"exact entries sum to {Fraction(sum(keys), den)}, not 1")
+        if not scaled and abs(float(sum(probs)) - 1.0) > DEFAULT_TOL:
+            raise InvalidStateError(f"entries sum to {float(sum(probs))}, not 1")
         object.__setattr__(self, "probs", probs)
         # not a field, so __eq__, __hash__ and repr still see probs alone
-        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_scaled", scaled)
 
     @classmethod
     def from_values(cls, values, *, mode="rational", normalize=False,
@@ -114,7 +122,7 @@ class SchmidtVector:
                 raise InvalidStateError(f"negative squared coefficient {p}")
         parsed = [p if isinstance(p, Fraction) else max(float(p), 0.0)
                   for p in parsed]
-        parsed.sort(key=lambda v: -v)  # stable: ties keep input order
+        parsed.sort(reverse=True)  # stable: ties keep input order
         if normalize:
             total = sum(parsed)
             if total == 0:
@@ -136,10 +144,12 @@ class SchmidtVector:
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self._scaled is not None
 
     def nonzero_count(self, tol=DEFAULT_TOL) -> int:
         """Number of entries that carry weight (exact > 0, float > tol)."""
+        if self._scaled is not None:
+            return len(self.probs) - self._scaled[0].count(0)
         count = 0
         for p in self.probs:
             if isinstance(p, Fraction):
@@ -271,9 +281,13 @@ def tensor_power(sv: SchmidtVector, copies: int) -> SchmidtVector:
             f"tensor power too large: {copies} copies of {sv.n} entries "
             f"(limits {MAX_TENSOR_COPIES} copies, {MAX_TENSOR_ENTRIES} "
             "entries)")
-    products = [math.prod(combo)
-                for combo in itertools.product(sv.probs, repeat=copies)]
-    products.sort(reverse=True)
+    values, den = sv._scaled or (sv.probs, None)
+    products = sorted(map(math.prod, itertools.product(values, repeat=copies)),
+                      reverse=True)
+    if den is not None:
+        # integer products over D**copies: each Fraction is made once, last
+        scale = den ** copies
+        products = [Fraction(x, scale) for x in products]
     return SchmidtVector(tuple(products))
 
 
@@ -296,18 +310,19 @@ def majorizes(x: SchmidtVector, y: SchmidtVector, *, tol=DEFAULT_TOL) -> bool:
     both vectors are rational; otherwise float comparison with ``tol``
     slack per head sum.
     """
+    if x.is_exact and y.is_exact:
+        # head sums of integer numerators, compared over the two scales
+        (xs, dx), (ys, dy) = x._scaled, y._scaled
+        hx = hy = 0
+        for a, b in itertools.zip_longest(xs, ys, fillvalue=0):
+            hx += a
+            hy += b
+            if hy * dx < hx * dy:
+                return False
+        return True
     n = max(x.n, y.n)
     xs = x.padded(n).probs
     ys = y.padded(n).probs
-    if x.is_exact and y.is_exact:
-        hx = Fraction(0)
-        hy = Fraction(0)
-        for a, b in zip(xs, ys):
-            hx += a
-            hy += b
-            if hy < hx:
-                return False
-        return True
     hx = 0.0
     hy = 0.0
     for a, b in zip(xs, ys):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from entconvert import locc
 from entconvert.cli import DEMO_NAMES, main
 from entconvert.locc import BranchLimitError
 from util import rand_rational_schmidt
@@ -398,6 +399,120 @@ def test_simulate_stdout_is_pinned(capsys, tmp_path, name):
     args, size, sha = GOLDEN_RUNS[name]
     argv = ["simulate"] + [str(paths.get(a, a)) for a in args]
     code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_simulate_tree_over_limit_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(locc, "MAX_TREE_BYTES", 4096)
+    paths = []
+    for label in ("e", "f"):
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(json.dumps({"schmidt_sq": GOLDEN_STATES[label]}))
+    code, out, err = run(capsys, ["simulate", *map(str, paths),
+                                  "--trials", "3000", "--seed", "5"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sampled branch tree") and "--trials" in err
+
+
+def _loads(seed, n, top):
+    """n pseudo-random loads in 1..top from a fixed LCG (no library RNG)."""
+    x, loads = seed, []
+    for _ in range(n):
+        x = (x * 1103515245 + 12345) % 2 ** 31
+        loads.append(1 + x % top)
+    return loads
+
+
+def _load_state(seed, n, top, zeros):
+    """Unsorted exact entries: ties every 7th load, ``zeros`` zero tails,
+    each entry written over the unreduced total."""
+    loads = _loads(seed, n - zeros, top)
+    loads = [loads[i - 1] if i % 7 == 0 else v for i, v in enumerate(loads)]
+    total = sum(loads)
+    return [f"{v}/{total}" for v in loads] + ["0"] * zeros
+
+
+# Exact inputs with unrelated denominators (within and across vectors),
+# ties, zero tails and unequal lengths, up to n = 256, plus decimal float
+# inputs; the query subcommands' full stdout is pinned like simulate's.
+QUERY_STATES = {
+    "a256": _load_state(11, 256, 97, 3),
+    "b240": _load_state(29, 240, 50, 2),
+    "a40": _load_state(5, 40, 30, 1),
+    "b36": _load_state(7, 36, 12, 0),
+    "a12": _load_state(3, 12, 9, 1),
+    "b10": _load_state(13, 10, 5, 0),
+    "mixed": ["1/3", "1/7", "1/11", "1/11", "1/13", "1/17", "0", "0.0125",
+              "1582538/8168160"],
+    "short": ["5/8", "1/4", "1/8"],
+    "fa": ["0.3115", "0.2869", "0.1967", "0.1311", "0.0738"],
+    "fb": ["0.2566", "0.2566", "0.25", "0.2039", "0.0329"],
+}
+QUERY_RUNS = {
+    "prob-256": (
+        ["prob", "a256", "b240"], 8621,
+        "7e050cf3727b915035866d14e147c76abe7e72dc86832ca025b5c86298f2a488"),
+    "prob-mixed": (
+        ["prob", "mixed", "fa"], 397,
+        "26466ed0a603500959e92f089c25f673bdb0d3bc709b904dd2f9f59ac18a6214"),
+    "prob-infeasible": (
+        ["prob", "short", "mixed"], 389,
+        "e6ff04e6bab67ce80c2b1b049e5c15aeb8ac886692fa8db7f4b024066c7a6be7"),
+    "plan-256": (
+        ["plan", "a256", "b240"], 22452,
+        "fa46d5595dfc0a0cd740d7843022eecce3a84c2ef07fc9c4645c72e1a50501f7"),
+    "plan-40": (
+        ["plan", "a40", "b36"], 2905,
+        "510efc6e21038f6222b9ee9e7b5bb543a93fc7fbd225e0936dd94477fda34632"),
+    "plan-mixed": (
+        ["plan", "mixed", "fb"], 765,
+        "50bb652c367a4a99d800920239eb6540289a5e7f54ba5410d7d1b3950cba4423"),
+    "plan-decimal": (
+        ["plan", "fa", "fb"], 715,
+        "a9248d9227b7f4fb3e9673b1ba4a378c1961e355b18805da18ee8673a7c3e42c"),
+    "plan-infeasible": (
+        ["plan", "short", "mixed"], 344,
+        "e6af4dee3cf63d2b33899024ef4a43765a7900f6ee9f47fb3f9334ceb09810ae"),
+    "compare-256": (
+        ["compare", "b240", "a256"], 89,
+        "d0c3ff8d1eb740112d4ee54fd9c3bda096048187929b987d56f54c857d7c2de6"),
+    "compare-mixed": (
+        ["compare", "mixed", "fb"], 84,
+        "717ce7d13825c634ea3df55fb12f081fa37f1d6f97f28611aabb6a2ca06327a0"),
+    "monotones-256": (
+        ["monotones", "a256"], 8642,
+        "bde82518447e3a399d230526df46cf4089f273f08e4c5e1249fce8123e332154"),
+    "monotones-mixed": (
+        ["monotones", "mixed"], 355,
+        "a47e2a6de941deacdb1c338eafc02cbe514773bd15d880e3fbb8d962aa59fa68"),
+    "tensor-2": (
+        ["tensor", "a40", "b36", "--copies", "2"], 165,
+        "0b2509c100374a363ca3823ec665956f3bb2b397a1e9582395879d6c27a7fcef"),
+    "tensor-3": (
+        ["tensor", "a12", "b10", "--copies", "3"], 145,
+        "cdeaf4f3eb19fff23a3676054807e43189f9954fd5bce576b6591c21288d2eae"),
+    "tensor-3-mixed": (
+        ["tensor", "mixed", "fb", "--copies", "3"], 183,
+        "1bf5fcd873bd2a1bff1144c9ca40d51969c17afd9fbd254f2ee5d0339dcfa6a0"),
+    "prob-float": (
+        ["prob", "fa", "fb", "--mode", "float"], 303,
+        "6eda68aff949865214360d3255d521bf9e8e1f20849f54a5c3c30493e1e464b0"),
+    "plan-float": (
+        ["plan", "fa", "fb", "--mode", "float"], 658,
+        "7c451b122d9ae1ffbe61fcb1c4133a635cdc546af7413a7b5671d48b48c8d349"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_RUNS))
+def test_query_stdout_is_pinned(capsys, tmp_path, name):
+    paths = {}
+    for label, values in QUERY_STATES.items():
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(json.dumps({"schmidt_sq": values}))
+    args, size, sha = QUERY_RUNS[name]
+    code, out, err = run(capsys, [str(paths.get(a, a)) for a in args])
     assert (code, err) == (0, "")
     assert len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == sha

@@ -21,7 +21,8 @@ from entconvert import (Announce, BipartiteState, BranchLimitError,
                         exhaustive_run, exhaustive_run_exact, monotone_audit,
                         monte_carlo_run, schmidt_decompose,
                         state_from_schmidt, success_probability)
-from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree
+from entconvert import locc
+from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree, _sample_histories
 from entconvert.numeric import DEFAULT_TOL
 from util import rand_kraus, rand_majorized_below, rand_rational_schmidt, rand_state
 
@@ -662,6 +663,34 @@ class TestSamplerOracle:
         assert not worker.is_alive(), "node() did not return"
         assert found and found[0].probs is None   # a leaf: protocol over
         assert len(tree.trajectory((0, 0))) == len(proto.steps) + 1
+
+
+class TestTreeMemoryGuard:
+    # the 5-level pair of the pinned Monte-Carlo run in test_cli
+    SOURCE = SchmidtVector(tuple(F(x, 100) for x in (37, 23, 19, 13, 8)))
+    TARGET = SchmidtVector(tuple(F(x, 100) for x in (27, 26, 21, 17, 9)))
+
+    def _run(self):
+        proto = build_full_protocol(build_plan(self.SOURCE, self.TARGET))
+        return proto, state_from_schmidt(self.SOURCE)
+
+    def test_counter_sums_distinct_matrices(self):
+        proto, initial = self._run()
+        tree = _LazyBranchTree(proto, initial, DEFAULT_TOL)
+        _sample_histories(tree, 400, 5, proto.measurement_count)
+        kept = {id(s): s.amplitudes.nbytes for node in tree._nodes.values()
+                for s in (*node.states, *(node.posts or ()))
+                if s is not None}
+        assert len(tree._nodes) > 1
+        assert tree.nbytes == sum(kept.values())
+        assert len(kept) < sum(len(node.states)
+                               for node in tree._nodes.values())
+
+    def test_tree_over_limit_is_refused(self, monkeypatch):
+        proto, initial = self._run()
+        monkeypatch.setattr(locc, "MAX_TREE_BYTES", 4096)
+        with pytest.raises(ValueError, match=r"4096 bytes .*--trials"):
+            monte_carlo_run(proto, initial, 3000, 5)
 
 
 class TestMonteCarlo:

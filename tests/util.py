@@ -5,11 +5,15 @@ own seed.  Rational vectors are built from random integer loads, which
 keeps every downstream identity checkable in exact arithmetic.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from entconvert import BipartiteState, DensityOperator, SchmidtVector
+from entconvert import (BipartiteState, DensityOperator,
+                        InfeasibleConversionError, InvalidStateError,
+                        SchmidtVector)
 
 
 def rand_rational_schmidt(rng, n, max_part=60):
@@ -74,3 +78,83 @@ def rand_kraus(rng, n, outcomes):
     w, v = np.linalg.eigh(s)
     s_isqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return [g @ s_isqrt for g in gs]
+
+
+# Fraction references for the exact core: the loops the package ran on
+# Fraction entries before it moved them onto integer numerators.  Inputs
+# are exact SchmidtVectors; results are plain Fractions.
+
+def ref_optimal_probability_detail(alpha, beta):
+    """(min_l tail_a(l) / tail_b(l), smallest minimizing l)."""
+    n = max(alpha.n, beta.n)
+    a = alpha.probs + (Fraction(0),) * (n - alpha.n)
+    b = beta.probs + (Fraction(0),) * (n - beta.n)
+    best = best_l = None
+    run_a = run_b = Fraction(0)
+    tails = [None] * n
+    for i in range(n - 1, -1, -1):
+        run_a += a[i]
+        run_b += b[i]
+        tails[i] = (run_a, run_b)
+    for l in range(1, n + 1):
+        ta, tb = tails[l - 1]
+        if tb > 0 and (best is None or ta / tb < best):
+            best, best_l = ta / tb, l
+    if best is None:
+        raise InvalidStateError("target state carries no weight")
+    return best, best_l
+
+
+def ref_nonzero_count(sv):
+    return sum(p > 0 for p in sv.probs)
+
+
+def ref_breakpoints(alpha, beta):
+    """(boundaries, ratios) by rescanning the head range per segment."""
+    n = max(alpha.n, beta.n)
+    a = alpha.probs + (Fraction(0),) * (n - alpha.n)
+    b = beta.probs + (Fraction(0),) * (n - beta.n)
+    while n > 1 and a[n - 1] <= 0 and b[n - 1] <= 0:
+        n -= 1
+    if ref_nonzero_count(alpha) < ref_nonzero_count(beta):
+        raise InfeasibleConversionError(
+            "target has more nonzero Schmidt coefficients than source; "
+            "conversion probability is 0")
+    boundaries, ratios, upper = [n + 1], [], n
+    while True:
+        best = best_l = None
+        run_a = run_b = Fraction(0)
+        for l in range(upper, 0, -1):
+            run_a += a[l - 1]
+            run_b += b[l - 1]
+            if run_b > 0 and (best is None or run_a / run_b <= best):
+                best, best_l = run_a / run_b, l
+        if best is None:
+            raise InfeasibleConversionError(
+                "no admissible tail ratio in the remaining range")
+        boundaries.append(best_l)
+        ratios.append(best)
+        if best_l == 1:
+            return tuple(boundaries), tuple(ratios)
+        upper = best_l - 1
+
+
+def ref_majorizes(x, y):
+    """True when y majorizes x, by Fraction head sums."""
+    n = max(x.n, y.n)
+    xs = x.probs + (Fraction(0),) * (n - x.n)
+    ys = y.probs + (Fraction(0),) * (n - y.n)
+    hx = hy = Fraction(0)
+    for a, b in zip(xs, ys):
+        hx += a
+        hy += b
+        if hy < hx:
+            return False
+    return True
+
+
+def ref_tensor_power(sv, copies):
+    """Entries of ``copies`` copies: all products, sorted descending."""
+    products = [math.prod(combo)
+                for combo in itertools.product(sv.probs, repeat=copies)]
+    return tuple(sorted(products, reverse=True))
