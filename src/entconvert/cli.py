@@ -25,8 +25,8 @@ from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
                        compare, find_cycle, nonadditivity_search)
-from .schmidt import (InvalidStateError, SchmidtVector, state_from_schmidt,
-                      tensor_power)
+from .schmidt import (InvalidStateError, SchmidtVector, _lifted, _typed,
+                      state_from_schmidt, tensor_power)
 
 DEMO_NAMES = ("paper-cycle", "non-additivity", "lo-popescu", "multi-copy")
 
@@ -48,8 +48,10 @@ def _common_flags(parser):
                         help="numeric mode for parsing inputs "
                              "(default: rational, exact where possible)")
     parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                        help="float comparison tolerance, a finite number "
-                             ">= 0 (default 1e-9)")
+                        help="float slack on load (negative entries, "
+                             "--trim-zeros) and in the amplitude-level "
+                             "checks and audit, a finite number >= 0 "
+                             "(default 1e-9)")
     parser.add_argument("--trim-zeros", action="store_true",
                         help="drop trailing (near-)zero Schmidt entries on load")
     parser.add_argument("--out", metavar="PATH",
@@ -134,7 +136,7 @@ def _prob_pair(value):
 def cmd_prob(args) -> int:
     alpha = _load(args.source, args).schmidt
     beta = _load(args.target, args).schmidt
-    p, minimizer = optimal_probability_detail(alpha, beta, tol=args.tolerance)
+    p, minimizer = optimal_probability_detail(alpha, beta)
     exact, decimal = _prob_pair(p)
     feasible = decimal > 0.0
     doc = {
@@ -156,7 +158,7 @@ def cmd_prob(args) -> int:
 def cmd_plan(args) -> int:
     alpha = _load(args.source, args).schmidt
     beta = _load(args.target, args).schmidt
-    plan = build_plan(alpha, beta, tol=args.tolerance)
+    plan = build_plan(alpha, beta)
     _emit(eio.dumps(eio.plan_to_dict(plan)), args)
     return 0
 
@@ -171,7 +173,7 @@ def _resolve_plan(args):
             "simulate needs either SOURCE and TARGET files or --plan")
     alpha = _load(args.source, args).schmidt
     beta = _load(args.target, args).schmidt
-    return build_plan(alpha, beta, tol=args.tolerance)
+    return build_plan(alpha, beta)
 
 
 def cmd_simulate(args) -> int:
@@ -180,7 +182,7 @@ def cmd_simulate(args) -> int:
         raise InfeasibleConversionError(
             "conversion probability is 0 (target has more nonzero Schmidt "
             "coefficients than source); nothing to simulate")
-    protocol = build_full_protocol(plan, tol=args.tolerance)
+    protocol = build_full_protocol(plan)
     initial = state_from_schmidt(plan.source)
     if args.exhaustive:
         try:
@@ -238,7 +240,7 @@ def cmd_monotones(args) -> int:
 def cmd_compare(args) -> int:
     first = _load(args.first, args).schmidt
     second = _load(args.second, args).schmidt
-    result = compare(first, second, tol=args.tolerance)
+    result = compare(first, second)
     doc = {
         "p_forward": scalar_to_json(result.p_forward),
         "p_backward": scalar_to_json(result.p_backward),
@@ -253,17 +255,18 @@ def cmd_tensor(args) -> int:
     beta = _load(args.target, args).schmidt
     if args.copies < 1:
         raise InvalidStateError("--copies must be a positive integer")
-    p1 = optimal_probability(alpha, beta, tol=args.tolerance)
-    pn = tensor_conversion_probability(alpha, beta, args.copies,
-                                       tol=args.tolerance)
+    # decided on exact values: float inputs through their dyadic lifts
+    a, b = _lifted(alpha), _lifted(beta)
+    p1 = optimal_probability(a, b)
+    pn = tensor_conversion_probability(a, b, args.copies)
     power = p1 ** args.copies
+    shown = [scalar_to_json(_typed(p, alpha, beta)) for p in (p1, power, pn)]
     doc = {
         "copies": args.copies,
-        "single_copy": scalar_to_json(p1),
-        "single_copy_power": scalar_to_json(power),
-        "joint": scalar_to_json(pn),
-        "joint_beats_power": (pn > power if isinstance(pn, Fraction)
-                              else float(pn) > float(power) + args.tolerance),
+        "single_copy": shown[0],
+        "single_copy_power": shown[1],
+        "joint": shown[2],
+        "joint_beats_power": pn > power,
     }
     _emit(eio.dumps(doc), args)
     return 0

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL
-from .schmidt import InvalidStateError, SchmidtVector, majorizes, tensor_power
+from .schmidt import (InvalidStateError, SchmidtVector, _lifted, _typed,
+                      majorizes, tensor_power)
 
 __all__ = [
     "InfeasibleConversionError",
@@ -60,82 +60,67 @@ class IntermediateOrderError(RuntimeError):
     """The intermediate state came out of order (should be impossible)."""
 
 
-def _padded_pair(alpha: SchmidtVector, beta: SchmidtVector, tol):
-    if not 0 <= tol < float("inf"):   # NaN fails too
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    n = max(alpha.n, beta.n)
-    return alpha.padded(n), beta.padded(n)
+def _tail_sums(alpha: SchmidtVector, beta: SchmidtVector):
+    """(tail_a, tail_b, D_a, D_b, n) of the pair's integer forms.
 
-
-def _trimmed_length(a: SchmidtVector, b: SchmidtVector, tol) -> int:
-    """Length of the padded pair less trailing positions where both are 0."""
-    n = a.n
-    while n > 1 and all(v <= 0 if isinstance(v, Fraction) else float(v) <= tol
-                        for v in (a.probs[n - 1], b.probs[n - 1])):
+    The two are zero-padded to a common length, and trailing positions
+    where both are 0 are dropped, leaving n; tail_x[l] is the numerator
+    sum over positions l..n (1-based), tail_x[n + 1] = 0.
+    """
+    (xa, da), (xb, db) = alpha._scaled, beta._scaled
+    n = max(len(xa), len(xb))
+    xa, xb = xa + (0,) * (n - len(xa)), xb + (0,) * (n - len(xb))
+    while n > 1 and not xa[n - 1] and not xb[n - 1]:
         n -= 1
-    return n
+    tail_a, tail_b = [0] * (n + 2), [0] * (n + 2)
+    for l in range(n, 0, -1):
+        tail_a[l] = tail_a[l + 1] + xa[l - 1]
+        tail_b[l] = tail_b[l + 1] + xb[l - 1]
+    return tail_a, tail_b, da, db, n
 
 
-def optimal_probability(alpha: SchmidtVector, beta: SchmidtVector,
-                        *, tol=DEFAULT_TOL):
+def _least_ratio(tail_a, tail_b, upper):
+    """(numerator, denominator, l) of the least tail ratio of the head
+    range 1..upper, the smallest l on ties; None when no target tail
+    there carries weight.  Ratios compare by cross-multiplying."""
+    base_a, base_b = tail_a[upper + 1], tail_b[upper + 1]
+    best = None
+    for l in range(upper, 0, -1):
+        run_a, run_b = tail_a[l] - base_a, tail_b[l] - base_b
+        if run_b and (best is None or run_a * best[1] <= best[0] * run_b):
+            best = (run_a, run_b, l)
+    return best
+
+
+def optimal_probability(alpha: SchmidtVector, beta: SchmidtVector):
     """Best LOCC conversion probability from ``alpha`` to ``beta``.
 
-    Exact (Fraction) when both inputs are exact, float otherwise; the
-    result is 0 exactly when the source has fewer nonzero coefficients
-    than the target, and 1 exactly when the target majorizes the source.
+    Exact (Fraction) when both inputs are exact, else the float of the
+    exact value on their dyadic lifts; the result is 0 exactly when the
+    source has fewer nonzero coefficients than the target, and 1 exactly
+    when the target majorizes the source.
     """
-    return optimal_probability_detail(alpha, beta, tol=tol)[0]
+    return optimal_probability_detail(alpha, beta)[0]
 
 
-def optimal_probability_detail(alpha: SchmidtVector, beta: SchmidtVector,
-                               *, tol=DEFAULT_TOL):
+def optimal_probability_detail(alpha: SchmidtVector, beta: SchmidtVector):
     """(probability, minimizing tail index l); smallest l on ties."""
-    a, b = _padded_pair(alpha, beta, tol)
-    n = a.n
-    if a.is_exact and b.is_exact:
-        (xa, da), (xb, db) = a._scaled, b._scaled
-        best, tail_a, tail_b = None, 0, 0
-        for l in range(n, 0, -1):   # integer tails; <= keeps the smallest l
-            tail_a += xa[l - 1]
-            tail_b += xb[l - 1]
-            if tail_b and (best is None or tail_a * best[1] <= best[0] * tail_b):
-                best = (tail_a, tail_b, l)
-        if best is None:
-            raise InvalidStateError("target state carries no weight")
-        return Fraction(best[0] * db, best[1] * da), best[2]
-    # suffix sums, tail[l-1] = sum_{i>=l}
-    tails_a = [0.0] * n
-    tails_b = [0.0] * n
-    run_a, run_b = 0.0, 0.0
-    for i in range(n - 1, -1, -1):
-        run_a = run_a + a.probs[i]
-        run_b = run_b + b.probs[i]
-        tails_a[i] = run_a
-        tails_b[i] = run_b
-    best = None
-    best_l = None
-    for l in range(1, n + 1):
-        denom = tails_b[l - 1]
-        if denom <= tol:
-            continue  # no constraint from a weightless target tail
-        ratio = tails_a[l - 1] / denom
-        if best is None or ratio < best:
-            best = ratio
-            best_l = l
+    tail_a, tail_b, da, db, n = _tail_sums(alpha, beta)
+    best = _least_ratio(tail_a, tail_b, n)
     if best is None:
         raise InvalidStateError("target state carries no weight")
-    return min(max(float(best), 0.0), 1.0), best_l
+    return _typed(Fraction(best[0] * db, best[1] * da), alpha, beta), best[2]
 
 
-def breakpoints(alpha: SchmidtVector, beta: SchmidtVector,
-                *, tol=DEFAULT_TOL) -> "Breakpoints":
+def breakpoints(alpha: SchmidtVector, beta: SchmidtVector) -> "Breakpoints":
     """Segment boundaries and tail ratios of the optimal conversion.
 
     The last boundary l_1 is the smallest minimizer of the global tail
     ratio; the construction then recurses on the head range [1, l_1 - 1],
     producing strictly increasing ratios r_1 < r_2 < ...  Trailing
     positions where both vectors are zero are treated as absent
-    dimensions.
+    dimensions.  The ratios are exact, those of the dyadic lifts for
+    float inputs.
 
     Raises
     ------
@@ -143,53 +128,21 @@ def breakpoints(alpha: SchmidtVector, beta: SchmidtVector,
         If the source has fewer nonzero coefficients than the target
         (conversion probability 0 — no operators exist).
     """
-    a, b = _padded_pair(alpha, beta, tol)
-    n = _trimmed_length(a, b, tol)
-    if a.nonzero_count(tol) < b.nonzero_count(tol):
+    if alpha.nonzero_count() < beta.nonzero_count():
         raise InfeasibleConversionError(
             "target has more nonzero Schmidt coefficients than source; "
             "conversion probability is 0")
-    exact = a.is_exact and b.is_exact
-    if exact:
-        (xa, da), (xb, db) = a._scaled, b._scaled
-        # integer suffix sums: a segment's tails are differences of two
-        tail_a, tail_b = [0] * (n + 2), [0] * (n + 2)
-        for l in range(n, 0, -1):
-            tail_a[l] = tail_a[l + 1] + xa[l - 1]
-            tail_b[l] = tail_b[l + 1] + xb[l - 1]
-    avals = a.probs[:n]
-    bvals = b.probs[:n]
-    boundaries = [n + 1]
-    ratios = []
-    upper = n  # inclusive end of the unresolved head range
-    while True:
-        best = best_l = None
-        if exact:
-            base_a, base_b = tail_a[upper + 1], tail_b[upper + 1]
-            for l in range(upper, 0, -1):
-                run_a, run_b = tail_a[l] - base_a, tail_b[l] - base_b
-                if run_b and (best is None
-                              or run_a * best[1] <= best[0] * run_b):
-                    best, best_l = (run_a, run_b), l  # ties: smaller l
-        else:
-            run_a = run_b = 0.0
-            for l in range(upper, 0, -1):
-                run_a = run_a + avals[l - 1]
-                run_b = run_b + bvals[l - 1]
-                if run_b <= tol:
-                    continue
-                ratio = run_a / run_b
-                if best is None or ratio <= best:  # ties resolve to smaller l
-                    best = ratio
-                    best_l = l
+    tail_a, tail_b, da, db, upper = _tail_sums(alpha, beta)
+    boundaries, ratios = [upper + 1], []
+    while upper:   # the unresolved head range is 1..upper
+        best = _least_ratio(tail_a, tail_b, upper)
         if best is None:
             raise InfeasibleConversionError(
                 "no admissible tail ratio in the remaining range")
-        boundaries.append(best_l)
-        ratios.append(Fraction(best[0] * db, best[1] * da) if exact else best)
-        if best_l == 1:
-            break
-        upper = best_l - 1
+        run_a, run_b, l = best
+        boundaries.append(l)
+        ratios.append(Fraction(run_a * db, run_b * da))
+        upper = l - 1
     return Breakpoints(tuple(boundaries), tuple(ratios))
 
 
@@ -210,10 +163,8 @@ class Breakpoints:
             raise InvalidStateError(f"boundaries not strictly descending to 1: {bd}")
         if any(x >= y for x, y in zip(rt, rt[1:])):
             raise InvalidStateError(f"tail ratios not strictly increasing: {rt}")
-        first = rt[0]
-        if (isinstance(first, Fraction) and first > 1) or (
-                not isinstance(first, Fraction) and float(first) > 1 + DEFAULT_TOL):
-            raise InvalidStateError(f"leading tail ratio {first} exceeds 1")
+        if rt[0] > 1:
+            raise InvalidStateError(f"leading tail ratio {rt[0]} exceeds 1")
         object.__setattr__(self, "boundaries", bd)
         object.__setattr__(self, "ratios", rt)
 
@@ -231,30 +182,29 @@ class Breakpoints:
             yield j, self.boundaries[j], self.boundaries[j - 1] - 1
 
 
-def intermediate_state(bp: Breakpoints, beta: SchmidtVector,
-                       *, tol=DEFAULT_TOL) -> SchmidtVector:
+def intermediate_state(bp: Breakpoints, beta: SchmidtVector) -> SchmidtVector:
     """Scale each target segment by its tail ratio: gamma_i = r_j beta_i.
 
     The result is the state the deterministic stage aims for; it
     majorizes the source and is mapped onto the target by the final
-    filter with probability r_1.  The construction provably yields a
-    sorted vector; IntermediateOrderError flags a breach.
+    filter with probability r_1.  It is exact, on the dyadic lift of a
+    float target.  The construction provably yields a sorted vector;
+    IntermediateOrderError flags a breach.
     """
     if beta.n != bp.n:
         raise ValueError(
             f"breakpoints describe {bp.n} dimensions, target has {beta.n}")
+    nums, den = beta._scaled
     gamma = [None] * bp.n
-    for j, lo, hi in bp.segments():
-        r = bp.ratios[j - 1]
+    for j, lo, hi in bp.segments():   # from the last segment back
+        top, bottom = bp.ratios[j - 1].as_integer_ratio()
         for i in range(lo, hi + 1):
-            gamma[i - 1] = r * beta.probs[i - 1]
-    exact = all(isinstance(g, Fraction) for g in gamma)
-    for i in range(bp.n - 1):
-        if (gamma[i] < gamma[i + 1] if exact
-                else float(gamma[i] - gamma[i + 1]) < -tol):
+            gamma[i - 1] = Fraction(top * nums[i - 1], bottom * den)
+        # a segment keeps beta's order; the check is where two meet
+        if hi < bp.n and gamma[hi - 1] < gamma[hi]:
             raise IntermediateOrderError(
-                f"intermediate state out of order at position {i + 1}: "
-                f"{gamma[i]} < {gamma[i + 1]}")
+                f"intermediate state out of order at position {hi}: "
+                f"{gamma[hi - 1]} < {gamma[hi]}")
     return SchmidtVector(tuple(gamma))
 
 
@@ -262,8 +212,8 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector,
 class DiagonalOperator:
     """Non-negative diagonal operator stored by its squared diagonal.
 
-    Squared entries stay exact rationals whenever the plan is exact; the
-    float matrix (with the square roots taken) is derived on demand.
+    A plan's squared entries are exact rationals; the float matrix (with
+    the square roots taken) is derived on demand.
     """
 
     squared: tuple
@@ -273,11 +223,8 @@ class DiagonalOperator:
         if not sq:
             raise InvalidStateError("empty diagonal operator")
         for s in sq:
-            if isinstance(s, Fraction):
-                ok = 0 <= s.numerator <= s.denominator
-            else:
-                ok = -DEFAULT_TOL <= float(s) <= 1 + DEFAULT_TOL
-            if not ok:
+            num, den = s.as_integer_ratio()
+            if not 0 <= num <= den:
                 raise InvalidStateError(f"squared diagonal entry {s} outside [0, 1]")
         object.__setattr__(self, "squared", sq)
 
@@ -287,8 +234,8 @@ class DiagonalOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        vals = np.clip([float(s) for s in self.squared], 0.0, 1.0)
-        return np.diag(np.sqrt(vals)).astype(complex)
+        return np.diag(np.sqrt([float(s) for s in self.squared])).astype(
+            complex)
 
 
 def measurement_operators(bp: Breakpoints):
@@ -313,7 +260,9 @@ class ConversionPlan:
     """Everything needed to realize the optimal conversion.
 
     ``source`` and ``target`` are the planning-dimension vectors
-    (trailing zero pairs dropped).  A degenerate plan (probability 0)
+    (trailing zero pairs dropped), as given.  The breakpoints,
+    intermediate state and operators are exact, and ``probability`` is
+    r_1, a float when either input is.  A degenerate plan (probability 0)
     carries no breakpoints, intermediate state, or operators.
     """
 
@@ -327,17 +276,14 @@ class ConversionPlan:
 
     @property
     def is_feasible(self) -> bool:
-        if isinstance(self.probability, Fraction):
-            return self.probability > 0
-        return float(self.probability) > 0.0
+        return self.probability > 0
 
     @property
     def is_exact(self) -> bool:
         return self.source.is_exact and self.target.is_exact
 
 
-def build_plan(alpha: SchmidtVector, beta: SchmidtVector,
-               *, tol=DEFAULT_TOL) -> ConversionPlan:
+def build_plan(alpha: SchmidtVector, beta: SchmidtVector) -> ConversionPlan:
     """Construct the two-stage optimal plan for alpha -> beta.
 
     Returns a degenerate probability-0 plan when the source has fewer
@@ -345,34 +291,32 @@ def build_plan(alpha: SchmidtVector, beta: SchmidtVector,
     breakpoints, the intermediate state (checked to majorize the source),
     the filter pair, and the achieved probability r_1, which equals the
     closed-form optimum by construction — the two are computed through
-    independent code paths and cross-checked in the tests.
+    independent code paths and cross-checked in the tests.  Float inputs
+    are planned exactly on their dyadic lifts.
     """
-    a, b = _padded_pair(alpha, beta, tol)
-    exact = a.is_exact and b.is_exact
-    n = _trimmed_length(a, b, tol)
-    a = SchmidtVector(a.probs[:n])
-    b = SchmidtVector(b.probs[:n])
-    if a.nonzero_count(tol) < b.nonzero_count(tol):
-        zero = Fraction(0) if exact else 0.0
-        return ConversionPlan(a, b, None, None, None, None, zero)
-    bp = breakpoints(a, b, tol=tol)
-    gamma = intermediate_state(bp, b, tol=tol)
+    n = _tail_sums(alpha, beta)[4]
+    a, b = (v.padded(n) if v.n <= n else SchmidtVector(v.probs[:n])
+            for v in (alpha, beta))
+    if a.nonzero_count() < b.nonzero_count():
+        return ConversionPlan(a, b, None, None, None, None,
+                              _typed(Fraction(0), a, b))
+    bp = breakpoints(a, b)
+    gamma = intermediate_state(bp, b)
     success, failure = measurement_operators(bp)
-    if not majorizes(a, gamma, tol=tol):
+    if not majorizes(a, gamma):
         raise PlanInvariantError(
             "intermediate state fails to majorize the source")
+    # filter identity gamma_i * M_ii^2 == r_1 * beta_i on integer
+    # numerators: g/D_g * s == r_1 * t/D_t, cross-multiplied
     r1 = bp.ratios[0]
-    if exact:
-        # on integer numerators: g/D_g * s == r_1 * t/D_t, cross-multiplied
-        (gn, dg), (tn, dt) = gamma._scaled, b._scaled
-        scale_g, scale_t = r1.denominator * dt, r1.numerator * dg
-    for i, (g, s, t) in enumerate(zip(gamma.probs, success.squared, b.probs)):
-        # filter identity: gamma_i * M_ii^2 == r_1 * beta_i
-        if (gn[i] * s.numerator * scale_g != tn[i] * s.denominator * scale_t
-                if exact else abs(float(g * s - r1 * t)) > tol):
+    (gn, dg), (tn, dt) = gamma._scaled, b._scaled
+    scale_g, scale_t = r1.denominator * dt, r1.numerator * dg
+    for g, s, t in zip(gn, success.squared, tn):
+        if g * s.numerator * scale_g != t * s.denominator * scale_t:
             raise PlanInvariantError(
-                f"filter identity violated: {g}*{s} != {r1}*{t}")
-    return ConversionPlan(a, b, bp, gamma, success, failure, r1)
+                f"filter identity violated: {Fraction(g, dg)}*{s} != "
+                f"{r1}*{Fraction(t, dt)}")
+    return ConversionPlan(a, b, bp, gamma, success, failure, _typed(r1, a, b))
 
 
 @dataclass(frozen=True)
@@ -383,8 +327,8 @@ class MultiCopyBound:
     regime: str
 
 
-def multi_copy_bound(alpha: SchmidtVector, beta: SchmidtVector,
-                     *, tol=DEFAULT_TOL) -> MultiCopyBound:
+def multi_copy_bound(alpha: SchmidtVector,
+                     beta: SchmidtVector) -> MultiCopyBound:
     """Single-copy optimum plus the copies regime.
 
     When the source has fewer nonzero coefficients than the *square* of
@@ -393,20 +337,18 @@ def multi_copy_bound(alpha: SchmidtVector, beta: SchmidtVector,
     optimum is the best per-copy rate; otherwise collective strategies
     may beat it.
     """
-    p = optimal_probability(alpha, beta, tol=tol)
-    n_source = alpha.nonzero_count(tol)
-    n_target = beta.nonzero_count(tol)
-    if n_source < n_target ** 2:
+    p = optimal_probability(alpha, beta)
+    if alpha.nonzero_count() < beta.nonzero_count() ** 2:
         return MultiCopyBound(p, SINGLE_COPY_OPTIMAL)
     return MultiCopyBound(p, MULTI_COPY_POSSIBLE)
 
 
 def tensor_conversion_probability(alpha: SchmidtVector, beta: SchmidtVector,
-                                  copies: int, *, tol=DEFAULT_TOL):
+                                  copies: int):
     """Optimal probability of converting N joint copies of the source
     into N copies of the target.  Super-multiplicative: for N = 2 it can
-    strictly exceed the square of the single-copy value."""
-    if not isinstance(copies, int) or copies < 1:
-        raise ValueError(f"copies must be a positive integer, got {copies!r}")
-    return optimal_probability(tensor_power(alpha, copies),
-                               tensor_power(beta, copies), tol=tol)
+    strictly exceed the square of the single-copy value.  Float inputs
+    are raised to the power on their dyadic lifts."""
+    p = optimal_probability(tensor_power(_lifted(alpha), copies),
+                            tensor_power(_lifted(beta), copies))
+    return _typed(p, alpha, beta)

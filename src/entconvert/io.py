@@ -12,9 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conversion import (Breakpoints, ConversionPlan, DiagonalOperator,
-                         InfeasibleConversionError, breakpoints,
-                         intermediate_state, measurement_operators)
+from .conversion import ConversionPlan, build_plan
 from .numeric import DEFAULT_TOL, RATIONAL, parse_scalar, scalar_to_json
 from .schmidt import BipartiteState, SchmidtVector, schmidt_decompose
 
@@ -102,15 +100,18 @@ def load_state_file(path, *, mode=RATIONAL, tol=DEFAULT_TOL,
     return parse_state_document(doc, mode=mode, tol=tol, trim=trim)
 
 
-def _scalars_out(values):
-    return [scalar_to_json(v) for v in values]
-
-
 def plan_to_dict(plan: ConversionPlan) -> dict:
+    """JSON image of a plan; one built from float inputs renders every
+    value, exact ones included, as a 12-significant-digit float."""
+    exact = plan.is_exact
+
+    def out(values):
+        return [scalar_to_json(v if exact else float(v)) for v in values]
+
     doc = {
-        "source": _scalars_out(plan.source.probs),
-        "target": _scalars_out(plan.target.probs),
-        "probability": scalar_to_json(plan.probability),
+        "source": out(plan.source.probs),
+        "target": out(plan.target.probs),
+        "probability": out((plan.probability,))[0],
     }
     if plan.breakpoints is None:
         doc.update(breakpoints=None, intermediate=None,
@@ -118,16 +119,22 @@ def plan_to_dict(plan: ConversionPlan) -> dict:
     else:
         doc["breakpoints"] = {
             "boundaries": list(plan.breakpoints.boundaries),
-            "ratios": _scalars_out(plan.breakpoints.ratios),
+            "ratios": out(plan.breakpoints.ratios),
         }
-        doc["intermediate"] = _scalars_out(plan.intermediate.probs)
-        doc["success_squared"] = _scalars_out(plan.success_operator.squared)
-        doc["failure_squared"] = _scalars_out(plan.failure_operator.squared)
+        doc["intermediate"] = out(plan.intermediate.probs)
+        doc["success_squared"] = out(plan.success_operator.squared)
+        doc["failure_squared"] = out(plan.failure_operator.squared)
     return doc
 
 
 def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
-    """Rebuild a plan from its JSON document (round-trip of plan_to_dict)."""
+    """Rebuild a plan from its JSON document (round-trip of plan_to_dict).
+
+    The plan is built anew from the document's source and target, and
+    every other field must agree with it: the boundaries always exactly,
+    the values exactly in an exact document and within max(tol, 1e-9)
+    in a float one, whose values were rounded on the way out.
+    """
     if not isinstance(doc, dict):
         raise StateFileError("plan document must be a JSON object")
 
@@ -137,50 +144,43 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
     try:
         source = SchmidtVector.from_values(doc["source"], mode=mode, tol=tol)
         target = SchmidtVector.from_values(doc["target"], mode=mode, tol=tol)
-        probability = parse_scalar(doc["probability"], mode)
-        bp, bp_doc = None, doc.get("breakpoints")
+        got, bp_doc = {}, doc.get("breakpoints")
         if bp_doc is not None:
-            bp = Breakpoints(tuple(int(b) for b in bp_doc["boundaries"]),
-                             scalars(bp_doc["ratios"]))
-            gamma = SchmidtVector(scalars(doc["intermediate"]))
-            success = DiagonalOperator(scalars(doc["success_squared"]))
-            failure = DiagonalOperator(scalars(doc["failure_squared"]))
+            got["boundaries"] = tuple(int(b) for b in bp_doc["boundaries"])
+            got["ratios"] = scalars(bp_doc["ratios"])
+            for key in ("intermediate", "success_squared", "failure_squared"):
+                got[key] = scalars(doc[key])
+        got["probability"] = scalars((doc["probability"],))
     except KeyError as err:
         raise StateFileError(f"plan document missing key {err}") from err
     except TypeError as err:
         raise StateFileError(f"malformed plan document: {err}") from err
-    # An exact pair fixes its breakpoints (none when infeasible).  A float
-    # document keeps its own: its 12-digit rounding can move a near-tie
-    # boundary until float mode plans on exact values (ROADMAP item 4).
-    if source.is_exact and target.is_exact:
-        try:
-            want_bp = breakpoints(source, target, tol=tol)
-        except InfeasibleConversionError:
-            want_bp = None
-        if bp != want_bp:
-            raise StateFileError(
-                "plan document is internally inconsistent: breakpoints")
-    if bp is None:
-        if probability != 0:
-            raise StateFileError("a plan without breakpoints has "
-                                 "probability 0")
-        return ConversionPlan(source, target, None, None, None, None,
-                              probability)
-    # the document's own values are kept; they must match the breakpoints
-    want_success, want_failure = measurement_operators(bp)
-    for key, got, want in (
-            ("intermediate", gamma.probs,
-             intermediate_state(bp, target, tol=tol).probs),
-            ("success_squared", success.squared, want_success.squared),
-            ("failure_squared", failure.squared, want_failure.squared),
-            ("probability", (probability,), bp.ratios[:1])):
-        if len(got) != len(want) or (got != want and not all(
-                abs(float(x) - float(y)) <= max(tol, 1e-9)
-                for x, y in zip(got, want))):
+    plan, slack = build_plan(source, target), max(tol, DEFAULT_TOL)
+    want = {"probability": (plan.probability,)}
+    if plan.breakpoints is not None:
+        want.update(boundaries=plan.breakpoints.boundaries,
+                    ratios=plan.breakpoints.ratios,
+                    intermediate=plan.intermediate.probs,
+                    success_squared=plan.success_operator.squared,
+                    failure_squared=plan.failure_operator.squared)
+
+    def agree(key):
+        x, y = got.get(key), want.get(key)
+        return x == y or (not plan.is_exact and x is not None
+                          and y is not None
+                          and len(x) == len(y) and all(
+                              abs(float(a) - float(b)) <= slack
+                              for a, b in zip(x, y)))
+
+    # the pair fixes its breakpoints (none when infeasible)
+    if not (agree("boundaries") and agree("ratios")):
+        raise StateFileError(
+            "plan document is internally inconsistent: breakpoints")
+    for key in got:
+        if not agree(key):
             raise StateFileError(
                 f"plan document is internally inconsistent: {key}")
-    return ConversionPlan(source, target, bp, gamma, success, failure,
-                          probability)
+    return plan
 
 
 def report_to_dict(report) -> dict:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .conversion import ConversionPlan, InfeasibleConversionError
 from .monotones import _tails, entanglement_monotone
-from .numeric import DEFAULT_TOL, as_exact
-from .schmidt import (BipartiteState, InvalidStateError, SchmidtVector,
-                      majorizes, schmidt_decompose, state_from_schmidt)
+from .numeric import DEFAULT_TOL
+from .schmidt import (BipartiteState, SchmidtVector, _lifted, majorizes,
+                      schmidt_decompose, state_from_schmidt)
 
 __all__ = [
     "ProtocolError",
@@ -515,19 +515,6 @@ def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL, check=True):
 # protocol builders
 
 
-def _exact_unit_vector(sv: SchmidtVector):
-    """Exact rational image of a Schmidt vector, normalized to sum 1.
-
-    Floats convert to their exact dyadic rationals first, so the chain
-    construction below never sees rounding noise of its own making.
-    """
-    vals = [as_exact(p) for p in sv.probs]
-    total = sum(vals)
-    if total == 0:
-        raise InvalidStateError("state carries no weight")
-    return tuple(v / total for v in vals)
-
-
 def _t_transform_chain(target, start):
     """T-transform chain from ``start`` down to ``target``.
 
@@ -590,8 +577,8 @@ def _mixing_step(x, y, j, k, n, meas_index):
     return [meas, Announce(label="broadcast outcome"), correction]
 
 
-def deterministic_protocol(alpha: SchmidtVector, gamma: SchmidtVector,
-                           *, tol=DEFAULT_TOL) -> LoccProtocol:
+def deterministic_protocol(alpha: SchmidtVector,
+                           gamma: SchmidtVector) -> LoccProtocol:
     """Certain conversion from ``alpha`` to the majorizing ``gamma``.
 
     Realized as at most n - 1 two-outcome measurements on A, one per
@@ -599,24 +586,15 @@ def deterministic_protocol(alpha: SchmidtVector, gamma: SchmidtVector,
     each followed by an announcement and an outcome-conditioned relabel
     on B.  Every branch of the result lands exactly on ``gamma``.
 
-    The chain is built in exact rational arithmetic (floats are lifted to
-    their dyadic rationals and normalized), so majorization must hold
-    exactly there; violations raise MajorizationError.
+    The chain is built in exact rational arithmetic, on the dyadic lift
+    of a float vector, so majorization must hold exactly there;
+    violations raise MajorizationError.
     """
-    if not majorizes(alpha, gamma, tol=tol):
+    if not majorizes(alpha, gamma):
         raise MajorizationError("gamma does not majorize alpha")
     n = max(alpha.n, gamma.n)
-    a = _exact_unit_vector(alpha.padded(n))
-    g = _exact_unit_vector(gamma.padded(n))
-    heads_a = heads_g = Fraction(0)
-    for pa, pg in zip(a, g):
-        heads_a += pa
-        heads_g += pg
-        if heads_g < heads_a:
-            raise MajorizationError(
-                "majorization fails in exact arithmetic "
-                f"(head sums {float(heads_a)} > {float(heads_g)}); "
-                "supply exactly majorizing vectors")
+    a = _lifted(alpha).padded(n).probs
+    g = _lifted(gamma).padded(n).probs
     steps = []
     meas_index = 0
     # chain records run start -> target; execution undoes them in reverse
@@ -626,7 +604,7 @@ def deterministic_protocol(alpha: SchmidtVector, gamma: SchmidtVector,
     return LoccProtocol(tuple(steps), success_predicate=None)
 
 
-def build_full_protocol(plan: ConversionPlan, *, tol=DEFAULT_TOL) -> LoccProtocol:
+def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
     """Executable protocol realizing a feasible plan end to end.
 
     Deterministic stage to the intermediate state, then the final
@@ -635,11 +613,10 @@ def build_full_protocol(plan: ConversionPlan, *, tol=DEFAULT_TOL) -> LoccProtoco
     if not plan.is_feasible:
         raise InfeasibleConversionError(
             "plan has probability 0; no protocol exists")
-    det = deterministic_protocol(plan.source, plan.intermediate, tol=tol)
+    det = deterministic_protocol(plan.source, plan.intermediate)
     rows = tuple(range(plan.intermediate.n))
-    # squares clipped to [0, 1], as DiagonalOperator.matrix clips floats
     filter_step = LocalMeasurement("A", exact=tuple(
-        ExactMonomial(rows, tuple(min(max(s, 0), 1) for s in op.squared))
+        ExactMonomial(rows, op.squared)
         for op in (plan.success_operator, plan.failure_operator)),
         label="final two-outcome filter")
     return LoccProtocol(det.steps + (filter_step,),

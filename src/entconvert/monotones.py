@@ -52,8 +52,8 @@ def _tails(sv: SchmidtVector) -> list:
     """
     if not sv.is_exact:
         # A running float sum rounds differently from each tail summed left
-        # to right, and rendered digits could change; floats stay per k
-        # until float mode plans on exact values (ROADMAP item 4).
+        # to right: the amplitude-level audit would change in its last
+        # bits, which TestSamplerOracle pins to entanglement_monotone's.
         return [entanglement_monotone(sv, k) for k in range(1, sv.n + 1)]
     tails, run = [], Fraction(0)
     for p in reversed(sv.probs):

@@ -47,12 +47,18 @@ def parse_scalar(value, mode: str = RATIONAL):
         try:
             if (num.isascii() and num.isdigit() and den.isascii()
                     and den.isdigit()):
-                # "digits/digits" needs none of Fraction's string parsing
+                # "digits/digits" needs none of Fraction's string parsing,
+                # and a float is the correctly rounded integer quotient
+                if mode == FLOAT:
+                    return int(num) / int(den)
                 exact = Fraction(int(num), int(den))
             else:
                 exact = Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"cannot parse scalar {value!r}") from err
+        except OverflowError as err:
+            raise ValueError(f"scalar {value!r} is too large for a float") \
+                from err
     elif isinstance(value, Integral):
         exact = Fraction(int(value))
     else:
@@ -83,15 +89,6 @@ def all_exact(values) -> bool:
     return all(is_exact_scalar(v) for v in values)
 
 
-def as_exact(value) -> Fraction:
-    """Exact image of a scalar; floats convert to their dyadic rational."""
-    if isinstance(value, Fraction):
-        return value
-    if is_exact_scalar(value):
-        return Fraction(int(value))
-    return Fraction(value)
-
-
 def round12(x: float) -> float:
     """Round a float to 12 significant digits (report formatting)."""
     return float(f"{float(x):.12g}")
@@ -99,6 +96,8 @@ def round12(x: float) -> float:
 
 def scalar_to_json(value):
     """JSON image of a scalar: rationals as strings, floats 12-sig-digit."""
+    if isinstance(value, float):
+        return round12(value)
     if isinstance(value, Fraction):
         return str(value)
     if is_exact_scalar(value):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conversion import optimal_probability, tensor_conversion_probability
-from .numeric import DEFAULT_TOL
-from .schmidt import SchmidtVector
+from .schmidt import SchmidtVector, _lifted, _typed
 
 __all__ = [
     "FIRST_GREATER",
@@ -42,7 +41,8 @@ class ComparisonResult:
 
     The first state counts as more entangled when it converts to the
     second with strictly higher probability than the reverse; both
-    probabilities equal to 1 means the states are equivalent.
+    probabilities equal to 1 means the states are equivalent.  The
+    verdict is decided on exact values, the dyadic lifts of float inputs.
     """
 
     p_forward: object
@@ -50,30 +50,23 @@ class ComparisonResult:
     verdict: str
 
 
-def compare(first: SchmidtVector, second: SchmidtVector,
-            *, tol=DEFAULT_TOL) -> ComparisonResult:
-    pf = optimal_probability(first, second, tol=tol)
-    pb = optimal_probability(second, first, tol=tol)
-    if isinstance(pf, Fraction) and isinstance(pb, Fraction):
-        unit = pf == 1 and pb == 1
-        equal = pf == pb
-        forward_greater = pf > pb
-    else:
-        unit = float(pf) > 1 - tol and float(pb) > 1 - tol
-        equal = abs(float(pf) - float(pb)) <= tol
-        forward_greater = float(pf) > float(pb)
-    if unit:
+def compare(first: SchmidtVector, second: SchmidtVector) -> ComparisonResult:
+    a, b = _lifted(first), _lifted(second)
+    pf = optimal_probability(a, b)
+    pb = optimal_probability(b, a)
+    if pf == 1 and pb == 1:
         verdict = BOTH_UNIT
-    elif equal:
+    elif pf == pb:
         verdict = EQUAL
-    elif forward_greater:
+    elif pf > pb:
         verdict = FIRST_GREATER
     else:
         verdict = SECOND_GREATER
-    return ComparisonResult(pf, pb, verdict)
+    return ComparisonResult(_typed(pf, first, second),
+                            _typed(pb, first, second), verdict)
 
 
-def find_cycle(states, *, tol=DEFAULT_TOL):
+def find_cycle(states):
     """Directed cycle in the strictly-less-entangled relation, if any.
 
     An edge a -> b exists when b converts to a with strictly higher
@@ -81,15 +74,15 @@ def find_cycle(states, *, tol=DEFAULT_TOL):
     indices with the first repeated at the end (e.g. [0, 1, 2, 0]), or
     None when the relation is acyclic.
     """
-    states = list(states)
+    states = [_lifted(s) for s in states]   # the verdicts read these alone
     if len(states) < 3:
         raise ValueError("cycle search needs at least 3 states")
     m = len(states)
     edges = {a: [] for a in range(m)}
     for a in range(m):
         for b in range(m):
-            if a != b and compare(states[a], states[b],
-                                  tol=tol).verdict == SECOND_GREATER:
+            if a != b and compare(states[a],
+                                  states[b]).verdict == SECOND_GREATER:
                 edges[a].append(b)
     color = [0] * m  # 0 unseen, 1 on stack, 2 done
     parent = [None] * m
@@ -132,25 +125,22 @@ class NonadditivityInstance:
     p_pair: object
 
 
-def nonadditivity_search(pairs, *, tol=DEFAULT_TOL):
+def nonadditivity_search(pairs):
     """Filter (alpha, beta) pairs for strict two-copy advantage.
 
     For each pair the single-copy optimum P and the joint two-copy
-    optimum P2 are computed; the pair is reported when P2 > P**2
-    (strictly, beyond tolerance for float inputs) with both values kept
+    optimum P2 are computed; the pair is reported when P2 > P**2, decided
+    exactly (on the dyadic lifts of float inputs), with the values kept
     exact where the inputs are exact.
     """
     found = []
     for alpha, beta in pairs:
-        p1 = optimal_probability(alpha, beta, tol=tol)
-        p2 = tensor_conversion_probability(alpha, beta, 2, tol=tol)
-        p1sq = p1 * p1
-        if isinstance(p2, Fraction) and isinstance(p1sq, Fraction):
-            strict = p2 > p1sq
-        else:
-            strict = float(p2) > float(p1sq) + tol
-        if strict:
-            found.append(NonadditivityInstance(alpha, beta, p1, p1sq, p2))
+        a, b = _lifted(alpha), _lifted(beta)
+        p1 = optimal_probability(a, b)
+        p2 = tensor_conversion_probability(a, b, 2)
+        if p2 > p1 * p1:
+            found.append(NonadditivityInstance(alpha, beta, *(
+                _typed(p, alpha, beta) for p in (p1, p1 * p1, p2))))
     return found
 
 

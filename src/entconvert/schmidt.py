@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +52,8 @@ class SchmidtVector:
 
     Entries are either exact rationals (``fractions.Fraction``) or floats;
     a vector is *exact* when every entry is rational, and all downstream
-    arithmetic on exact vectors stays exact.
+    arithmetic on exact vectors stays exact.  Planning reads a float
+    vector through its dyadic lift (see ``_scaled``), so it is exact too.
     """
 
     probs: tuple
@@ -59,8 +62,8 @@ class SchmidtVector:
         probs = tuple(self.probs)
         if len(probs) == 0:
             raise InvalidStateError("a Schmidt vector needs at least one entry")
-        scaled = None
-        if all(isinstance(p, Fraction) for p in probs):
+        exact = all(isinstance(p, Fraction) for p in probs)
+        if exact:
             # integer numerators over D = lcm(denominators): the exact
             # form every check here and every exact loop downstream reads
             den = math.lcm(*(p.denominator for p in probs))
@@ -68,7 +71,9 @@ class SchmidtVector:
             if min(keys) < 0:
                 bad = next(p for p, x in zip(probs, keys) if x < 0)
                 raise InvalidStateError(f"negative squared coefficient {bad}")
-            scaled, slack = (keys, den), 0
+            # not a field, so __eq__, __hash__ and repr still see probs alone
+            object.__setattr__(self, "_scaled", (keys, den))
+            slack = 0
         else:
             cleaned = []
             for p in probs:
@@ -93,14 +98,30 @@ class SchmidtVector:
                 raise InvalidStateError(
                     f"entries not sorted non-increasing: {probs[i]} < "
                     f"{probs[i + 1]}")
-        if scaled and sum(keys) != den:
+        if exact and sum(keys) != den:
             raise InvalidStateError(
                 f"exact entries sum to {Fraction(sum(keys), den)}, not 1")
-        if not scaled and abs(float(sum(probs)) - 1.0) > DEFAULT_TOL:
+        if not exact and abs(float(sum(probs)) - 1.0) > DEFAULT_TOL:
             raise InvalidStateError(f"entries sum to {float(sum(probs))}, not 1")
         object.__setattr__(self, "probs", probs)
-        # not a field, so __eq__, __hash__ and repr still see probs alone
-        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_exact", exact)
+
+    @cached_property
+    def _scaled(self):
+        """(numerators, D): the entries as integers over D, sorted
+        non-increasing and summing to D.
+
+        An exact vector stores its own in __post_init__.  A float vector
+        makes its dyadic lift on first use (the amplitude-level audit never
+        asks): each entry's exact binary value, 0 for an entry at most
+        DEFAULT_TOL, over one common power of two, then normalized by
+        taking D = their sum.
+        """
+        ratios = [p.as_integer_ratio() if p > DEFAULT_TOL else (0, 1)
+                  for p in self.probs]
+        den = math.lcm(*(d for _, d in ratios))
+        nums = sorted((x * (den // d) for x, d in ratios), reverse=True)
+        return tuple(nums), sum(nums)
 
     @classmethod
     def from_values(cls, values, *, mode="rational", normalize=False,
@@ -112,17 +133,20 @@ class SchmidtVector:
         optionally normalized by their sum, and optionally trimmed of
         trailing entries below ``tol`` (with renormalization).
         """
-        parsed = [parse_scalar(v, mode) for v in values]
-        if not parsed:
+        given = [parse_scalar(v, mode) for v in values]
+        if not given:
             raise InvalidStateError("a Schmidt vector needs at least one entry")
-        for p in parsed:
-            if (isinstance(p, Fraction) and p < 0) or (
-                not isinstance(p, Fraction) and float(p) < -tol
-            ):
+        for p in given:
+            if not isinstance(p, Fraction) and float(p) < -tol:
                 raise InvalidStateError(f"negative squared coefficient {p}")
-        parsed = [p if isinstance(p, Fraction) else max(float(p), 0.0)
-                  for p in parsed]
-        parsed.sort(reverse=True)  # stable: ties keep input order
+        given = [p if isinstance(p, Fraction) else max(float(p), 0.0)
+                 for p in given]
+        parsed = sorted(given, reverse=True)  # stable: ties keep input order
+        # floats are clamped by now, so the last entry is negative only
+        # when a rational is; the first such one given is named
+        if parsed[-1] < 0:
+            raise InvalidStateError("negative squared coefficient "
+                                    f"{next(p for p in given if p < 0)}")
         if normalize:
             total = sum(parsed)
             if total == 0:
@@ -144,19 +168,11 @@ class SchmidtVector:
 
     @property
     def is_exact(self) -> bool:
-        return self._scaled is not None
+        return self._exact
 
-    def nonzero_count(self, tol=DEFAULT_TOL) -> int:
-        """Number of entries that carry weight (exact > 0, float > tol)."""
-        if self._scaled is not None:
-            return len(self.probs) - self._scaled[0].count(0)
-        count = 0
-        for p in self.probs:
-            if isinstance(p, Fraction):
-                count += p > 0
-            else:
-                count += float(p) > tol
-        return count
+    def nonzero_count(self) -> int:
+        """Number of entries that carry weight (> 0; a float > DEFAULT_TOL)."""
+        return len(self.probs) - self._scaled[0].count(0)
 
     def padded(self, n: int) -> "SchmidtVector":
         if n < self.n:
@@ -267,7 +283,8 @@ def tensor_power(sv: SchmidtVector, copies: int) -> SchmidtVector:
     """Schmidt vector of ``copies`` independent copies of the state.
 
     Entries are all products of one entry per copy, re-sorted descending;
-    the result has n**copies entries and stays exact for exact input.
+    the result has n**copies entries and stays exact for exact input (a
+    float input's entries are the rounded products of its dyadic lift).
     Beyond one copy, more than MAX_TENSOR_COPIES copies or
     MAX_TENSOR_ENTRIES entries are refused before any product is formed.
     """
@@ -281,14 +298,14 @@ def tensor_power(sv: SchmidtVector, copies: int) -> SchmidtVector:
             f"tensor power too large: {copies} copies of {sv.n} entries "
             f"(limits {MAX_TENSOR_COPIES} copies, {MAX_TENSOR_ENTRIES} "
             "entries)")
-    values, den = sv._scaled or (sv.probs, None)
+    values, den = sv._scaled
     products = sorted(map(math.prod, itertools.product(values, repeat=copies)),
                       reverse=True)
-    if den is not None:
-        # integer products over D**copies: each Fraction is made once, last
-        scale = den ** copies
-        products = [Fraction(x, scale) for x in products]
-    return SchmidtVector(tuple(products))
+    # integer products over D**copies: each entry is made once, last, as a
+    # Fraction for exact input and as a float otherwise
+    cast = Fraction if sv.is_exact else operator.truediv
+    scale = den ** copies
+    return SchmidtVector(tuple(cast(x, scale) for x in products))
 
 
 def reduced_density(state: BipartiteState) -> DensityOperator:
@@ -303,31 +320,33 @@ def reduced_density(state: BipartiteState) -> DensityOperator:
     return DensityOperator(rho)
 
 
-def majorizes(x: SchmidtVector, y: SchmidtVector, *, tol=DEFAULT_TOL) -> bool:
+def majorizes(x: SchmidtVector, y: SchmidtVector) -> bool:
     """True when y majorizes x (every head sum of y >= that of x).
 
-    Vectors are zero-padded to a common length.  Exact comparison when
-    both vectors are rational; otherwise float comparison with ``tol``
-    slack per head sum.
+    Vectors are zero-padded to a common length and compared exactly, a
+    float vector through its dyadic lift.
     """
-    if x.is_exact and y.is_exact:
-        # head sums of integer numerators, compared over the two scales
-        (xs, dx), (ys, dy) = x._scaled, y._scaled
-        hx = hy = 0
-        for a, b in itertools.zip_longest(xs, ys, fillvalue=0):
-            hx += a
-            hy += b
-            if hy * dx < hx * dy:
-                return False
-        return True
-    n = max(x.n, y.n)
-    xs = x.padded(n).probs
-    ys = y.padded(n).probs
-    hx = 0.0
-    hy = 0.0
-    for a, b in zip(xs, ys):
-        hx += float(a)
-        hy += float(b)
-        if hy < hx - tol:
+    # head sums of integer numerators, compared over the two scales
+    (xs, dx), (ys, dy) = x._scaled, y._scaled
+    hx = hy = 0
+    for a, b in itertools.zip_longest(xs, ys, fillvalue=0):
+        hx += a
+        hy += b
+        if hy * dx < hx * dy:
             return False
     return True
+
+
+def _lifted(sv: SchmidtVector) -> SchmidtVector:
+    """The exact vector planning reads: ``sv`` itself when exact, else
+    the Fractions of its dyadic lift."""
+    if sv.is_exact:
+        return sv
+    nums, den = sv._scaled
+    return SchmidtVector(tuple(Fraction(x, den) for x in nums))
+
+
+def _typed(value, *vectors):
+    """An exact result as the inputs ask for it: as is when every vector
+    is exact, else converted once to a float."""
+    return value if all(v.is_exact for v in vectors) else float(value)

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main(argv)."""
 
 import hashlib
+import math
 import json
 
 import numpy as np
@@ -191,6 +192,34 @@ class TestPlanAndSimulate:
         assert (0, out, "") == run(
             capsys, ["simulate", str(paths["a"]), str(paths["b"])] + flags)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_plan_round_trips_through_simulate(self, capsys, tmp_path,
+                                                     n):
+        # six-digit decimals pass the document's 12-digit rounding
+        # unchanged, so both runs plan the same floats
+        rng = np.random.default_rng(5200 + n)
+        paths = {}
+        for name in ("a", "b"):
+            cuts = sorted(rng.choice(np.arange(1, 10**6), n - 1,
+                                     replace=False).tolist())
+            loads = sorted((y - x for x, y in zip([0] + cuts,
+                                                   cuts + [10**6])),
+                           reverse=True)
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(
+                {"schmidt_sq": [f"{x / 10**6:.6f}" for x in loads]}))
+        plan_path = tmp_path / "plan.json"
+        flags = ["--mode", "float"]
+        code, _, _ = run(capsys, ["plan", str(paths["a"]), str(paths["b"]),
+                                  "--out", str(plan_path)] + flags)
+        assert code == 0
+        flags.append("--exhaustive")
+        code, out, err = run(capsys, ["simulate", "--plan", str(plan_path)]
+                             + flags)
+        assert (code, err) == (0, "")
+        assert (0, out, "") == run(
+            capsys, ["simulate", str(paths["a"]), str(paths["b"])] + flags)
+
     def test_simulate_needs_inputs(self, capsys):
         code, _, err = run(capsys, ["simulate"])
         assert code == 1
@@ -350,8 +379,9 @@ class TestFailureModes:
                                        ["--trials", "500", "--seed", "3"]])
     def test_float_plan_refused_in_exact_arithmetic(self, capsys, tmp_path,
                                                     extra):
-        # float mode plans in floats, and the synthesized protocol checks
-        # majorization on the exact value of those floats
+        # planned in floats, this pair's intermediate state majorizes the
+        # source only up to rounding; planned on the exact value of the
+        # floats it majorizes exactly, and the protocol runs
         paths = []
         for name, values in (
                 ("source", [0.4178899101020145, 0.29413420190845246,
@@ -362,15 +392,25 @@ class TestFailureModes:
             paths[-1].write_text(json.dumps({"schmidt_sq": values}))
         code, out, err = run(capsys, ["simulate", *map(str, paths),
                                       "--mode", "float", *extra])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: majorization fails in exact arithmetic")
+        assert (code, err) == (0, "")
+        code, prob, err = run(capsys, ["prob", *map(str, paths),
+                                       "--mode", "float"])
+        predicted = json.loads(prob)["probability"]
+        doc = json.loads(out)
+        assert doc["predicted"] == predicted
+        if doc["mode"] == "exhaustive":
+            assert abs(doc["success_probability"] - predicted) <= 1e-12
+        else:
+            assert abs(doc["empirical"] - predicted) <= 5 * math.sqrt(
+                predicted * (1 - predicted) / 500)
 
 
 # Full stdout of three simulate runs, pinned by size and SHA-256: any
 # change to the printed digits, such as a different summation order in
 # the audit averages, shows here.  The exact and sampled runs share a
 # 5-level pair with three balancing measurements (8 branches); the float
-# run uses decimal inputs that float mode plans without refusal.
+# run plans its decimal inputs on their exact binary values, also with
+# three measurements.
 GOLDEN_STATES = {
     "e": ["37/100", "23/100", "19/100", "13/100", "8/100"],
     "f": ["27/100", "26/100", "21/100", "17/100", "9/100"],
@@ -382,8 +422,8 @@ GOLDEN_RUNS = {
         ["e", "f", "--exhaustive"], 2833,
         "0ea1b3f211e91416e4714207e868ff20552990285879f9c25139d87542628587"),
     "exhaustive-float": (
-        ["fa", "fb", "--exhaustive", "--mode", "float"], 4899,
-        "9c2b4b92836bf146477a6c669e6b7102516c3763fa3587a75e2f29d53601cc2d"),
+        ["fa", "fb", "--exhaustive", "--mode", "float"], 2917,
+        "69ff984207d8a0fbabb4e3731bd623d2bf95e50a25300dc31374b385be86471d"),
     "monte-carlo": (
         ["e", "f", "--trials", "3000", "--seed", "5"], 2861,
         "e08fd18e50d4013e0a4765932f78e08f15f4d659ebcf96fbdbfcbcdfb86d7f55"),

@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entconvert import SchmidtVector, build_plan, monte_carlo_run, \
-    build_full_protocol, state_from_schmidt
+from entconvert import SchmidtVector, breakpoints, build_plan, \
+    monte_carlo_run, build_full_protocol, state_from_schmidt
 from entconvert.io import (StateFileError, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
@@ -214,11 +214,16 @@ class TestPlanRoundTrip:
                           SchmidtVector((0.4, 0.4, 0.2)))
         doc = json.loads(dumps(plan_to_dict(plan)), parse_float=str)
         back = plan_from_dict(doc, mode="float")
-        assert back.probability == float(doc["probability"])
-        assert back.success_operator.squared == tuple(
-            float(v) for v in doc["success_squared"])
-        assert back.intermediate.probs == tuple(
-            float(v) for v in doc["intermediate"])
+        # its own source and target, planned exactly on their binary values
+        assert back.source.probs == tuple(float(v) for v in doc["source"])
+        assert back.target.probs == tuple(float(v) for v in doc["target"])
+        assert back.breakpoints == breakpoints(back.source, back.target)
+        assert all(isinstance(r, F) for r in back.breakpoints.ratios)
+        assert abs(back.probability - float(doc["probability"])) <= 1e-12
+        # its boundaries are checked against those, as an exact document's
+        doc["breakpoints"]["boundaries"] = [4, 3, 1]
+        with pytest.raises(StateFileError, match="breakpoints"):
+            plan_from_dict(doc, mode="float")
 
     def test_missing_key_rejected(self):
         with pytest.raises(StateFileError):

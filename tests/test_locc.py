@@ -12,19 +12,21 @@ import pytest
 
 from entconvert import (Announce, BipartiteState, BranchLimitError,
                         DiagonalOperator, ExactMonomial,
-                        InfeasibleConversionError, LocalMeasurement,
+                        InfeasibleConversionError, InvalidStateError,
+                        LocalMeasurement,
                         LocalUnitary, LoccProtocol, MajorizationError,
                         OutcomeIs, ProtocolError, SchmidtVector,
                         SimulationReport, apply_measurement,
                         audit_trajectories, build_full_protocol, build_plan,
                         deterministic_protocol, entanglement_monotone,
-                        exhaustive_run, exhaustive_run_exact, monotone_audit,
-                        monte_carlo_run, schmidt_decompose,
+                        exhaustive_run, exhaustive_run_exact, majorizes,
+                        monotone_audit, monte_carlo_run, schmidt_decompose,
                         state_from_schmidt, success_probability)
 from entconvert import locc
 from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree, _sample_histories
 from entconvert.numeric import DEFAULT_TOL
-from util import rand_kraus, rand_majorized_below, rand_rational_schmidt, rand_state
+from util import (rand_float_schmidt, rand_kraus, rand_majorized_below,
+                  rand_rational_schmidt, rand_state)
 
 F = Fraction
 
@@ -32,8 +34,9 @@ ALPHA2 = SchmidtVector((F(4, 5), F(1, 5)))
 BELL = SchmidtVector((F(1, 2), F(1, 2)))
 ALPHA3 = SchmidtVector((F(1, 2), F(3, 10), F(1, 5)))
 BETA3 = SchmidtVector((F(2, 5), F(2, 5), F(1, 5)))
-# a float pair whose plan is refused: the intermediate state majorizes
-# the source only up to rounding, not on the exact value of the floats
+# a float pair whose intermediate state, computed in floats, majorizes
+# the source only up to rounding, not on the exact value of the floats;
+# planned on that exact value, it majorizes exactly
 FLOAT_REFUSED = (
     SchmidtVector((0.4178899101020145, 0.29413420190845246,
                    0.22282938363663637, 0.06514650435289661)),
@@ -298,9 +301,26 @@ class TestDeterministicProtocol:
 
     def test_float_majorization_checked_exactly(self):
         plan = build_plan(*FLOAT_REFUSED)
-        with pytest.raises(MajorizationError,
-                           match="^majorization fails in exact arithmetic"):
-            deterministic_protocol(plan.source, plan.intermediate)
+        assert majorizes(plan.source, plan.intermediate)
+        proto = deterministic_protocol(plan.source, plan.intermediate)
+        # the exact binary value of the source floats, normalized
+        total = sum(map(Fraction, plan.source.probs))
+        lifted = SchmidtVector(tuple(Fraction(p) / total
+                                     for p in plan.source.probs))
+        for branch in exhaustive_run_exact(proto, lifted):
+            assert branch.final_state == plan.intermediate
+        for branch in exhaustive_run(proto, state_from_schmidt(plan.source)):
+            assert np.allclose(_final_schmidt(branch),
+                               plan.intermediate.as_floats(), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_random_float_plans_synthesize(self, n):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            plan = build_plan(rand_float_schmidt(rng, n),
+                              rand_float_schmidt(rng, n))
+            proto = build_full_protocol(plan)
+            assert proto.measurement_count <= n
 
 
 class TestOutcomeIs:
@@ -374,22 +394,18 @@ class TestProtocolAsData:
             plan.success_operator.matrix.tobytes(),
             plan.failure_operator.matrix.tobytes()]
 
-    def test_filter_squares_clipped_to_unit_range(self):
-        # a float plan document may carry squares just outside [0, 1]
+    def test_filter_squares_outside_unit_range_refused(self):
+        # a float plan's filter is exact, so its squares need no clipping;
+        # squares just outside [0, 1] are refused where they are made
         plan = _float_plan(ALPHA2, BELL)
-        success, failure = (op.squared for op in (plan.success_operator,
-                                                   plan.failure_operator))
-        plan = dataclasses.replace(
-            plan,
-            success_operator=DiagonalOperator(
-                tuple(1 + 1e-12 if s == 1 else s for s in success)),
-            failure_operator=DiagonalOperator(
-                tuple(-1e-12 if s == 0 else s for s in failure)))
         final = build_full_protocol(plan).steps[-1]
-        assert all(0 <= s <= 1 for mono in final.exact for s in mono.squared)
-        assert [op.tobytes() for op in final.operators] == [
-            plan.success_operator.matrix.tobytes(),
-            plan.failure_operator.matrix.tobytes()]
+        assert [mono.squared for mono in final.exact] == [
+            plan.success_operator.squared, plan.failure_operator.squared]
+        assert all(isinstance(s, Fraction) and 0 <= s <= 1
+                   for mono in final.exact for s in mono.squared)
+        for bad in (1 + 1e-12, -1e-12):
+            with pytest.raises(InvalidStateError, match="outside"):
+                DiagonalOperator((F(1, 2), bad))
 
     def test_measurement_from_monomials_alone(self):
         monos = (ExactMonomial((0, 1), (F(1, 4), F(1))),

@@ -4,19 +4,28 @@ For random exact pairs the closed form, the plan's r_1 and the exact
 enumerating engine must agree exactly; the amplitude engine agrees to
 within 1e-9 and a seeded Monte-Carlo run to within five standard errors.
 The pairs are drawn to hit ties, zero tails and single-segment plans.
+Float pairs are planned on the exact binary (dyadic) value of their
+entries: their results equal those of that exact pair, and the CLI's
+float simulation agrees with them.
 """
 
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconvert import (InfeasibleConversionError, SchmidtVector,
-                        build_full_protocol, build_plan, exhaustive_run,
-                        exhaustive_run_exact, monte_carlo_run,
-                        optimal_probability, state_from_schmidt,
+                        breakpoints, build_full_protocol, build_plan,
+                        exhaustive_run, exhaustive_run_exact,
+                        monte_carlo_run, optimal_probability,
+                        optimal_probability_detail, state_from_schmidt,
                         success_probability)
+from entconvert.cli import main
 
 # amplitude and sampled routes run only on protocols this short, so
 # the suite stays within a few seconds
@@ -93,3 +102,90 @@ def test_four_routes_agree(pair, seed):
     p = float(closed)
     sigma = math.sqrt(p * (1 - p) / TRIALS)
     assert abs(report.empirical_probability - p) <= 5 * sigma + 1e-12
+
+
+@st.composite
+def float_pairs(draw, min_n=1, max_n=12):
+    """(source, target) float vectors with n = min_n..max_n levels.
+
+    Each entry is the float of its load over the total, so equal loads
+    give tied floats; loads may be zero.  One vector in three gets one
+    more entry of 5e-10, which is at most 1e-9 and so counts as zero.
+    """
+    n = draw(st.integers(min_n, max_n))
+    top = draw(st.sampled_from((3, 40, 10**6)))
+    low = draw(st.sampled_from((0, 1)))
+    pair = []
+    for _ in range(2):
+        loads = [draw(st.integers(1, top))] + draw(st.lists(
+            st.integers(low, top), min_size=n - 1, max_size=n - 1))
+        total = sum(loads)
+        probs = sorted((x / total for x in loads), reverse=True)
+        if draw(st.integers(0, 2)) == 0:
+            probs.append(5e-10)
+        pair.append(SchmidtVector(tuple(probs)))
+    return tuple(pair)
+
+
+def _dyadic(sv):
+    """The exact vector a float vector is planned as: the binary value of
+    each entry, 0 for one at most 1e-9, normalized."""
+    values = [Fraction(p) if p > 1e-9 else Fraction(0) for p in sv.probs]
+    total = sum(values)
+    return SchmidtVector(tuple(sorted((v / total for v in values),
+                                      reverse=True)))
+
+
+@given(float_pairs())
+@settings(max_examples=150, deadline=None)
+def test_float_pair_plans_on_its_dyadic_lift(pair):
+    alpha, beta = pair
+    exact = _dyadic(alpha), _dyadic(beta)
+    p, minimizer = optimal_probability_detail(alpha, beta)
+    want, want_minimizer = optimal_probability_detail(*exact)
+    assert isinstance(p, float)
+    assert (p, minimizer) == (float(want), want_minimizer)
+    try:
+        want_bp = breakpoints(*exact)
+    except InfeasibleConversionError:
+        with pytest.raises(InfeasibleConversionError):
+            breakpoints(alpha, beta)
+        assert build_plan(alpha, beta).probability == 0.0
+        return
+    assert breakpoints(alpha, beta) == want_bp
+    plan, exact_plan = build_plan(alpha, beta), build_plan(*exact)
+    assert plan.probability == float(exact_plan.probability)
+    assert (plan.breakpoints, plan.intermediate, plan.success_operator,
+            plan.failure_operator) == (
+        exact_plan.breakpoints, exact_plan.intermediate,
+        exact_plan.success_operator, exact_plan.failure_operator)
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(float_pairs(2, 16))
+@settings(max_examples=40, deadline=None)
+def test_float_simulate_agrees_with_closed_form(tmp_path_factory, pair):
+    alpha, beta = pair
+    p = optimal_probability(alpha, beta)
+    if p == 0:
+        return
+    if build_full_protocol(build_plan(alpha, beta)).measurement_count > \
+            MAX_FLOAT_MEASUREMENTS:
+        return
+    paths = []
+    for sv in pair:
+        paths.append(tmp_path_factory.mktemp("pair") / "state.json")
+        paths[-1].write_text(json.dumps({"schmidt_sq": list(sv.probs)}))
+    code, out, err = _cli(["simulate", *map(str, paths), "--mode", "float",
+                           "--exhaustive"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["mode"] == "exhaustive"
+    assert abs(doc["success_probability"] - p) <= 1e-12
+    assert abs(doc["predicted"] - p) <= 1e-12
