@@ -17,13 +17,13 @@ from .conversion import (Breakpoints, ConversionPlan, DiagonalOperator,
                          tensor_conversion_probability)
 from .locc import (Announce, Branch, BranchLimitError, ExactMonomial,
                    LoccProtocol, LocalMeasurement, LocalUnitary,
-                   MajorizationError, MeasurementOutcome,
+                   MajorizationError, MeasurementOutcome, MergedRun,
                    MonotoneViolationError, OutcomeIs, ProtocolError,
                    SimulationReport, apply_measurement, audit_trajectories,
                    build_full_protocol,
                    deterministic_protocol, exhaustive_run,
-                   exhaustive_run_exact, monotone_audit, monte_carlo_run,
-                   success_probability)
+                   exhaustive_run_exact, merged_run_exact, monotone_audit,
+                   monte_carlo_run, success_probability)
 from .monotones import (Ensemble, MonotoneVector, ensemble_average,
                         entanglement_monotone, entropy_of_entanglement,
                         monotone_profile, smallest_eigenvalue_sum)

@@ -19,8 +19,8 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          optimal_probability_detail,
                          tensor_conversion_probability)
 from .locc import (BranchLimitError, audit_trajectories, build_full_protocol,
-                   exhaustive_run, exhaustive_run_exact, monte_carlo_run,
-                   success_probability)
+                   exhaustive_run, exhaustive_run_exact, merged_run_exact,
+                   monte_carlo_run, success_probability)
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "identical for any value")
     p.add_argument("--no-fallback", action="store_true",
                    help="fail instead of sampling when --exhaustive "
-                        "exceeds the branch cap")
+                        "exceeds the branch cap (float plans only: exact "
+                        "plans are never capped)")
     _common_flags(p)
 
     p = sub.add_parser("monotones", help="monotone profile and entropy")
@@ -176,6 +177,38 @@ def _resolve_plan(args):
     return build_plan(alpha, beta)
 
 
+def _exhaustive_doc(plan, protocol, args) -> dict:
+    """The exhaustive report: exact plans whose success reads the last
+    outcome merge their histories and are never capped; other exact
+    protocols enumerate, and float plans run on amplitudes."""
+    if plan.is_exact and protocol.mergeable:
+        run = merged_run_exact(protocol, plan.source)
+        count, p, table = (run.branches, run.success_probability,
+                           run.float_table())
+    else:
+        if plan.is_exact:
+            branches = exhaustive_run_exact(protocol, plan.source)
+        else:
+            branches = exhaustive_run(protocol, state_from_schmidt(plan.source),
+                                      tol=args.tolerance)
+        count = len(branches)
+        p = success_probability(branches, protocol.success_predicate)
+        table = audit_trajectories(
+            [(b.probability, b.states) for b in branches],
+            range(1, plan.source.n + 1), tol=args.tolerance)
+    exact, decimal = _prob_pair(p)
+    return {
+        "mode": "exhaustive",
+        "branches": count,
+        "success_probability": exact,
+        "success_probability_decimal": decimal,
+        "predicted": scalar_to_json(plan.probability),
+        "audit": [{"step": s, "k": k, "avg_E": round12(v)}
+                  for k, avgs in enumerate(table, start=1)
+                  for s, v in enumerate(avgs)],
+    }
+
+
 def cmd_simulate(args) -> int:
     plan = _resolve_plan(args)
     if not plan.is_feasible:
@@ -183,40 +216,17 @@ def cmd_simulate(args) -> int:
             "conversion probability is 0 (target has more nonzero Schmidt "
             "coefficients than source); nothing to simulate")
     protocol = build_full_protocol(plan)
-    initial = state_from_schmidt(plan.source)
     if args.exhaustive:
         try:
-            if plan.is_exact:
-                branches = exhaustive_run_exact(protocol, plan.source)
-            else:
-                branches = exhaustive_run(protocol, initial,
-                                          tol=args.tolerance)
-            p = success_probability(branches, protocol.success_predicate)
-            exact, decimal = _prob_pair(p)
-            ks = range(1, plan.source.n + 1)
-            table = audit_trajectories(
-                [(b.probability, b.states) for b in branches], ks,
-                tol=args.tolerance)
-            audit = [{"step": s, "k": k, "avg_E": round12(float(v))}
-                     for k, avgs in zip(ks, table)
-                     for s, v in enumerate(avgs)]
-            doc = {
-                "mode": "exhaustive",
-                "branches": len(branches),
-                "success_probability": exact,
-                "success_probability_decimal": decimal,
-                "predicted": scalar_to_json(plan.probability),
-                "audit": audit,
-            }
-            _emit(eio.dumps(doc), args)
+            _emit(eio.dumps(_exhaustive_doc(plan, protocol, args)), args)
             return 0
         except BranchLimitError as err:
             if args.no_fallback:
                 raise
             print(f"warning: {err}; falling back to Monte-Carlo sampling",
                   file=sys.stderr)
-    report = monte_carlo_run(protocol, initial, args.trials, args.seed,
-                             workers=args.workers,
+    report = monte_carlo_run(protocol, state_from_schmidt(plan.source),
+                             args.trials, args.seed, workers=args.workers,
                              predicted=plan.probability, tol=args.tolerance)
     doc = {"mode": "monte_carlo", **eio.report_to_dict(report)}
     _emit(eio.dumps(doc), args)

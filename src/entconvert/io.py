@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conversion import ConversionPlan, build_plan
 from .numeric import DEFAULT_TOL, RATIONAL, parse_scalar, scalar_to_json

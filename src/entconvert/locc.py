@@ -3,20 +3,23 @@
 A protocol is a finite sequence of steps: local generalized measurements
 (branching), outcome-conditioned local unitaries, and classical outcome
 announcements.  The protocols built here are plain data: a measurement
-is its rational monomials, with dense operators derived from them, and
-an outcome condition is an ``OutcomeIs``.  Exhaustive enumeration and a
-seeded Monte-Carlo sampler (per-trial randomness a function of (seed,
-trial index) alone) share one step interpreter, and the state's type
-picks the level: a BipartiteState runs in floating point on amplitudes
-with arbitrary operators, a SchmidtVector exactly on the monomials.  The
+is its rational monomials, with dense operators derived from them when
+first asked for, and an outcome condition is an ``OutcomeIs``.
+Exhaustive enumeration and a seeded Monte-Carlo sampler (per-trial
+randomness a function of (seed, trial index) alone) share one step
+interpreter, and the state's type picks the level: a BipartiteState
+runs in floating point on amplitudes with arbitrary operators, a
+SchmidtVector exactly on the monomials' integer numerators.  The
 monotone audit profiles each distinct state object once, however many
-branches or trials pass.
+branches or trials pass.  When success reads the last outcome alone,
+the merged exact engine keeps one weighted entry per (state, last
+outcome) and level instead of one per history.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +27,8 @@ import numpy as np
 from .conversion import ConversionPlan, InfeasibleConversionError
 from .monotones import _tails, entanglement_monotone
 from .numeric import DEFAULT_TOL
-from .schmidt import (BipartiteState, SchmidtVector, _lifted, majorizes,
-                      schmidt_decompose, state_from_schmidt)
+from .schmidt import (BipartiteState, SchmidtVector, majorizes,
+                      schmidt_decompose)
 
 __all__ = [
     "ProtocolError",
@@ -44,6 +47,8 @@ __all__ = [
     "apply_measurement",
     "exhaustive_run",
     "exhaustive_run_exact",
+    "MergedRun",
+    "merged_run_exact",
     "success_probability",
     "monotone_audit",
     "audit_trajectories",
@@ -81,22 +86,34 @@ class ExactMonomial:
     """Monomial operator (one nonzero entry per column) with rational
     squared magnitudes — enough to track Schmidt-level branches exactly.
 
-    ``rows[c]`` is the row of column c's nonzero entry and ``squared[c]``
-    its squared magnitude.
+    ``rows[c]`` is the row of column c's nonzero entry, a permutation of
+    0..n-1, and ``squared[c]`` its squared magnitude.  The squares are
+    also kept as integers over one denominator, as
+    ``SchmidtVector._scaled`` keeps a vector's entries.
     """
 
     rows: tuple
     squared: tuple
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        squared = tuple(Fraction(s) for s in self.squared)
+        rows = tuple(map(int, self.rows))
+        squared = tuple(s if isinstance(s, Fraction) else Fraction(s)
+                        for s in self.squared)
         if len(rows) != len(squared):
             raise ProtocolError("monomial row/entry length mismatch")
-        if any(s < 0 for s in squared):
+        if sorted(rows) != list(range(len(rows))):
+            raise ProtocolError(
+                f"monomial rows {rows} are not a permutation of "
+                f"0..{len(rows) - 1}")
+        ratios = [s.as_integer_ratio() for s in squared]
+        den = math.lcm(*{d for _, d in ratios})
+        nums = tuple(x * (den // d) for x, d in ratios)
+        if any(x < 0 for x in nums):
             raise ProtocolError("negative squared magnitude in monomial")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "squared", squared)
+        # not a field, so __eq__, __hash__ and repr still see the two above
+        object.__setattr__(self, "_scaled", (nums, den))
 
     @property
     def n(self) -> int:
@@ -108,16 +125,23 @@ class ExactMonomial:
             mat[row, col] = math.sqrt(float(sq))
         return mat
 
-    def outcome(self, probs: tuple):
-        """(probability, sorted post squared coefficients) on a diagonal
-        state with exact squared coefficients ``probs``; post is None for
-        a probability-0 outcome."""
-        p = sum(s * x for s, x in zip(self.squared, probs))
-        if p == 0:
+    def outcome(self, scaled):
+        """(probability, post) on a diagonal state whose squared
+        coefficients are the integers ``scaled[0]`` over ``scaled[1]``.
+
+        The probability is a Fraction.  ``post`` is the post-measurement
+        state in the same reduced integer form, sorted non-increasing
+        over the sum of its numerators (what ``SchmidtVector._scaled``
+        gives for it), or None for a probability-0 outcome.
+        """
+        nums, den = self._scaled
+        weights = [s * x for s, x in zip(nums, scaled[0])]
+        total = sum(weights)
+        if total == 0:
             return Fraction(0), None
-        post = sorted((s * x / p for s, x in zip(self.squared, probs)),
-                      reverse=True)
-        return p, tuple(post)
+        g = math.gcd(*weights)
+        post = tuple(sorted((w // g for w in weights), reverse=True))
+        return Fraction(total, den * scaled[1]), (post, total // g)
 
 
 @dataclass(frozen=True)
@@ -138,10 +162,11 @@ class LocalMeasurement:
     """Generalized measurement on one party; operators must satisfy
     sum K^dag K = identity.  ``exact`` optionally carries the monomial
     description of each operator for rational bookkeeping; without
-    ``operators`` the dense operators are derived from it."""
+    ``operators`` the dense operators are derived from it on first use,
+    so a run on the monomials alone never builds them."""
 
     party: str
-    operators: tuple = ()
+    operators: tuple = field(default_factory=tuple)
     exact: tuple | None = None
     label: str = ""
 
@@ -150,7 +175,11 @@ class LocalMeasurement:
             raise ProtocolError(f"party must be 'A' or 'B', got {self.party!r}")
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
         if not ops and self.exact:
-            ops = tuple(mono.matrix() for mono in self.exact)
+            if len({mono.n for mono in self.exact}) != 1:
+                raise ProtocolError("measurement operators differ in shape")
+            # left unset: __getattr__ derives it when first asked for
+            object.__delattr__(self, "operators")
+            return
         if not ops:
             raise ProtocolError("a measurement needs at least one operator")
         shape = ops[0].shape
@@ -164,8 +193,22 @@ class LocalMeasurement:
             op.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the dense operators of a
+        # measurement given by its monomials alone
+        if name != "operators" or "exact" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = tuple(mono.matrix() for mono in self.exact)
+        for op in ops:
+            op.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
+        return ops
+
     @property
     def n(self) -> int:
+        if self.exact:
+            return self.exact[0].n
         return self.operators[0].shape[0]
 
 
@@ -185,8 +228,10 @@ class LocalUnitary:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ProtocolError("unitary must be square")
-        if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]),
-                           atol=1e-9):
+        # np.allclose(gram, eye, atol=1e-9), written out: |a - b| <= atol +
+        # rtol * |b| with its default rtol, without its per-call overhead
+        eye = np.eye(mat.shape[0])
+        if not (np.abs(mat.conj().T @ mat - eye) <= 1e-9 + 1e-5 * eye).all():
             raise ProtocolError("matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -217,6 +262,14 @@ class LoccProtocol:
     @property
     def measurement_count(self) -> int:
         return sum(isinstance(s, LocalMeasurement) for s in self.steps)
+
+    @property
+    def mergeable(self) -> bool:
+        """Whether success reads at most the last outcome (None, or an
+        OutcomeIs of index -1), so histories ending alike can merge."""
+        test = self.success_predicate
+        return test is None or (isinstance(test, OutcomeIs)
+                                and test.index == -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,27 +376,46 @@ def _advance(protocol, pos, state, history):
     return snapshots, pos
 
 
+def _checked_monomials(step, n):
+    """Refuse an exact measurement unless its monomials fit an n-level
+    state and resolve the identity: for every column, the squares of the
+    step's operators sum to exactly 1, compared on integers."""
+    if step.exact is None:
+        raise ProtocolError(
+            "measurement lacks exact monomial data; "
+            "use the amplitude-level exhaustive_run instead")
+    if any(mono.n != n for mono in step.exact):
+        raise ProtocolError(
+            f"operator shape mismatch: party {step.party} has dimension {n}")
+    den = math.lcm(*(mono._scaled[1] for mono in step.exact))
+    columns = zip(*([x * (den // d) for x in nums]
+                    for nums, d in (mono._scaled for mono in step.exact)))
+    if any(sum(column) != den for column in columns):
+        raise ProtocolError("measurement operators do not resolve the identity")
+
+
 def _measure(step, state, tol, interned, checked):
     """One MeasurementOutcome per outcome of ``step``: a BipartiteState
     as apply_measurement gives them, a SchmidtVector from the step's exact
     monomial data, equal post vectors becoming the one object kept in
-    ``interned``.  A step's operators are checked the first time a
-    BipartiteState meets it and then added to ``checked``: every state of
-    one run has the same shape, so that check holds for the whole run."""
+    ``interned``.  A step's operators are checked the first time a state
+    meets it and then added to ``checked``: every state of one run has
+    the same shape, so that check holds for the whole run."""
     if isinstance(state, BipartiteState):
         if step not in checked:
             _checked_operators(state, step.party, step.operators, tol)
             checked.add(step)
         return _outcomes(state, step.party, step.operators)
-    if step.exact is None:
-        raise ProtocolError(
-            "measurement lacks exact monomial data; "
-            "use the amplitude-level exhaustive_run instead")
+    if step not in checked:
+        _checked_monomials(step, state.n)
+        checked.add(step)
     results = []
     for idx, mono in enumerate(step.exact):
-        p, post = mono.outcome(state.probs)
+        p, post = mono.outcome(state._scaled)
         if post is not None and post not in interned:
-            interned[post] = SchmidtVector(post)
+            nums, den = post
+            interned[post] = SchmidtVector(tuple(Fraction(x, den)
+                                                 for x in nums))
         results.append(MeasurementOutcome(idx, p, interned.get(post)))
     return results
 
@@ -410,7 +482,10 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
 
     Equal post-measurement vectors of one step are one shared object, so
     the branches of a deterministic stage, which all land on the same
-    vector, carry a single state per step boundary.
+    vector, carry a single state per step boundary.  The run still costs
+    one entry per history; merged_run_exact gives the same counts,
+    probabilities and audit without enumerating, when the success
+    predicate allows it.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
@@ -422,6 +497,129 @@ def success_probability(branches, predicate=None):
     (all branches when predicate is None)."""
     return sum(b.probability for b in branches
                if predicate is None or predicate(b.history))
+
+
+@dataclass(frozen=True)
+class MergedRun:
+    """Summary of an exact run that merges histories ending alike.
+
+    ``branches`` counts the outcome histories of nonzero probability, an
+    exact int however large.  ``audit`` holds one (numerators,
+    denominator) pair per step boundary (index 0 = initial state):
+    numerator k - 1 over the denominator is the probability-weighted
+    average of E_k there.  The boundaries after an announcement or a
+    unitary share the pair of the measurement before them.
+    """
+
+    branches: int
+    success_probability: Fraction
+    audit: tuple
+
+    def float_table(self):
+        """The averages as audit_trajectories lays them out, one list per
+        k, each value the correctly rounded quotient of its integers."""
+        return [[nums[i] / den for nums, den in self.audit]
+                for i in range(len(self.audit[0][0]))]
+
+
+def merged_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
+                     *, check=True) -> MergedRun:
+    """Exact run of a protocol whose success reads the last outcome only.
+
+    Local unitaries leave Schmidt coefficients unchanged, so two
+    histories whose last outcome led to the same state go on alike.  Each
+    measurement level is therefore one dict keyed by (post state, last
+    outcome), mapping to (exact weight, history count), and the run costs
+    one outcome per distinct state and outcome, where enumerating costs
+    one per history.  Branch count, success probability and audit equal
+    those of exhaustive_run_exact followed by audit_trajectories; with
+    ``check`` set, an increasing average raises the same
+    MonotoneViolationError.  States are kept in their integer form.
+    """
+    if not initial.is_exact:
+        raise ProtocolError("exact run requires an exact initial vector")
+    if not protocol.mergeable:
+        raise ProtocolError(
+            "success predicate reads more than the last outcome; "
+            "use exhaustive_run_exact instead")
+    level = {(initial._scaled, None): (Fraction(1), 1)}
+    starts, per_state = [0], [_per_state(level)]
+    for pos, step in enumerate(protocol.steps):
+        if not isinstance(step, LocalMeasurement):
+            continue
+        _checked_monomials(step, initial.n)
+        grown = {}
+        for state, (w, count) in per_state[-1].items():
+            for idx, mono in enumerate(step.exact):
+                p, post = mono.outcome(state)
+                if post is not None:
+                    gw, gc = grown.get((post, idx), (0, 0))
+                    grown[(post, idx)] = (gw + w * p, gc + count)
+        level = grown
+        starts.append(pos + 1)
+        per_state.append(_per_state(level))
+    predicate = protocol.success_predicate
+    success = sum((w for (_, last), (w, _) in level.items()
+                   if predicate is None or last == predicate.value),
+                  Fraction(0))
+    weights = [{state: w for state, (w, _) in states.items()}
+               for states in per_state]
+    audit = _merged_audit(weights, starts, len(protocol.steps) + 1, check)
+    return MergedRun(sum(count for _, count in per_state[-1].values()),
+                     success, audit)
+
+
+def _per_state(level):
+    """{state: (weight, count)} of a level, summed over last outcomes:
+    the histories that reached a state go on alike from there."""
+    merged = {}
+    for (state, _), (w, count) in level.items():
+        mw, mc = merged.get(state, (0, 0))
+        merged[state] = (mw + w, mc + count)
+    return merged
+
+
+def _merged_audit(weights, starts, depth, check):
+    """Per-boundary (numerators, denominator) of the averaged monotones.
+
+    ``weights[i]`` maps each state of measurement level i, in integer
+    form, to its exact weight (summing to 1); the level spans boundaries
+    ``starts[i]`` up to the next start.  Each distinct state's integer
+    tails are taken once.  With ``check`` set, raises
+    MonotoneViolationError at the first k (then step) whose average
+    increases, as audit_trajectories does; levels compare by
+    cross-multiplying.
+    """
+    tails, averages = {}, []
+    for level in weights:
+        den = math.lcm(*(w.denominator * state[1]
+                         for state, w in level.items()))
+        total = None
+        for state, w in level.items():
+            if state not in tails:
+                run, tail = 0, []
+                for x in reversed(state[0]):
+                    run += x
+                    tail.append(run)
+                tail.reverse()
+                tails[state] = tail
+            scale = w.numerator * (den // (w.denominator * state[1]))
+            terms = [scale * t for t in tails[state]]
+            total = terms if total is None else [
+                a + b for a, b in zip(total, terms)]
+        averages.append((tuple(total), den))
+    if check:
+        for i in range(len(averages[0][0])):
+            for (a, da), (b, db), step in zip(averages, averages[1:],
+                                              starts[1:]):
+                if a[i] * db < b[i] * da:
+                    raise MonotoneViolationError(
+                        f"averaged monotone k={i + 1} increased at step "
+                        f"{step}: {Fraction(a[i], da)} -> "
+                        f"{Fraction(b[i], db)}")
+    bounds = list(starts[1:]) + [depth]
+    return tuple(entry for entry, start, end in zip(averages, starts, bounds)
+                 for _ in range(start, end))
 
 
 def _state_monotones(state, ks):
@@ -518,11 +716,12 @@ def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL, check=True):
 def _t_transform_chain(target, start):
     """T-transform chain from ``start`` down to ``target``.
 
-    Both are exact sorted tuples with equal sums and target majorized by
-    start.  Each step moves weight between exactly two positions (j, k),
-    j < k, keeping the vector sorted; at most n - 1 steps are needed.
-    Returns records (before, after, j, k) in construction order, walking
-    from ``start`` toward ``target``.
+    Both are sorted lists of integer numerators over one common
+    denominator, with equal sums and target majorized by start.  Each
+    step moves weight between exactly two positions (j, k), j < k,
+    keeping the vector sorted; at most n - 1 steps are needed.  Returns
+    records (before, after, j, k) in construction order, walking from
+    ``start`` toward ``target``.
     """
     records = []
     v = list(start)
@@ -533,37 +732,39 @@ def _t_transform_chain(target, start):
             raise RuntimeError("T-transform chain failed to terminate")
         guard -= 1
         j = max(i for i in range(len(v)) if a[i] < v[i])
-        later = [i for i in range(j + 1, len(v)) if a[i] > v[i]]
-        if not later:
+        k = next((i for i in range(j + 1, len(v)) if a[i] > v[i]), None)
+        if k is None:
             raise MajorizationError(
                 "majorization violated during chain construction")
-        k = later[0]
         delta = min(v[j] - a[j], a[k] - v[k])
         nxt = list(v)
         nxt[j] -= delta
         nxt[k] += delta
-        records.append((tuple(v), tuple(nxt), j, k))
+        records.append((v, nxt, j, k))
         v = nxt
     return records
 
 
 def _mixing_step(x, y, j, k, n, meas_index):
     """Two-outcome measurement turning sorted ``x`` into sorted ``y``
-    (which differ only at positions j < k, with y_j > x_j >= x_k > y_k
-    and equal pair sums), plus the outcome-1 correction on B.
+    (integer numerators over one denominator, which differ only at
+    positions j < k, with y_j > x_j >= x_k > y_k and equal pair sums),
+    plus the outcome-1 correction on B.
 
     Outcome probabilities are exactly t and 1 - t with
     t = (x_j - y_k)/(y_j - y_k); both branches land exactly on ``y``.
+    Each operator has three distinct squares: its outcome's probability
+    and the two it puts at positions j and k.
     """
-    t = (x[j] - y[k]) / (y[j] - y[k])
-    u = 1 - t
-    sq1 = [t] * n
-    sq1[j] = t * y[j] / x[j]
-    sq1[k] = t * y[k] / x[k]
+    spread = y[j] - y[k]
+    t, u = x[j] - y[k], y[j] - x[j]   # over spread: t and 1 - t
+    sq1 = [Fraction(t, spread)] * n
+    sq1[j] = Fraction(t * y[j], spread * x[j])
+    sq1[k] = Fraction(t * y[k], spread * x[k])
     rows1 = tuple(range(n))
-    sq2 = [u] * n
-    sq2[j] = u * y[k] / x[j]   # column j feeds row k
-    sq2[k] = u * y[j] / x[k]   # column k feeds row j
+    sq2 = [Fraction(u, spread)] * n
+    sq2[j] = Fraction(u * y[k], spread * x[j])   # column j feeds row k
+    sq2[k] = Fraction(u * y[j], spread * x[k])   # column k feeds row j
     rows2 = list(range(n))
     rows2[j], rows2[k] = k, j
     meas = LocalMeasurement(
@@ -586,21 +787,23 @@ def deterministic_protocol(alpha: SchmidtVector,
     each followed by an announcement and an outcome-conditioned relabel
     on B.  Every branch of the result lands exactly on ``gamma``.
 
-    The chain is built in exact rational arithmetic, on the dyadic lift
-    of a float vector, so majorization must hold exactly there;
-    violations raise MajorizationError.
+    The chain is built on the vectors' integer numerators over one
+    common denominator (the dyadic lift of a float vector), so
+    majorization must hold exactly there; violations raise
+    MajorizationError.
     """
     if not majorizes(alpha, gamma):
         raise MajorizationError("gamma does not majorize alpha")
     n = max(alpha.n, gamma.n)
-    a = _lifted(alpha).padded(n).probs
-    g = _lifted(gamma).padded(n).probs
+    (xa, da), (xg, dg) = alpha._scaled, gamma._scaled
+    den = math.lcm(da, dg)
+    a = [x * (den // da) for x in xa] + [0] * (n - len(xa))
+    g = [x * (den // dg) for x in xg] + [0] * (n - len(xg))
     steps = []
-    meas_index = 0
     # chain records run start -> target; execution undoes them in reverse
-    for before, after, j, k in reversed(_t_transform_chain(a, g)):
+    records = _t_transform_chain(a, g)
+    for meas_index, (before, after, j, k) in enumerate(reversed(records)):
         steps.extend(_mixing_step(after, before, j, k, n, meas_index))
-        meas_index += 1
     return LoccProtocol(tuple(steps), success_predicate=None)
 
 

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from entconvert import locc
+from entconvert import (LoccProtocol, build_full_protocol, build_plan, cli,
+                        locc, optimal_probability)
 from entconvert.cli import DEMO_NAMES, main
 from entconvert.locc import BranchLimitError
 from util import rand_rational_schmidt
@@ -129,12 +130,13 @@ class TestPlanAndSimulate:
 
     def test_branch_cap_falls_back_to_sampling(self, capsys, states,
                                                monkeypatch):
+        # only float plans enumerate under the cap; exact ones merge
         def over_cap(*args, **kwargs):
             raise BranchLimitError("branch count 9 exceeds cap 8")
 
-        monkeypatch.setattr("entconvert.cli.exhaustive_run_exact", over_cap)
+        monkeypatch.setattr("entconvert.cli.exhaustive_run", over_cap)
         args = ["simulate", states["skewed"], states["bell"], "--exhaustive",
-                "--trials", "500"]
+                "--trials", "500", "--mode", "float"]
         code, out, err = run(capsys, args)
         assert code == 0
         assert err == ("warning: branch count 9 exceeds cap 8; "
@@ -454,6 +456,101 @@ def test_simulate_tree_over_limit_exits_1(capsys, tmp_path, monkeypatch):
                                   "--trials", "3000", "--seed", "5"])
     assert (code, out) == (1, "")
     assert err.startswith("error: sampled branch tree") and "--trials" in err
+
+
+def _golden_paths(tmp_path, labels):
+    paths = []
+    for label in labels:
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(json.dumps({"schmidt_sq": GOLDEN_STATES[label]}))
+    return [str(p) for p in paths]
+
+
+def test_other_success_tests_take_the_enumerating_path(capsys, tmp_path,
+                                                        monkeypatch):
+    argv = ["simulate", *_golden_paths(tmp_path, "ef"), "--exhaustive"]
+    code, merged, _ = run(capsys, argv)
+    assert code == 0
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    def with_lambda(plan):
+        proto = build_full_protocol(plan)
+        test = proto.success_predicate
+        return LoccProtocol(proto.steps, success_predicate=lambda h: test(h))
+
+    monkeypatch.setattr(cli, "build_full_protocol", with_lambda)
+    for name in ("exhaustive_run_exact", "merged_run_exact"):
+        monkeypatch.setattr(cli, name, spy(name))
+    assert run(capsys, argv) == (0, merged, "")
+    assert calls == ["exhaustive_run_exact"]
+
+
+def test_exact_simulate_is_never_capped(capsys, tmp_path):
+    # 2**56 histories or so, far beyond BRANCH_CAP: an exhaustive report,
+    # where enumerating fell back to sampling
+    rng = np.random.default_rng(6400)
+    pair = [rand_rational_schmidt(rng, 64) for _ in range(2)]
+    paths = []
+    for name, sv in zip("ab", pair):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(
+            {"schmidt_sq": [str(p) for p in sv.probs]}))
+    code, out, err = run(capsys, ["simulate", *map(str, paths),
+                                  "--exhaustive", "--no-fallback"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    plan = build_plan(*pair)
+    m = build_full_protocol(plan).measurement_count
+    # both outcomes of every balancing step happen; the filter fails
+    # with probability 1 - p, which is not 0 here
+    p = optimal_probability(*pair)
+    assert 0 < p < 1
+    assert doc["branches"] == 2 ** m > locc.BRANCH_CAP
+    assert doc["success_probability"] == doc["predicted"] == str(p)
+    assert len(doc["audit"]) == 64 * (3 * (m - 1) + 2)
+
+
+class TestFloatPlanTrim:
+    """Two source entries of 6e-10 count as 0 and are dropped for
+    planning; together they exceed the 1e-9 sum slack, so the kept head
+    is renormalized rather than refused."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        paths = []
+        for name, values in (("source", [0.5, 0.4999999988, 6e-10, 6e-10]),
+                             ("target", [0.6, 0.4])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"schmidt_sq": values}))
+        return [str(p) for p in paths]
+
+    def test_plan(self, capsys, pair):
+        code, out, err = run(capsys, ["plan", *pair, "--mode", "float"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["probability"] == 1.0
+        assert doc["source"] == [0.5000000006, 0.4999999994]
+        assert doc["intermediate"] == doc["target"] == [0.6, 0.4]
+
+    def test_simulate_and_plan_round_trip(self, capsys, pair, tmp_path):
+        flags = ["--mode", "float", "--exhaustive"]
+        code, out, err = run(capsys, ["simulate", *pair, *flags])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["predicted"] == doc["success_probability"] == 1.0
+        plan_path = str(tmp_path / "plan.json")
+        assert run(capsys, ["plan", *pair, "--mode", "float", "--out",
+                            plan_path])[0] == 0
+        assert run(capsys, ["simulate", "--plan", plan_path, *flags]) == (
+            0, out, "")
 
 
 def _loads(seed, n, top):

@@ -234,6 +234,25 @@ class TestBuildPlan:
         assert plan.probability == pytest.approx(
             float(optimal_probability(a, b)), abs=1e-12)
 
+    @pytest.mark.parametrize("source, target", [
+        ((0.5, 0.4999999988, 6e-10, 6e-10), (0.6, 0.4)),
+        ((0.45, 0.35, 0.1999999985, 5e-10, 5e-10, 5e-10),
+         (0.5, 0.3, 0.2)),
+    ])
+    def test_float_head_dropping_several_tiny_entries(self, source, target):
+        # the dropped entries count as 0 but together exceed the 1e-9 sum
+        # slack: the head is renormalized and planned on the given lift
+        alpha, beta = SchmidtVector(source), SchmidtVector(target)
+        plan = build_plan(alpha, beta)
+        assert plan.source.n == beta.n
+        assert abs(sum(plan.source.probs) - 1.0) <= 1e-9
+        assert plan.source._scaled == (alpha._scaled[0][:beta.n],
+                                       alpha._scaled[1])
+        assert plan.probability == optimal_probability(alpha, beta)
+        exact = build_plan(SchmidtVector(tuple(
+            Fraction(x, alpha._scaled[1]) for x in alpha._scaled[0])), beta)
+        assert plan.intermediate == exact.intermediate
+
     def test_failure_branch_shrinks_support(self):
         plan = build_plan(ALPHA3, BETA3)
         post = [g * f for g, f in zip(plan.intermediate.probs,

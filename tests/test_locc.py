@@ -20,7 +20,8 @@ from entconvert import (Announce, BipartiteState, BranchLimitError,
                         audit_trajectories, build_full_protocol, build_plan,
                         deterministic_protocol, entanglement_monotone,
                         exhaustive_run, exhaustive_run_exact, majorizes,
-                        monotone_audit, monte_carlo_run, schmidt_decompose,
+                        merged_run_exact, monotone_audit, monte_carlo_run,
+                        MonotoneViolationError, schmidt_decompose,
                         state_from_schmidt, success_probability)
 from entconvert import locc
 from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree, _sample_histories
@@ -149,13 +150,23 @@ class TestExactMonomial:
 
     def test_outcome_on_diagonal_state(self):
         mono = ExactMonomial((0, 1), (F(1, 4), F(1)))
-        p, post = mono.outcome((F(4, 5), F(1, 5)))
+        p, post = mono.outcome(ALPHA2._scaled)
         assert p == F(2, 5)
-        assert post == (F(1, 2), F(1, 2))
+        # the post state's reduced integer form, as a SchmidtVector has it
+        assert post == ((1, 1), 2) == BELL._scaled
+
+    def test_outcome_is_the_post_vectors_integer_form(self):
+        mono = ExactMonomial((2, 0, 1), (F(1, 6), F(2, 3), F(1, 2)))
+        p, post = mono.outcome(ALPHA3._scaled)
+        weights = [F(1, 6) * F(1, 2), F(2, 3) * F(3, 10), F(1, 2) * F(1, 5)]
+        assert p == sum(weights)
+        want = SchmidtVector(tuple(sorted((w / p for w in weights),
+                                          reverse=True)))
+        assert post == want._scaled
 
     def test_zero_outcome(self):
         mono = ExactMonomial((0, 1), (F(0), F(0)))
-        p, post = mono.outcome((F(4, 5), F(1, 5)))
+        p, post = mono.outcome(ALPHA2._scaled)
         assert p == 0 and post is None
 
     def test_validation(self):
@@ -163,6 +174,10 @@ class TestExactMonomial:
             ExactMonomial((0,), (F(1), F(1)))
         with pytest.raises(ProtocolError):
             ExactMonomial((0,), (F(-1),))
+        # outcome sorts the weights, which needs one entry per row
+        for rows in ((0, 0), (1, 2), (0, -1), (2, 1, 1)):
+            with pytest.raises(ProtocolError, match="not a permutation"):
+                ExactMonomial(rows, (F(1),) * len(rows))
 
 
 class TestProtocolSteps:
@@ -173,6 +188,9 @@ class TestProtocolSteps:
             LocalMeasurement("A", ())
         with pytest.raises(ProtocolError):
             LocalMeasurement("A", (np.ones((2, 3)),))
+        # one array holding every operator is a sequence of operators
+        stacked = np.stack([np.eye(2) / math.sqrt(2)] * 2)
+        assert len(LocalMeasurement("A", stacked).operators) == 2
 
     def test_unitary_validation(self):
         with pytest.raises(ProtocolError):
@@ -514,6 +532,117 @@ class TestMonotoneAudit:
             assert len({id(b.states[s]) for b in branches}) <= 2
         assert len({id(b.final_state) for b in branches}) == 1
         assert all(b.final_state == gamma for b in branches)
+
+
+class TestExactMeasurementChecks:
+    """Exact engines refuse what the amplitude engine refuses: monomials
+    that do not fit the state or do not resolve the identity."""
+
+    SOURCE = SchmidtVector((F(3, 4), F(1, 4)))
+
+    @pytest.mark.parametrize("monos, message", [
+        ((ExactMonomial((0, 1), (F(1, 3), F(1))),),
+         "do not resolve the identity"),
+        ((ExactMonomial((0, 1), (F(1, 2), F(1, 2))),
+          ExactMonomial((1, 0), (F(1, 2), F(2, 3)))),
+         "do not resolve the identity"),
+        ((ExactMonomial((0, 1, 2), (F(1),) * 3),), "shape mismatch"),
+    ])
+    def test_refused_like_amplitude_operators(self, monos, message):
+        proto = LoccProtocol((Announce(), LocalMeasurement("A", exact=monos)))
+        for run in (exhaustive_run_exact, merged_run_exact):
+            with pytest.raises(ProtocolError, match=message):
+                run(proto, self.SOURCE)
+        with pytest.raises(ProtocolError, match=message):
+            exhaustive_run(proto, state_from_schmidt(self.SOURCE))
+
+    def test_checked_once_per_step_per_run(self, monkeypatch):
+        calls = []
+        real = locc._checked_monomials
+
+        def counting(step, n):
+            calls.append(step)
+            return real(step, n)
+
+        monkeypatch.setattr(locc, "_checked_monomials", counting)
+        plan = build_plan(rand_rational_schmidt(np.random.default_rng(8), 6),
+                          rand_rational_schmidt(np.random.default_rng(9), 6))
+        proto = build_full_protocol(plan)
+        for run in (exhaustive_run_exact, merged_run_exact):
+            calls.clear()
+            run(proto, plan.source)
+            assert len(calls) == len(set(calls)) == proto.measurement_count
+
+
+class TestMergedEngine:
+    def test_success_on_the_last_outcome_merges(self):
+        assert LoccProtocol((), success_predicate=None).mergeable
+        assert LoccProtocol((), success_predicate=OutcomeIs(-1, 1)).mergeable
+        for test in (OutcomeIs(0, 0), OutcomeIs(-2, 0), lambda h: True):
+            assert not LoccProtocol((), success_predicate=test).mergeable
+
+    def test_three_level_run(self):
+        plan = build_plan(ALPHA3, BETA3)
+        run = merged_run_exact(build_full_protocol(plan), plan.source)
+        assert run.branches == 4
+        assert run.success_probability == F(5, 6)
+        assert [F(nums[2], den) for nums, den in run.audit] == [
+            F(1, 5), F(1, 6), F(1, 6), F(1, 6), F(1, 6)]
+        assert run.float_table()[2] == [0.2] + [1 / 6] * 4
+
+    def test_branches_count_histories_beyond_sys_maxsize(self):
+        mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
+        meas = LocalMeasurement("A", exact=(mono, mono))
+        proto = LoccProtocol((meas,) * 70,
+                             success_predicate=OutcomeIs(-1, 1))
+        run = merged_run_exact(proto, BELL)
+        assert run.branches == 2 ** 70
+        assert run.success_probability == F(1, 2)
+        assert len(run.audit) == 71
+
+    def test_refusals(self):
+        proto = LoccProtocol((), success_predicate=lambda h: True)
+        with pytest.raises(ProtocolError, match="exhaustive_run_exact"):
+            merged_run_exact(proto, BELL)
+        with pytest.raises(ProtocolError, match="exact initial"):
+            merged_run_exact(LoccProtocol(()),
+                             SchmidtVector((0.5, 0.5)))
+
+    def test_increase_raises_the_enumerated_audits_message(self):
+        # hand-made levels: E_2 rises from 1/4 to 7/18 at the measurement
+        # in step 2, after an announcement that repeats the first level
+        s0 = SchmidtVector((F(3, 4), F(1, 4)))
+        s1, s2 = BELL, SchmidtVector((F(2, 3), F(1, 3)))
+        weights = [{s0._scaled: F(1)},
+                   {s1._scaled: F(1, 3), s2._scaled: F(2, 3)}]
+        with pytest.raises(MonotoneViolationError) as merged:
+            locc._merged_audit(weights, [0, 2], 4, True)
+        with pytest.raises(MonotoneViolationError) as enumerated:
+            audit_trajectories([(F(1, 3), (s0, s0, s1, s1)),
+                                (F(2, 3), (s0, s0, s2, s2))], (1, 2))
+        assert str(merged.value) == str(enumerated.value) == (
+            "averaged monotone k=2 increased at step 2: 1/4 -> 7/18")
+        audit = locc._merged_audit(weights, [0, 2], 4, False)
+        assert [[F(nums[i], den) for nums, den in audit] for i in (0, 1)] \
+            == audit_trajectories([(F(1, 3), (s0, s0, s1, s1)),
+                                   (F(2, 3), (s0, s0, s2, s2))], (1, 2),
+                                  check=False)
+
+    def test_exact_runs_never_build_dense_operators(self):
+        plan = build_plan(ALPHA3, BETA3)
+        proto = build_full_protocol(plan)
+        merged_run_exact(proto, plan.source)
+        exhaustive_run_exact(proto, plan.source)
+        measured = [s for s in proto.steps if isinstance(s, LocalMeasurement)]
+        assert all("operators" not in vars(s) for s in measured)
+        first = measured[0].operators
+        assert measured[0].operators is first
+        assert "operators" in vars(measured[0])
+        for op, mono in zip(first, measured[0].exact):
+            assert np.array_equal(op, mono.matrix())
+            assert not op.flags.writeable
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            measured[0].missing
 
 
 class TestBranchCap:

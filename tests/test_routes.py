@@ -1,8 +1,11 @@
-"""Four independent routes to the optimal conversion probability.
+"""Five independent routes to the optimal conversion probability.
 
-For random exact pairs the closed form, the plan's r_1 and the exact
-enumerating engine must agree exactly; the amplitude engine agrees to
-within 1e-9 and a seeded Monte-Carlo run to within five standard errors.
+For random exact pairs the closed form, the plan's r_1, the exact
+enumerating engine and the merged exact engine must agree exactly; the
+amplitude engine agrees to within 1e-9 and a seeded Monte-Carlo run to
+within five standard errors.  The merged engine also gives the
+enumerating engine's branch count and audit table, and the same CLI
+report.
 The pairs are drawn to hit ties, zero tails and single-segment plans.
 Float pairs are planned on the exact binary (dyadic) value of their
 entries: their results equal those of that exact pair, and the CLI's
@@ -14,17 +17,20 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconvert import (InfeasibleConversionError, SchmidtVector,
+from entconvert import (InfeasibleConversionError, LoccProtocol,
+                        SchmidtVector, audit_trajectories,
                         breakpoints, build_full_protocol, build_plan,
                         exhaustive_run, exhaustive_run_exact,
-                        monte_carlo_run, optimal_probability,
-                        optimal_probability_detail, state_from_schmidt,
-                        success_probability)
+                        merged_run_exact, monte_carlo_run,
+                        optimal_probability, optimal_probability_detail,
+                        state_from_schmidt, success_probability)
+from entconvert import cli
 from entconvert.cli import main
 
 # amplitude and sampled routes run only on protocols this short, so
@@ -92,6 +98,9 @@ def test_four_routes_agree(pair, seed):
     proto = build_full_protocol(plan)
     branches = exhaustive_run_exact(proto, plan.source)
     assert success_probability(branches, proto.success_predicate) == closed
+    merged = merged_run_exact(proto, plan.source)
+    assert merged.success_probability == closed
+    assert merged.branches == len(branches)
     if proto.measurement_count > MAX_FLOAT_MEASUREMENTS:
         return
     initial = state_from_schmidt(plan.source)
@@ -189,3 +198,48 @@ def test_float_simulate_agrees_with_closed_form(tmp_path_factory, pair):
     assert doc["mode"] == "exhaustive"
     assert abs(doc["success_probability"] - p) <= 1e-12
     assert abs(doc["predicted"] - p) <= 1e-12
+
+
+def _enumerating(proto):
+    """``proto`` with a success test the merged engine does not read, so
+    the exact engines enumerate its histories."""
+    test = proto.success_predicate
+    return LoccProtocol(proto.steps, success_predicate=lambda h: test(h))
+
+
+@st.composite
+def exact_pairs_2_to_14(draw):
+    n = draw(st.integers(2, 14))
+    loads = st.lists(st.integers(1, 40), min_size=n, max_size=n)
+    return _vector(draw(loads)), _vector(draw(loads))
+
+
+@given(exact_pairs_2_to_14())
+@settings(max_examples=40, deadline=None)
+def test_merged_engine_equals_enumeration(tmp_path_factory, pair):
+    plan = build_plan(*pair)
+    if not plan.is_feasible:
+        return
+    proto = build_full_protocol(plan)
+    merged = merged_run_exact(proto, plan.source)
+    branches = exhaustive_run_exact(proto, plan.source)
+    assert merged.branches == len(branches)
+    assert merged.success_probability == success_probability(
+        branches, proto.success_predicate)
+    table = audit_trajectories([(b.probability, b.states) for b in branches],
+                               range(1, plan.source.n + 1))
+    assert [[Fraction(nums[i], den) for nums, den in merged.audit]
+            for i in range(plan.source.n)] == table
+    assert merged.float_table() == [[float(v) for v in row] for row in table]
+    # the CLI report, once merged and once enumerated
+    paths = []
+    for sv in pair:
+        paths.append(tmp_path_factory.mktemp("pair") / "state.json")
+        paths[-1].write_text(json.dumps(
+            {"schmidt_sq": [str(p) for p in sv.probs]}))
+    argv = ["simulate", *map(str, paths), "--exhaustive"]
+    merged_out = _cli(argv)
+    with mock.patch.object(cli, "build_full_protocol",
+                           lambda plan: _enumerating(build_full_protocol(plan))):
+        assert _cli(argv) == merged_out
+    assert merged_out[0] == 0
