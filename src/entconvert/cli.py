@@ -19,8 +19,8 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          optimal_probability_detail,
                          tensor_conversion_probability)
 from .locc import (BranchLimitError, audit_trajectories, build_full_protocol,
-                   exhaustive_run, exhaustive_run_exact, merged_run_exact,
-                   monte_carlo_run, success_probability)
+                   exhaustive_run, merged_run_exact, monte_carlo_run,
+                   success_probability)
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
@@ -178,19 +178,15 @@ def _resolve_plan(args):
 
 
 def _exhaustive_doc(plan, protocol, args) -> dict:
-    """The exhaustive report: exact plans whose success reads the last
-    outcome merge their histories and are never capped; other exact
-    protocols enumerate, and float plans run on amplitudes."""
-    if plan.is_exact and protocol.mergeable:
+    """The exhaustive report: exact plans merge their histories and are
+    never capped; float plans run on amplitudes."""
+    if plan.is_exact:
         run = merged_run_exact(protocol, plan.source)
         count, p, table = (run.branches, run.success_probability,
                            run.float_table())
     else:
-        if plan.is_exact:
-            branches = exhaustive_run_exact(protocol, plan.source)
-        else:
-            branches = exhaustive_run(protocol, state_from_schmidt(plan.source),
-                                      tol=args.tolerance)
+        branches = exhaustive_run(protocol, state_from_schmidt(plan.source),
+                                  tol=args.tolerance)
         count = len(branches)
         p = success_probability(branches, protocol.success_predicate)
         table = audit_trajectories(

@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL
-from .schmidt import (InvalidStateError, SchmidtVector, _lifted, _typed,
-                      majorizes, tensor_power)
+from .schmidt import (InvalidStateError, SchmidtVector, _head, _lifted,
+                      _typed, majorizes, tensor_power)
 
 __all__ = [
     "InfeasibleConversionError",
@@ -284,30 +283,6 @@ class ConversionPlan:
         return self.source.is_exact and self.target.is_exact
 
 
-def _planning_head(sv: SchmidtVector, n: int) -> SchmidtVector:
-    """``sv`` in n planning dimensions: zero-padded, or cut where every
-    later entry is 0 in its lift.
-
-    An exact vector only drops zeros.  A float vector drops entries of at
-    most DEFAULT_TOL, and several of them can add up to more than its sum
-    check allows; that head is renormalized, as --trim-zeros renormalizes
-    on load, and keeps the lift of the given entries, so the plan is the
-    one of the given values either way.
-    """
-    if sv.n <= n:
-        return sv.padded(n)
-    head = sv.probs[:n]
-    if sv.is_exact:
-        return SchmidtVector(head)
-    total = float(sum(head))
-    if abs(total - 1.0) <= DEFAULT_TOL:
-        return SchmidtVector(head)
-    cut = SchmidtVector(tuple(float(p) / total for p in head))
-    nums, den = sv._scaled
-    object.__setattr__(cut, "_scaled", (nums[:n], den))
-    return cut
-
-
 def build_plan(alpha: SchmidtVector, beta: SchmidtVector) -> ConversionPlan:
     """Construct the two-stage optimal plan for alpha -> beta.
 
@@ -320,7 +295,8 @@ def build_plan(alpha: SchmidtVector, beta: SchmidtVector) -> ConversionPlan:
     are planned exactly on their dyadic lifts.
     """
     n = _tail_sums(alpha, beta)[4]
-    a, b = (_planning_head(v, n) for v in (alpha, beta))
+    a, b = (v.padded(n) if v.n <= n else _head(v, n)
+            for v in (alpha, beta))
     if a.nonzero_count() < b.nonzero_count():
         return ConversionPlan(a, b, None, None, None, None,
                               _typed(Fraction(0), a, b))

@@ -228,10 +228,8 @@ class LocalUnitary:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ProtocolError("unitary must be square")
-        # np.allclose(gram, eye, atol=1e-9), written out: |a - b| <= atol +
-        # rtol * |b| with its default rtol, without its per-call overhead
-        eye = np.eye(mat.shape[0])
-        if not (np.abs(mat.conj().T @ mat - eye) <= 1e-9 + 1e-5 * eye).all():
+        if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]),
+                           atol=1e-9):
             raise ProtocolError("matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -522,8 +520,8 @@ class MergedRun:
                 for i in range(len(self.audit[0][0]))]
 
 
-def merged_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
-                     *, check=True) -> MergedRun:
+def merged_run_exact(protocol: LoccProtocol,
+                     initial: SchmidtVector) -> MergedRun:
     """Exact run of a protocol whose success reads the last outcome only.
 
     Local unitaries leave Schmidt coefficients unchanged, so two
@@ -532,9 +530,9 @@ def merged_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
     outcome), mapping to (exact weight, history count), and the run costs
     one outcome per distinct state and outcome, where enumerating costs
     one per history.  Branch count, success probability and audit equal
-    those of exhaustive_run_exact followed by audit_trajectories; with
-    ``check`` set, an increasing average raises the same
-    MonotoneViolationError.  States are kept in their integer form.
+    those of exhaustive_run_exact followed by audit_trajectories, and an
+    increasing average raises the same MonotoneViolationError.  States
+    are kept in their integer form.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
@@ -564,7 +562,7 @@ def merged_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
                   Fraction(0))
     weights = [{state: w for state, (w, _) in states.items()}
                for states in per_state]
-    audit = _merged_audit(weights, starts, len(protocol.steps) + 1, check)
+    audit = _merged_audit(weights, starts, len(protocol.steps) + 1)
     return MergedRun(sum(count for _, count in per_state[-1].values()),
                      success, audit)
 
@@ -579,16 +577,15 @@ def _per_state(level):
     return merged
 
 
-def _merged_audit(weights, starts, depth, check):
+def _merged_audit(weights, starts, depth):
     """Per-boundary (numerators, denominator) of the averaged monotones.
 
     ``weights[i]`` maps each state of measurement level i, in integer
     form, to its exact weight (summing to 1); the level spans boundaries
     ``starts[i]`` up to the next start.  Each distinct state's integer
-    tails are taken once.  With ``check`` set, raises
-    MonotoneViolationError at the first k (then step) whose average
-    increases, as audit_trajectories does; levels compare by
-    cross-multiplying.
+    tails are taken once.  Raises MonotoneViolationError at the first k
+    (then step) whose average increases, as audit_trajectories does;
+    levels compare by cross-multiplying.
     """
     tails, averages = {}, []
     for level in weights:
@@ -608,15 +605,12 @@ def _merged_audit(weights, starts, depth, check):
             total = terms if total is None else [
                 a + b for a, b in zip(total, terms)]
         averages.append((tuple(total), den))
-    if check:
-        for i in range(len(averages[0][0])):
-            for (a, da), (b, db), step in zip(averages, averages[1:],
-                                              starts[1:]):
-                if a[i] * db < b[i] * da:
-                    raise MonotoneViolationError(
-                        f"averaged monotone k={i + 1} increased at step "
-                        f"{step}: {Fraction(a[i], da)} -> "
-                        f"{Fraction(b[i], db)}")
+    for i in range(len(averages[0][0])):
+        for (a, da), (b, db), step in zip(averages, averages[1:], starts[1:]):
+            if a[i] * db < b[i] * da:
+                raise MonotoneViolationError(
+                    f"averaged monotone k={i + 1} increased at step "
+                    f"{step}: {Fraction(a[i], da)} -> {Fraction(b[i], db)}")
     bounds = list(starts[1:]) + [depth]
     return tuple(entry for entry, start, end in zip(averages, starts, bounds)
                  for _ in range(start, end))
@@ -732,10 +726,11 @@ def _t_transform_chain(target, start):
             raise RuntimeError("T-transform chain failed to terminate")
         guard -= 1
         j = max(i for i in range(len(v)) if a[i] < v[i])
-        k = next((i for i in range(j + 1, len(v)) if a[i] > v[i]), None)
-        if k is None:
+        later = [i for i in range(j + 1, len(v)) if a[i] > v[i]]
+        if not later:
             raise MajorizationError(
                 "majorization violated during chain construction")
+        k = later[0]
         delta = min(v[j] - a[j], a[k] - v[k])
         nxt = list(v)
         nxt[j] -= delta

@@ -346,6 +346,25 @@ def _lifted(sv: SchmidtVector) -> SchmidtVector:
     return SchmidtVector(tuple(Fraction(x, den) for x in nums))
 
 
+def _head(sv: SchmidtVector, n: int) -> SchmidtVector:
+    """The first n entries of ``sv``, every later one being 0 in its lift.
+
+    An exact vector only drops zeros.  A float vector drops entries of at
+    most DEFAULT_TOL, and several of them can add up to more than its sum
+    check allows; that head is renormalized from the lift, as --trim-zeros
+    renormalizes on load, and keeps the lift of the given entries, so it
+    is planned on the given values and its entries are 0 where the
+    lift's are.
+    """
+    head = sv.probs[:n]
+    if sv.is_exact or abs(float(sum(head)) - 1.0) <= DEFAULT_TOL:
+        return SchmidtVector(head)
+    nums, den = sv._scaled   # den == sum(nums[:n]): the rest are 0
+    cut = SchmidtVector(tuple(x / den for x in nums[:n]))
+    object.__setattr__(cut, "_scaled", (nums[:n], den))
+    return cut
+
+
 def _typed(value, *vectors):
     """An exact result as the inputs ask for it: as is when every vector
     is exact, else converted once to a float."""

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from entconvert import (LoccProtocol, build_full_protocol, build_plan, cli,
-                        locc, optimal_probability)
+from entconvert import (build_full_protocol, build_plan, locc,
+                        optimal_probability)
 from entconvert.cli import DEMO_NAMES, main
 from entconvert.locc import BranchLimitError
 from util import rand_rational_schmidt
@@ -456,41 +456,6 @@ def test_simulate_tree_over_limit_exits_1(capsys, tmp_path, monkeypatch):
                                   "--trials", "3000", "--seed", "5"])
     assert (code, out) == (1, "")
     assert err.startswith("error: sampled branch tree") and "--trials" in err
-
-
-def _golden_paths(tmp_path, labels):
-    paths = []
-    for label in labels:
-        paths.append(tmp_path / f"{label}.json")
-        paths[-1].write_text(json.dumps({"schmidt_sq": GOLDEN_STATES[label]}))
-    return [str(p) for p in paths]
-
-
-def test_other_success_tests_take_the_enumerating_path(capsys, tmp_path,
-                                                        monkeypatch):
-    argv = ["simulate", *_golden_paths(tmp_path, "ef"), "--exhaustive"]
-    code, merged, _ = run(capsys, argv)
-    assert code == 0
-    calls = []
-
-    def spy(name):
-        real = getattr(cli, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return counted
-
-    def with_lambda(plan):
-        proto = build_full_protocol(plan)
-        test = proto.success_predicate
-        return LoccProtocol(proto.steps, success_predicate=lambda h: test(h))
-
-    monkeypatch.setattr(cli, "build_full_protocol", with_lambda)
-    for name in ("exhaustive_run_exact", "merged_run_exact"):
-        monkeypatch.setattr(cli, name, spy(name))
-    assert run(capsys, argv) == (0, merged, "")
-    assert calls == ["exhaustive_run_exact"]
 
 
 def test_exact_simulate_is_never_capped(capsys, tmp_path):

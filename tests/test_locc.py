@@ -616,17 +616,12 @@ class TestMergedEngine:
         weights = [{s0._scaled: F(1)},
                    {s1._scaled: F(1, 3), s2._scaled: F(2, 3)}]
         with pytest.raises(MonotoneViolationError) as merged:
-            locc._merged_audit(weights, [0, 2], 4, True)
+            locc._merged_audit(weights, [0, 2], 4)
         with pytest.raises(MonotoneViolationError) as enumerated:
             audit_trajectories([(F(1, 3), (s0, s0, s1, s1)),
                                 (F(2, 3), (s0, s0, s2, s2))], (1, 2))
         assert str(merged.value) == str(enumerated.value) == (
             "averaged monotone k=2 increased at step 2: 1/4 -> 7/18")
-        audit = locc._merged_audit(weights, [0, 2], 4, False)
-        assert [[F(nums[i], den) for nums, den in audit] for i in (0, 1)] \
-            == audit_trajectories([(F(1, 3), (s0, s0, s1, s1)),
-                                   (F(2, 3), (s0, s0, s2, s2))], (1, 2),
-                                  check=False)
 
     def test_exact_runs_never_build_dense_operators(self):
         plan = build_plan(ALPHA3, BETA3)

@@ -4,8 +4,7 @@ For random exact pairs the closed form, the plan's r_1, the exact
 enumerating engine and the merged exact engine must agree exactly; the
 amplitude engine agrees to within 1e-9 and a seeded Monte-Carlo run to
 within five standard errors.  The merged engine also gives the
-enumerating engine's branch count and audit table, and the same CLI
-report.
+enumerating engine's branch count and audit table.
 The pairs are drawn to hit ties, zero tails and single-segment plans.
 Float pairs are planned on the exact binary (dyadic) value of their
 entries: their results equal those of that exact pair, and the CLI's
@@ -17,20 +16,18 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconvert import (InfeasibleConversionError, LoccProtocol,
-                        SchmidtVector, audit_trajectories,
-                        breakpoints, build_full_protocol, build_plan,
+from entconvert import (InfeasibleConversionError, SchmidtVector,
+                        audit_trajectories, breakpoints,
+                        build_full_protocol, build_plan,
                         exhaustive_run, exhaustive_run_exact,
                         merged_run_exact, monte_carlo_run,
                         optimal_probability, optimal_probability_detail,
                         state_from_schmidt, success_probability)
-from entconvert import cli
 from entconvert.cli import main
 
 # amplitude and sampled routes run only on protocols this short, so
@@ -200,13 +197,6 @@ def test_float_simulate_agrees_with_closed_form(tmp_path_factory, pair):
     assert abs(doc["predicted"] - p) <= 1e-12
 
 
-def _enumerating(proto):
-    """``proto`` with a success test the merged engine does not read, so
-    the exact engines enumerate its histories."""
-    test = proto.success_predicate
-    return LoccProtocol(proto.steps, success_predicate=lambda h: test(h))
-
-
 @st.composite
 def exact_pairs_2_to_14(draw):
     n = draw(st.integers(2, 14))
@@ -216,7 +206,7 @@ def exact_pairs_2_to_14(draw):
 
 @given(exact_pairs_2_to_14())
 @settings(max_examples=40, deadline=None)
-def test_merged_engine_equals_enumeration(tmp_path_factory, pair):
+def test_merged_engine_equals_enumeration(pair):
     plan = build_plan(*pair)
     if not plan.is_feasible:
         return
@@ -231,15 +221,3 @@ def test_merged_engine_equals_enumeration(tmp_path_factory, pair):
     assert [[Fraction(nums[i], den) for nums, den in merged.audit]
             for i in range(plan.source.n)] == table
     assert merged.float_table() == [[float(v) for v in row] for row in table]
-    # the CLI report, once merged and once enumerated
-    paths = []
-    for sv in pair:
-        paths.append(tmp_path_factory.mktemp("pair") / "state.json")
-        paths[-1].write_text(json.dumps(
-            {"schmidt_sq": [str(p) for p in sv.probs]}))
-    argv = ["simulate", *map(str, paths), "--exhaustive"]
-    merged_out = _cli(argv)
-    with mock.patch.object(cli, "build_full_protocol",
-                           lambda plan: _enumerating(build_full_protocol(plan))):
-        assert _cli(argv) == merged_out
-    assert merged_out[0] == 0
