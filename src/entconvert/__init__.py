@@ -22,8 +22,9 @@ from .locc import (Announce, Branch, BranchLimitError, ExactMonomial,
                    SimulationReport, apply_measurement, audit_trajectories,
                    build_full_protocol,
                    deterministic_protocol, exhaustive_run,
-                   exhaustive_run_exact, merged_run_exact, monotone_audit,
-                   monte_carlo_run, success_probability)
+                   exhaustive_run_exact, merged_run_exact,
+                   merged_sample_exact, monotone_audit, monte_carlo_run,
+                   success_probability)
 from .monotones import (Ensemble, MonotoneVector, ensemble_average,
                         entanglement_monotone, entropy_of_entanglement,
                         monotone_profile, smallest_eigenvalue_sum)

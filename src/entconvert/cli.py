@@ -18,15 +18,13 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          multi_copy_bound, optimal_probability,
                          optimal_probability_detail,
                          tensor_conversion_probability)
-from .locc import (BranchLimitError, audit_trajectories, build_full_protocol,
-                   exhaustive_run, merged_run_exact, monte_carlo_run,
-                   success_probability)
+from .locc import build_full_protocol, merged_run_exact, merged_sample_exact
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
                        compare, find_cycle, nonadditivity_search)
 from .schmidt import (InvalidStateError, SchmidtVector, _lifted, _typed,
-                      state_from_schmidt, tensor_power)
+                      tensor_power)
 
 DEMO_NAMES = ("paper-cycle", "non-additivity", "lo-popescu", "multi-copy")
 
@@ -49,9 +47,9 @@ def _common_flags(parser):
                              "(default: rational, exact where possible)")
     parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
                         help="float slack on load (negative entries, "
-                             "--trim-zeros) and in the amplitude-level "
-                             "checks and audit, a finite number >= 0 "
-                             "(default 1e-9)")
+                             "--trim-zeros) and, in simulate, when a float "
+                             "plan document is compared with its recomputed "
+                             "plan; a finite number >= 0 (default 1e-9)")
     parser.add_argument("--trim-zeros", action="store_true",
                         help="drop trailing (near-)zero Schmidt entries on load")
     parser.add_argument("--out", metavar="PATH",
@@ -86,13 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate every branch instead of sampling")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility (must be >= 1); "
-                        "sampling runs in one thread and results are "
-                        "identical for any value")
+                   help="accepted for compatibility (must be >= 1 when "
+                        "sampling); sampling runs in one thread and "
+                        "results are identical for any value")
     p.add_argument("--no-fallback", action="store_true",
-                   help="fail instead of sampling when --exhaustive "
-                        "exceeds the branch cap (float plans only: exact "
-                        "plans are never capped)")
+                   help="accepted for compatibility; no effect, since "
+                        "--exhaustive is never capped")
     _common_flags(p)
 
     p = sub.add_parser("monotones", help="monotone profile and entropy")
@@ -177,30 +174,18 @@ def _resolve_plan(args):
     return build_plan(alpha, beta)
 
 
-def _exhaustive_doc(plan, protocol, args) -> dict:
-    """The exhaustive report: exact plans merge their histories and are
-    never capped; float plans run on amplitudes."""
-    if plan.is_exact:
-        run = merged_run_exact(protocol, plan.source)
-        count, p, table = (run.branches, run.success_probability,
-                           run.float_table())
-    else:
-        branches = exhaustive_run(protocol, state_from_schmidt(plan.source),
-                                  tol=args.tolerance)
-        count = len(branches)
-        p = success_probability(branches, protocol.success_predicate)
-        table = audit_trajectories(
-            [(b.probability, b.states) for b in branches],
-            range(1, plan.source.n + 1), tol=args.tolerance)
-    exact, decimal = _prob_pair(p)
+def _exhaustive_doc(plan, protocol, initial) -> dict:
+    """The exhaustive report: histories merged, never capped."""
+    run = merged_run_exact(protocol, initial)
+    exact, decimal = _prob_pair(_typed(run.success_probability, plan.source))
     return {
         "mode": "exhaustive",
-        "branches": count,
+        "branches": run.branches,
         "success_probability": exact,
         "success_probability_decimal": decimal,
         "predicted": scalar_to_json(plan.probability),
         "audit": [{"step": s, "k": k, "avg_E": round12(v)}
-                  for k, avgs in enumerate(table, start=1)
+                  for k, avgs in enumerate(run.float_table(), start=1)
                   for s, v in enumerate(avgs)],
     }
 
@@ -212,19 +197,18 @@ def cmd_simulate(args) -> int:
             "conversion probability is 0 (target has more nonzero Schmidt "
             "coefficients than source); nothing to simulate")
     protocol = build_full_protocol(plan)
+    # every run is exact: a float plan's on the dyadic lift it was planned on
+    initial = _lifted(plan.source)
     if args.exhaustive:
-        try:
-            _emit(eio.dumps(_exhaustive_doc(plan, protocol, args)), args)
-            return 0
-        except BranchLimitError as err:
-            if args.no_fallback:
-                raise
-            print(f"warning: {err}; falling back to Monte-Carlo sampling",
-                  file=sys.stderr)
-    report = monte_carlo_run(protocol, state_from_schmidt(plan.source),
-                             args.trials, args.seed, workers=args.workers,
-                             predicted=plan.probability, tol=args.tolerance)
-    doc = {"mode": "monte_carlo", **eio.report_to_dict(report)}
+        doc = _exhaustive_doc(plan, protocol, initial)
+    else:
+        if args.trials < 1:
+            raise ValueError("trials must be positive")
+        if args.workers < 1:
+            raise ValueError("workers must be positive")
+        report = merged_sample_exact(protocol, initial, args.trials,
+                                     args.seed, predicted=plan.probability)
+        doc = {"mode": "monte_carlo", **eio.report_to_dict(report)}
     _emit(eio.dumps(doc), args)
     return 0
 
@@ -406,7 +390,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return _HANDLERS[args.command](args)
-    except (InfeasibleConversionError, BranchLimitError) as err:
+    except InfeasibleConversionError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 2
     except (eio.StateFileError, InvalidStateError, ValueError, OSError) as err:

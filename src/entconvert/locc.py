@@ -12,8 +12,12 @@ runs in floating point on amplitudes with arbitrary operators, a
 SchmidtVector exactly on the monomials' integer numerators.  The
 monotone audit profiles each distinct state object once, however many
 branches or trials pass.  When success reads the last outcome alone,
-the merged exact engine keeps one weighted entry per (state, last
-outcome) and level instead of one per history.
+the merged exact engine keeps one entry per (state, last outcome) and
+level instead of one per history, on integer states: exhaustively a
+weight and a history count (merged_run_exact), sampled the trials that
+reached it (merged_sample_exact).  The CLI runs on that engine alone;
+the enumerating engines and the amplitude-level sampler stay as its
+reference.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "exhaustive_run_exact",
     "MergedRun",
     "merged_run_exact",
+    "merged_sample_exact",
     "success_probability",
     "monotone_audit",
     "audit_trajectories",
@@ -534,58 +539,97 @@ def merged_run_exact(protocol: LoccProtocol,
     increasing average raises the same MonotoneViolationError.  States
     are kept in their integer form.
     """
+    last, per_state = _merged_levels(protocol, initial, (Fraction(1), 1),
+                                     _every_outcome, _add_pairs)
+    success = sum((w for w, _ in _succeeded(protocol, last)), Fraction(0))
+    weights = [{state: w for state, (w, _) in states.items()}
+               for states in per_state]
+    audit = _merged_audit(weights, _level_starts(protocol),
+                          len(protocol.steps) + 1)
+    return MergedRun(sum(count for _, count in per_state[-1].values()),
+                     success, audit)
+
+
+def _merged_levels(protocol, initial, root, split, add):
+    """The level loop of every run on integer states, exhaustive or
+    sampled.
+
+    Each measurement level is one dict keyed by (post state in integer
+    form, last outcome).  ``root`` is the initial state's entry.
+    ``split(entry, outcomes, depth)`` yields (outcome index, entry) for
+    the outcomes that the entry of one state takes at the measurement
+    after ``depth`` outcomes, given that state's (probability, post) per
+    outcome; ``add`` sums two entries.  Returns the last level and, per
+    level, its entries summed per state.
+    """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
     if not protocol.mergeable:
         raise ProtocolError(
             "success predicate reads more than the last outcome; "
             "use exhaustive_run_exact instead")
-    level = {(initial._scaled, None): (Fraction(1), 1)}
-    starts, per_state = [0], [_per_state(level)]
-    for pos, step in enumerate(protocol.steps):
-        if not isinstance(step, LocalMeasurement):
-            continue
+    level = {(initial._scaled, None): root}
+    per_state = [_per_state(level, add)]
+    measurements = [s for s in protocol.steps
+                    if isinstance(s, LocalMeasurement)]
+    for depth, step in enumerate(measurements):
         _checked_monomials(step, initial.n)
         grown = {}
-        for state, (w, count) in per_state[-1].items():
-            for idx, mono in enumerate(step.exact):
-                p, post = mono.outcome(state)
-                if post is not None:
-                    gw, gc = grown.get((post, idx), (0, 0))
-                    grown[(post, idx)] = (gw + w * p, gc + count)
+        for state, entry in per_state[-1].items():
+            outcomes = [mono.outcome(state) for mono in step.exact]
+            for idx, part in split(entry, outcomes, depth):
+                key = (outcomes[idx][1], idx)
+                grown[key] = add(grown[key], part) if key in grown else part
         level = grown
-        starts.append(pos + 1)
-        per_state.append(_per_state(level))
-    predicate = protocol.success_predicate
-    success = sum((w for (_, last), (w, _) in level.items()
-                   if predicate is None or last == predicate.value),
-                  Fraction(0))
-    weights = [{state: w for state, (w, _) in states.items()}
-               for states in per_state]
-    audit = _merged_audit(weights, starts, len(protocol.steps) + 1)
-    return MergedRun(sum(count for _, count in per_state[-1].values()),
-                     success, audit)
+        per_state.append(_per_state(level, add))
+    return level, per_state
 
 
-def _per_state(level):
-    """{state: (weight, count)} of a level, summed over last outcomes:
-    the histories that reached a state go on alike from there."""
+def _every_outcome(entry, outcomes, depth):
+    """Exhaustive split of a (weight, history count) entry: every
+    outcome of nonzero probability, weighted by it."""
+    w, count = entry
+    return [(idx, (w * p, count)) for idx, (p, post) in enumerate(outcomes)
+            if post is not None]
+
+
+def _add_pairs(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _per_state(level, add):
+    """{state: entry} of a level, summed over last outcomes: the
+    histories that reached a state go on alike from there."""
     merged = {}
-    for (state, _), (w, count) in level.items():
-        mw, mc = merged.get(state, (0, 0))
-        merged[state] = (mw + w, mc + count)
+    for (state, _), entry in level.items():
+        merged[state] = add(merged[state], entry) if state in merged else entry
     return merged
 
 
-def _merged_audit(weights, starts, depth):
+def _succeeded(protocol, level):
+    """The entries of a last level whose outcome counts as success."""
+    test = protocol.success_predicate
+    return [entry for (_, idx), entry in level.items()
+            if test is None or idx == test.value]
+
+
+def _level_starts(protocol):
+    """The step boundary each level starts at: 0 for the initial state,
+    then the boundary right after each measurement."""
+    return [0] + [pos + 1 for pos, step in enumerate(protocol.steps)
+                  if isinstance(step, LocalMeasurement)]
+
+
+def _merged_audit(weights, starts, depth, check=True):
     """Per-boundary (numerators, denominator) of the averaged monotones.
 
     ``weights[i]`` maps each state of measurement level i, in integer
     form, to its exact weight (summing to 1); the level spans boundaries
     ``starts[i]`` up to the next start.  Each distinct state's integer
-    tails are taken once.  Raises MonotoneViolationError at the first k
-    (then step) whose average increases, as audit_trajectories does;
-    levels compare by cross-multiplying.
+    tails are taken once.  With ``check`` set, raises
+    MonotoneViolationError at the first k (then step) whose average
+    increases, as audit_trajectories does; levels compare by
+    cross-multiplying.
     """
     tails, averages = {}, []
     for level in weights:
@@ -607,7 +651,7 @@ def _merged_audit(weights, starts, depth):
         averages.append((tuple(total), den))
     for i in range(len(averages[0][0])):
         for (a, da), (b, db), step in zip(averages, averages[1:], starts[1:]):
-            if a[i] * db < b[i] * da:
+            if check and a[i] * db < b[i] * da:
                 raise MonotoneViolationError(
                     f"averaged monotone k={i + 1} increased at step "
                     f"{step}: {Fraction(a[i], da)} -> {Fraction(b[i], db)}")
@@ -1007,3 +1051,74 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
                             empirical_probability=empirical,
                             std_error=std_error, predicted=predicted,
                             monotone_audit=tuple(audit), seed=seed)
+
+
+def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
+                        trials: int, seed: int, *,
+                        predicted=None) -> SimulationReport:
+    """Sample a protocol ``trials`` times on integer states.
+
+    The merged level loop of merged_run_exact in its sampled mode, for a
+    protocol whose success reads the last outcome only, from an exact
+    initial vector.  Trial t consumes row t of the Philox uniform matrix
+    keyed by ``seed``, drawn in the blocks monte_carlo_run draws, its
+    column d at the measurement after d outcomes; it takes the outcome
+    monte_carlo_run takes there, the first whose running sum of
+    probabilities exceeds the uniform.  Each level groups a block's rows
+    by state instead of by history.  The audit averages over the trials
+    exactly, then rounds once; sampled averages may rise, so it is not
+    checked for increases.
+
+    Returns the SimulationReport monte_carlo_run gives, with the audit's
+    (step, k, average) triples in the same order.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n_meas = max(protocol.measurement_count, 1)
+    counts = [{} for _ in range(protocol.measurement_count + 1)]
+    successes = 0
+    for lo in range(0, trials, _DRAW_BLOCK):
+        uniforms = rng.random((min(_DRAW_BLOCK, trials - lo), n_meas))
+        last, per_state = _merged_levels(
+            protocol, initial, np.arange(len(uniforms)),
+            _sampled_outcomes(uniforms), _joined)
+        successes += sum(map(len, _succeeded(protocol, last)))
+        for level, states in zip(counts, per_state):
+            for state, rows in states.items():
+                level[state] = level.get(state, 0) + len(rows)
+    weights = [{state: Fraction(count, trials)
+                for state, count in level.items()} for level in counts]
+    audit = _merged_audit(weights, _level_starts(protocol),
+                          len(protocol.steps) + 1, check=False)
+    empirical = successes / trials
+    std_error = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
+    return SimulationReport(
+        trials=trials, successes=successes, empirical_probability=empirical,
+        std_error=std_error, predicted=predicted,
+        monotone_audit=tuple((s, k, nums[k - 1] / den)
+                             for s, (nums, den) in enumerate(audit)
+                             for k in range(1, initial.n + 1)),
+        seed=seed)
+
+
+def _sampled_outcomes(uniforms):
+    """Sampled split of an array of block rows: each row takes the first
+    outcome whose running sum of float probabilities exceeds its uniform
+    (the last outcome if none does), stepping down past outcomes of
+    probability 0 as the branch tree's fallback does."""
+    def split(rows, outcomes, depth):
+        cumulative = np.cumsum([float(p) for p, _ in outcomes])
+        picks = np.searchsorted(cumulative, uniforms[rows, depth],
+                                side="right")
+        np.minimum(picks, len(outcomes) - 1, out=picks)
+        for idx in np.flatnonzero(np.bincount(picks)).tolist():
+            took = idx
+            while outcomes[took][1] is None:
+                took -= 1
+            yield took, rows[picks == idx]
+    return split
+
+
+def _joined(a, b):
+    return np.concatenate((a, b))

@@ -10,8 +10,7 @@ import pytest
 from entconvert import (build_full_protocol, build_plan, locc,
                         optimal_probability)
 from entconvert.cli import DEMO_NAMES, main
-from entconvert.locc import BranchLimitError
-from util import rand_rational_schmidt
+from util import rand_float_schmidt, rand_rational_schmidt
 
 
 @pytest.fixture
@@ -128,23 +127,24 @@ class TestPlanAndSimulate:
         _, out3, _ = run(capsys, args + ["--workers", "3"])
         assert out3 == out1
 
-    def test_branch_cap_falls_back_to_sampling(self, capsys, states,
-                                               monkeypatch):
-        # only float plans enumerate under the cap; exact ones merge
-        def over_cap(*args, **kwargs):
-            raise BranchLimitError("branch count 9 exceeds cap 8")
-
-        monkeypatch.setattr("entconvert.cli.exhaustive_run", over_cap)
-        args = ["simulate", states["skewed"], states["bell"], "--exhaustive",
-                "--trials", "500", "--mode", "float"]
+    def test_float_exhaustive_is_never_capped(self, capsys, tmp_path):
+        # more histories than BRANCH_CAP: still one exhaustive report,
+        # with or without --no-fallback, which has no effect
+        rng = np.random.default_rng(2400)
+        paths = []
+        for name in "ab":
+            sv = rand_float_schmidt(rng, 24)
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"schmidt_sq": list(sv.probs)}))
+        args = ["simulate", *map(str, paths), "--exhaustive", "--mode",
+                "float"]
         code, out, err = run(capsys, args)
-        assert code == 0
-        assert err == ("warning: branch count 9 exceeds cap 8; "
-                       "falling back to Monte-Carlo sampling\n")
-        assert json.loads(out)["mode"] == "monte_carlo"
-        code, out, err = run(capsys, args + ["--no-fallback"])
-        assert (code, out) == (2, "")
-        assert err == "infeasible: branch count 9 exceeds cap 8\n"
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["mode"] == "exhaustive"
+        assert doc["branches"] > locc.BRANCH_CAP
+        assert 0 < doc["success_probability"] == doc["predicted"] < 1
+        assert run(capsys, args + ["--no-fallback"]) == (0, out, "")
 
     def test_inconsistent_plan_is_invalid_input(self, capsys, states,
                                                 tmp_path):
@@ -324,6 +324,46 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("infeasible:")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "trials must be positive"),
+        (["--trials", "-3", "--workers", "0"], "trials must be positive"),
+        (["--workers", "0"], "workers must be positive"),
+        (["--workers", "0", "--seed", "-1"], "workers must be positive"),
+    ])
+    def test_sampling_size_is_checked(self, capsys, states, flags, message):
+        code, out, err = run(capsys, ["simulate", states["skewed"],
+                                      states["bell"], *flags])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("seed, code", [
+        (-1, 1), (2 ** 128, 1), (2 ** 128 - 1, 0), (0, 0)])
+    def test_seed_must_fit_the_generator_key(self, capsys, states, seed,
+                                             code):
+        # the Philox key is 128 bits; numpy words the refusal
+        got, out, err = run(capsys, ["simulate", states["skewed"],
+                                     states["bell"], "--trials", "10",
+                                     "--seed", str(seed)])
+        assert got == code
+        if code:
+            assert out == ""
+            assert err.startswith("error: ") and "2**128" in err
+        else:
+            assert err == ""
+
+    def test_infeasibility_is_reported_first(self, capsys, states):
+        code, out, err = run(capsys, ["simulate", states["bell"],
+                                      states["flat3"], "--trials", "0",
+                                      "--workers", "0", "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("infeasible:")
+
+    def test_exhaustive_ignores_the_sampling_flags(self, capsys, states):
+        args = ["simulate", states["skewed"], states["bell"], "--exhaustive"]
+        code, out, err = run(capsys, args)
+        assert (code, err) == (0, "")
+        assert run(capsys, args + ["--trials", "0", "--workers", "0",
+                                   "--seed", "-1"]) == (0, out, "")
+
     def test_unknown_flag_is_invalid_input(self, capsys, states):
         code, _, _ = run(capsys, ["prob", states["bell"], states["bell"],
                                   "--bogus"])
@@ -446,16 +486,51 @@ def test_simulate_stdout_is_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
-def test_simulate_tree_over_limit_exits_1(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(locc, "MAX_TREE_BYTES", 4096)
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_default_simulate_of_a_64_level_pair(capsys, tmp_path, mode):
+    # 10,000 trials over 60 or so measurements: the sampled run keeps
+    # per-level counts of integer states, not a tree of amplitudes
+    rng = np.random.default_rng(6400)
+    pair = [rand_rational_schmidt(rng, 64) for _ in range(2)]
     paths = []
-    for label in ("e", "f"):
+    for name, sv in zip("ab", pair):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(
+            {"schmidt_sq": [str(p) for p in sv.probs]}))
+    code, out, err = run(capsys, ["simulate", *map(str, paths), "--mode",
+                                  mode])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    p = float(optimal_probability(*pair))
+    assert doc["mode"] == "monte_carlo"
+    assert doc["trials"] == 10000
+    assert abs(doc["successes"] - 10000 * p) <= 5 * math.sqrt(
+        10000 * p * (1 - p))
+    m = build_full_protocol(build_plan(*pair)).measurement_count
+    assert len(doc["audit"]) == 64 * (3 * (m - 1) + 2)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("flags", [["--exhaustive"],
+                                   ["--trials", "3000", "--seed", "5"]])
+def test_simulate_runs_on_integer_states_alone(capsys, tmp_path,
+                                              monkeypatch, mode, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate reached amplitude-level code")
+
+    for name in ("locc.exhaustive_run", "locc.monte_carlo_run",
+                 "locc.schmidt_decompose", "schmidt.schmidt_decompose"):
+        monkeypatch.setattr(f"entconvert.{name}", refuse)
+    monkeypatch.setattr(locc.ExactMonomial, "matrix", refuse)
+    paths = []
+    for label in ("fa", "fb"):
         paths.append(tmp_path / f"{label}.json")
         paths[-1].write_text(json.dumps({"schmidt_sq": GOLDEN_STATES[label]}))
-    code, out, err = run(capsys, ["simulate", *map(str, paths),
-                                  "--trials", "3000", "--seed", "5"])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: sampled branch tree") and "--trials" in err
+    code, out, err = run(capsys, ["simulate", *map(str, paths), "--mode",
+                                  mode, *flags])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["mode"] == ("exhaustive" if "--exhaustive" in flags
+                                       else "monte_carlo")
 
 
 def test_exact_simulate_is_never_capped(capsys, tmp_path):

@@ -20,7 +20,8 @@ from entconvert import (Announce, BipartiteState, BranchLimitError,
                         audit_trajectories, build_full_protocol, build_plan,
                         deterministic_protocol, entanglement_monotone,
                         exhaustive_run, exhaustive_run_exact, majorizes,
-                        merged_run_exact, monotone_audit, monte_carlo_run,
+                        merged_run_exact, merged_sample_exact,
+                        monotone_audit, monte_carlo_run,
                         MonotoneViolationError, schmidt_decompose,
                         state_from_schmidt, success_probability)
 from entconvert import locc
@@ -627,6 +628,7 @@ class TestMergedEngine:
         plan = build_plan(ALPHA3, BETA3)
         proto = build_full_protocol(plan)
         merged_run_exact(proto, plan.source)
+        merged_sample_exact(proto, plan.source, 50, 0)
         exhaustive_run_exact(proto, plan.source)
         measured = [s for s in proto.steps if isinstance(s, LocalMeasurement)]
         assert all("operators" not in vars(s) for s in measured)
@@ -638,6 +640,46 @@ class TestMergedEngine:
             assert not op.flags.writeable
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             measured[0].missing
+
+
+class TestMergedSampler:
+    def _protocol(self):
+        plan = build_plan(ALPHA2, BELL)
+        return build_full_protocol(plan), plan.source
+
+    def test_report(self):
+        proto, source = self._protocol()
+        report = merged_sample_exact(proto, source, 20000, seed=1,
+                                     predicted=F(2, 5))
+        assert abs(report.empirical_probability - 0.4) < 0.015
+        assert report.successes == round(report.empirical_probability * 20000)
+        assert (report.trials, report.predicted, report.seed) == (
+            20000, F(2, 5), 1)
+        assert [(s, k) for s, k, _ in report.monotone_audit] == [
+            (s, k) for s in range(len(proto.steps) + 1) for k in (1, 2)]
+        assert report == merged_sample_exact(proto, source, 20000, seed=1,
+                                             predicted=F(2, 5))
+
+    def test_sampled_averages_may_rise(self):
+        # one trial that succeeds lands on the Bell pair: E_2 goes from
+        # 1/5 to 1/2, which a sampled average may do, so nothing raises
+        proto, source = self._protocol()
+        report = merged_sample_exact(proto, source, 1, seed=0)
+        assert report.successes == 1
+        assert [v for _, k, v in report.monotone_audit if k == 2] == [
+            0.2, 0.5]
+
+    def test_refusals(self):
+        proto, source = self._protocol()
+        with pytest.raises(ValueError, match="trials must be positive"):
+            merged_sample_exact(proto, source, 0, seed=0)
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            merged_sample_exact(proto, source, 10, seed=-1)
+        with pytest.raises(ProtocolError, match="exact initial"):
+            merged_sample_exact(proto, SchmidtVector((0.8, 0.2)), 10, 0)
+        with pytest.raises(ProtocolError, match="exhaustive_run_exact"):
+            merged_sample_exact(LoccProtocol((), lambda h: True), source,
+                                10, 0)
 
 
 class TestBranchCap:

@@ -4,7 +4,8 @@ For random exact pairs the closed form, the plan's r_1, the exact
 enumerating engine and the merged exact engine must agree exactly; the
 amplitude engine agrees to within 1e-9 and a seeded Monte-Carlo run to
 within five standard errors.  The merged engine also gives the
-enumerating engine's branch count and audit table.
+enumerating engine's branch count and audit table, and its sampled mode
+the amplitude-level sampler's success count and audit.
 The pairs are drawn to hit ties, zero tails and single-segment plans.
 Float pairs are planned on the exact binary (dyadic) value of their
 entries: their results equal those of that exact pair, and the CLI's
@@ -21,14 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconvert import (InfeasibleConversionError, SchmidtVector,
-                        audit_trajectories, breakpoints,
+from entconvert import (ExactMonomial, InfeasibleConversionError,
+                        LocalMeasurement, LoccProtocol, OutcomeIs,
+                        SchmidtVector, audit_trajectories, breakpoints,
                         build_full_protocol, build_plan,
                         exhaustive_run, exhaustive_run_exact,
-                        merged_run_exact, monte_carlo_run,
-                        optimal_probability, optimal_probability_detail,
-                        state_from_schmidt, success_probability)
+                        merged_run_exact, merged_sample_exact,
+                        monte_carlo_run, optimal_probability,
+                        optimal_probability_detail, state_from_schmidt,
+                        success_probability)
 from entconvert.cli import main
+from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree, _sample_histories
+from entconvert.numeric import DEFAULT_TOL, round12
+from entconvert.schmidt import _lifted
 
 # amplitude and sampled routes run only on protocols this short, so
 # the suite stays within a few seconds
@@ -43,15 +49,15 @@ def _vector(loads):
 
 
 @st.composite
-def exact_pairs(draw):
-    """(source, target) with n = 1..12 levels.
+def exact_pairs(draw, min_n=1, max_n=12):
+    """(source, target) with n = min_n..max_n levels.
 
     Loads come from a narrow range (many ties) or a wide one, and may
     include zeros (zero tails).  One draw in four makes the target a
     coarse-graining of the source, which the source majorizes, so the
     plan has a single segment and succeeds with certainty.
     """
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(min_n, max_n))
     top = draw(st.sampled_from((3, 40)))
     low = draw(st.sampled_from((0, 1)))
     # one positive load keeps the vector's weight nonzero
@@ -221,3 +227,78 @@ def test_merged_engine_equals_enumeration(pair):
     assert [[Fraction(nums[i], den) for nums, den in merged.audit]
             for i in range(plan.source.n)] == table
     assert merged.float_table() == [[float(v) for v in row] for row in table]
+
+
+def _assert_sampled_routes_agree(protocol, source, trials, seed):
+    """The merged engine's sampled mode on the exact lift of ``source``
+    against the amplitude-level sampler on ``source``: equal success
+    counts, and every audit cell the correctly rounded exact average of
+    the sampled histories, which the amplitude audit's float sums equal
+    at 12 digits or miss in the last one."""
+    initial = state_from_schmidt(source)
+    merged = merged_sample_exact(protocol, _lifted(source), trials, seed)
+    sampled = monte_carlo_run(protocol, initial, trials, seed)
+    assert (merged.trials, merged.successes, merged.empirical_probability,
+            merged.std_error, merged.seed) == (
+        sampled.trials, sampled.successes, sampled.empirical_probability,
+        sampled.std_error, sampled.seed)
+    # exact reference: each sampled history's exact states, by its count
+    tree = _LazyBranchTree(protocol, initial, DEFAULT_TOL)
+    counts = _sample_histories(tree, trials, seed,
+                               max(protocol.measurement_count, 1))
+    states = {b.history: b.states
+              for b in exhaustive_run_exact(protocol, _lifted(source))}
+    table = audit_trajectories([(c, states[h]) for h, c in counts.items()],
+                               range(1, source.n + 1), check=False)
+    assert len(merged.monotone_audit) == len(sampled.monotone_audit)
+    for (s, k, new), (s_old, k_old, old) in zip(merged.monotone_audit,
+                                               sampled.monotone_audit):
+        assert (s, k) == (s_old, k_old)
+        assert new == float(table[k - 1][s])
+        assert round12(new) == round12(old) or math.isclose(
+            new, old, rel_tol=1e-11)
+
+
+@given(st.one_of(exact_pairs(2, 8), float_pairs(2, 8)),
+       st.integers(0, 2**32 - 1), st.sampled_from((1, 300, 1000)))
+@settings(max_examples=60, deadline=None)
+def test_sampled_route_equals_monte_carlo(pair, seed, trials):
+    plan = build_plan(*pair)
+    if not plan.is_feasible:
+        return
+    proto = build_full_protocol(plan)
+    if proto.measurement_count > MAX_FLOAT_MEASUREMENTS:
+        return
+    _assert_sampled_routes_agree(proto, plan.source, trials, seed)
+
+
+@pytest.mark.parametrize("loads", [
+    ([37, 23, 19, 13, 8], [27, 26, 21, 17, 9]),
+    ([0.3115, 0.2869, 0.1967, 0.1311, 0.0738],
+     [0.2566, 0.2566, 0.25, 0.2039, 0.0329])])
+def test_sampled_route_across_draw_blocks(loads):
+    pair = [_vector(x) if isinstance(x[0], int) else SchmidtVector(tuple(x))
+            for x in loads]
+    plan = build_plan(*pair)
+    _assert_sampled_routes_agree(build_full_protocol(plan), plan.source,
+                                 2 * _DRAW_BLOCK + 37, 31)
+
+
+def test_sampled_route_skips_a_zero_probability_outcome():
+    # outcome 1 of the first measurement projects onto the empty third
+    # level, so it has probability 0 and no trial may take it; the other
+    # two leave the state as it was, sorted on the diagonal, as the
+    # integer states assume
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    first = LocalMeasurement("A", exact=tuple(
+        ExactMonomial((0, 1, 2), squares) for squares in
+        ((half, half, 0), (0, 0, 1), (half, half, 0))))
+    mixer = LocalMeasurement("B", exact=(
+        ExactMonomial((0, 1, 2), (third, 1 - third, half)),
+        ExactMonomial((0, 1, 2), (1 - third, third, half))))
+    proto = LoccProtocol((first, mixer), success_predicate=OutcomeIs(-1, 0))
+    source = SchmidtVector((Fraction(3, 5), Fraction(2, 5), Fraction(0)))
+    assert merged_run_exact(proto, source).success_probability == \
+        Fraction(7, 15)
+    for trials, seed in ((3000, 8), (_DRAW_BLOCK + 37, 9)):
+        _assert_sampled_routes_agree(proto, source, trials, seed)
