@@ -3,20 +3,23 @@
 A protocol is a finite sequence of steps: local generalized measurements
 (branching), outcome-conditioned local unitaries, and classical outcome
 announcements.  The protocols built here are plain data: a measurement
-is its rational monomials, with dense operators derived from them when
+is its rational monomials, a relabel its permutation (an ExactMonomial
+whose squares are all 1), each with its dense form derived only when
 first asked for, and an outcome condition is an ``OutcomeIs``.
 Exhaustive enumeration and a seeded Monte-Carlo sampler (per-trial
 randomness a function of (seed, trial index) alone) share one step
 interpreter, and the state's type picks the level: a BipartiteState
 runs in floating point on amplitudes with arbitrary operators, a
-SchmidtVector exactly on the monomials' integer numerators.  The
-monotone audit profiles each distinct state object once, however many
-branches or trials pass.  When success reads the last outcome alone,
-the merged exact engine keeps one entry per (state, last outcome) and
-level instead of one per history, on integer states: exhaustively a
-weight and a history count (merged_run_exact), sampled the trials that
-reached it (merged_sample_exact).  The CLI runs on that engine alone;
-the enumerating engines and the amplitude-level sampler stay as its
+SchmidtVector exactly on the monomials' integer numerators, each post
+state in the row order its measurement left it in.  The monotone audit
+profiles each distinct state object once, however many branches or
+trials pass.  When success reads the last outcome alone, the merged
+exact engine keeps one entry per (state, last outcome) and level
+instead of one per history, on integer states: exhaustively a weight
+and a history count (merged_run_exact), sampled the trials that reached
+it (merged_sample_exact); both refuse an audit of more than
+MAX_AUDIT_CELLS cells.  The CLI runs on that engine alone; the
+enumerating engines and the amplitude-level sampler stay as its
 reference.
 """
 
@@ -68,6 +71,11 @@ __all__ = [
 BRANCH_CAP = 100_000
 MAX_TREE_BYTES = 2 ** 30   # amplitude bytes a Monte-Carlo branch tree keeps
 PRUNE_EPS = 1e-12  # outcomes below this are never normalized into states
+# Audit cells (levels x step boundaries) a merged run may average.  A whole
+# exact CLI run peaks near 1.1 KB per cell (217 MB at n = 256, 466 MB at
+# n = 384), so a run at this limit stays near 600 MB.  A protocol has at
+# most 3n - 2 steps, so every pair up to n = 418 stays within it.
+MAX_AUDIT_CELLS = 2 ** 19
 
 
 class ProtocolError(ValueError):
@@ -132,12 +140,13 @@ class ExactMonomial:
 
     def outcome(self, scaled):
         """(probability, post) on a diagonal state whose squared
-        coefficients are the integers ``scaled[0]`` over ``scaled[1]``.
+        coefficients, level by level, are the integers ``scaled[0]`` over
+        ``scaled[1]``.
 
         The probability is a Fraction.  ``post`` is the post-measurement
-        state in the same reduced integer form, sorted non-increasing
-        over the sum of its numerators (what ``SchmidtVector._scaled``
-        gives for it), or None for a probability-0 outcome.
+        state in the same reduced integer form, in row order (entry
+        ``rows[c]`` comes from level c), over the sum of its numerators,
+        or None for a probability-0 outcome.
         """
         nums, den = self._scaled
         weights = [s * x for s, x in zip(nums, scaled[0])]
@@ -145,8 +154,10 @@ class ExactMonomial:
         if total == 0:
             return Fraction(0), None
         g = math.gcd(*weights)
-        post = tuple(sorted((w // g for w in weights), reverse=True))
-        return Fraction(total, den * scaled[1]), (post, total // g)
+        post = [0] * len(weights)
+        for row, w in zip(self.rows, weights):
+            post[row] = w // g
+        return Fraction(total, den * scaled[1]), (tuple(post), total // g)
 
 
 @dataclass(frozen=True)
@@ -162,18 +173,34 @@ class OutcomeIs:
                 and history[self.index] == self.value)
 
 
+class _DenseOnDemand:
+    """A step given by ``exact`` alone leaves its dense form, the
+    attribute ``_DENSE``, unset until first asked for; ``_dense()`` then
+    derives it once, so runs on the monomials never build it."""
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set
+        if name != self._DENSE or "exact" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self._dense()
+        object.__setattr__(self, name, value)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
-class LocalMeasurement:
+class LocalMeasurement(_DenseOnDemand):
     """Generalized measurement on one party; operators must satisfy
     sum K^dag K = identity.  ``exact`` optionally carries the monomial
     description of each operator for rational bookkeeping; without
-    ``operators`` the dense operators are derived from it on first use,
-    so a run on the monomials alone never builds them."""
+    ``operators`` the dense operators are derived from it on first use."""
 
     party: str
     operators: tuple = field(default_factory=tuple)
     exact: tuple | None = None
     label: str = ""
+
+    _DENSE = "operators"
 
     def __post_init__(self):
         if self.party not in ("A", "B"):
@@ -182,7 +209,6 @@ class LocalMeasurement:
         if not ops and self.exact:
             if len({mono.n for mono in self.exact}) != 1:
                 raise ProtocolError("measurement operators differ in shape")
-            # left unset: __getattr__ derives it when first asked for
             object.__delattr__(self, "operators")
             return
         if not ops:
@@ -198,16 +224,10 @@ class LocalMeasurement:
             op.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
-    def __getattr__(self, name):
-        # reached only for an attribute not set: the dense operators of a
-        # measurement given by its monomials alone
-        if name != "operators" or "exact" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _dense(self):
         ops = tuple(mono.matrix() for mono in self.exact)
         for op in ops:
             op.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
         return ops
 
     @property
@@ -218,18 +238,31 @@ class LocalMeasurement:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalUnitary:
+class LocalUnitary(_DenseOnDemand):
     """Local basis change on one party, optionally applied only when the
-    outcome history so far satisfies ``condition`` (say an OutcomeIs)."""
+    outcome history so far satisfies ``condition`` (say an OutcomeIs).
+
+    ``matrix`` may instead be an ExactMonomial whose squares are all 1,
+    a permutation of levels, kept as ``exact``; the dense matrix is then
+    derived from it on first use."""
 
     party: str
     matrix: np.ndarray
     condition: object = None
     label: str = ""
 
+    _DENSE = "matrix"
+
     def __post_init__(self):
         if self.party not in ("A", "B"):
             raise ProtocolError(f"party must be 'A' or 'B', got {self.party!r}")
+        if isinstance(self.matrix, ExactMonomial):
+            # its rows are a permutation: unitary iff every square is 1
+            if any(sq != 1 for sq in self.matrix.squared):
+                raise ProtocolError("matrix is not unitary")
+            object.__setattr__(self, "exact", self.matrix)
+            object.__delattr__(self, "matrix")
+            return
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ProtocolError("unitary must be square")
@@ -238,6 +271,11 @@ class LocalUnitary:
             raise ProtocolError("matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def _dense(self):
+        mat = self.exact.matrix()
+        mat.setflags(write=False)
+        return mat
 
 
 @dataclass(frozen=True)
@@ -400,10 +438,13 @@ def _checked_monomials(step, n):
 def _measure(step, state, tol, interned, checked):
     """One MeasurementOutcome per outcome of ``step``: a BipartiteState
     as apply_measurement gives them, a SchmidtVector from the step's exact
-    monomial data, equal post vectors becoming the one object kept in
-    ``interned``.  A step's operators are checked the first time a state
-    meets it and then added to ``checked``: every state of one run has
-    the same shape, so that check holds for the whole run."""
+    monomial data.  A SchmidtVector is sorted, but the measurement after
+    it meets its levels in the row order its own measurement left them
+    in: ``interned`` maps each post state in that order to one vector,
+    and the vector's id back to it.  A step's operators are checked the
+    first time a state meets it and then added to ``checked``: every
+    state of one run has the same shape, so that check holds for the
+    whole run."""
     if isinstance(state, BipartiteState):
         if step not in checked:
             _checked_operators(state, step.party, step.operators, tol)
@@ -412,13 +453,15 @@ def _measure(step, state, tol, interned, checked):
     if step not in checked:
         _checked_monomials(step, state.n)
         checked.add(step)
+    scaled = interned.get(id(state), state._scaled)
     results = []
     for idx, mono in enumerate(step.exact):
-        p, post = mono.outcome(state._scaled)
+        p, post = mono.outcome(scaled)
         if post is not None and post not in interned:
             nums, den = post
-            interned[post] = SchmidtVector(tuple(Fraction(x, den)
-                                                 for x in nums))
+            vector = SchmidtVector(tuple(
+                Fraction(x, den) for x in sorted(nums, reverse=True)))
+            interned[post], interned[id(vector)] = vector, post
         results.append(MeasurementOutcome(idx, p, interned.get(post)))
     return results
 
@@ -429,9 +472,9 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
     belongs to one branch, but equal SchmidtVectors are one object shared
     by many, so each of those is measured, or advanced, once per level."""
     steps = protocol.steps
-    frontier, pos, checked = [((), one, [initial])], 0, set()
+    frontier, pos, checked, interned = [((), one, [initial])], 0, set(), {}
     while frontier and pos < len(steps):
-        grown, shared, interned = [], {}, {}   # shared: id(state) -> result
+        grown, shared = [], {}   # shared: id(state) -> result
         if isinstance(steps[pos], LocalMeasurement):
             for history, prob, states in frontier:
                 outcomes = shared.get(id(states[-1]))
@@ -481,9 +524,13 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
     Works at the Schmidt-coefficient level: each measurement must carry
     exact monomial data (true of protocols built by this module), and
     local unitaries never change Schmidt coefficients, so they and the
-    announcements pass through.  The initial vector must be exact.
+    announcements pass through.  A measurement meets each state in the
+    row order the measurement before it left it in, as on amplitudes; a
+    built protocol's measurements leave every state sorted in that
+    order, and its relabels align the other party's levels with it.
+    The initial vector must be exact.
 
-    Equal post-measurement vectors of one step are one shared object, so
+    Equal post-measurement states are one shared vector object, so
     the branches of a deterministic stage, which all land on the same
     vector, carry a single state per step boundary.  The run still costs
     one entry per history; merged_run_exact gives the same counts,
@@ -537,8 +584,12 @@ def merged_run_exact(protocol: LoccProtocol,
     one per history.  Branch count, success probability and audit equal
     those of exhaustive_run_exact followed by audit_trajectories, and an
     increasing average raises the same MonotoneViolationError.  States
-    are kept in their integer form.
+    are kept in their integer form, in the row order of the measurement
+    that left them, which the next measurement meets.  An audit of more
+    than MAX_AUDIT_CELLS cells (levels x step boundaries) is refused
+    with ValueError before any level runs.
     """
+    _check_audit_size(protocol, initial)
     last, per_state = _merged_levels(protocol, initial, (Fraction(1), 1),
                                      _every_outcome, _add_pairs)
     success = sum((w for w, _ in _succeeded(protocol, last)), Fraction(0))
@@ -550,12 +601,24 @@ def merged_run_exact(protocol: LoccProtocol,
                      success, audit)
 
 
+def _check_audit_size(protocol, initial):
+    """Refuse a merged run whose audit would pass MAX_AUDIT_CELLS cells,
+    one per level of ``initial`` and step boundary, before it starts."""
+    cells = initial.n * (len(protocol.steps) + 1)
+    if cells > MAX_AUDIT_CELLS:
+        raise ValueError(
+            f"audit too large: {initial.n} levels x "
+            f"{len(protocol.steps) + 1} step boundaries = {cells} cells "
+            f"(limit {MAX_AUDIT_CELLS})")
+
+
 def _merged_levels(protocol, initial, root, split, add):
     """The level loop of every run on integer states, exhaustive or
     sampled.
 
     Each measurement level is one dict keyed by (post state in integer
-    form, last outcome).  ``root`` is the initial state's entry.
+    form and row order, last outcome).  ``root`` is the initial state's
+    entry.
     ``split(entry, outcomes, depth)`` yields (outcome index, entry) for
     the outcomes that the entry of one state takes at the measurement
     after ``depth`` outcomes, given that state's (probability, post) per
@@ -639,7 +702,7 @@ def _merged_audit(weights, starts, depth, check=True):
         for state, w in level.items():
             if state not in tails:
                 run, tail = 0, []
-                for x in reversed(state[0]):
+                for x in sorted(state[0]):   # a post is in row order
                     run += x
                     tail.append(run)
                 tail.reverse()
@@ -788,7 +851,8 @@ def _mixing_step(x, y, j, k, n, meas_index):
     """Two-outcome measurement turning sorted ``x`` into sorted ``y``
     (integer numerators over one denominator, which differ only at
     positions j < k, with y_j > x_j >= x_k > y_k and equal pair sums),
-    plus the outcome-1 correction on B.
+    plus the outcome-1 correction on B, given by the permutation of the
+    outcome it corrects.
 
     Outcome probabilities are exactly t and 1 - t with
     t = (x_j - y_k)/(y_j - y_k); both branches land exactly on ``y``.
@@ -808,10 +872,10 @@ def _mixing_step(x, y, j, k, n, meas_index):
     rows2[j], rows2[k] = k, j
     meas = LocalMeasurement(
         "A", exact=(ExactMonomial(rows1, tuple(sq1)),
-                    ExactMonomial(tuple(rows2), tuple(sq2))),
+                    ExactMonomial(rows2, tuple(sq2))),
         label=f"balance levels {j + 1},{k + 1}")
     correction = LocalUnitary(
-        "B", np.eye(n, dtype=complex)[rows2],
+        "B", ExactMonomial(rows2, (1,) * n),
         condition=OutcomeIs(meas_index, 1),
         label=f"relabel levels {j + 1},{k + 1} on the swap branch")
     return [meas, Announce(label="broadcast outcome"), correction]
@@ -1070,10 +1134,12 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     checked for increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
-    (step, k, average) triples in the same order.
+    (step, k, average) triples in the same order.  Refuses an audit past
+    MAX_AUDIT_CELLS cells as merged_run_exact does.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_audit_size(protocol, initial)
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_meas = max(protocol.measurement_count, 1)
     counts = [{} for _ in range(protocol.measurement_count + 1)]

@@ -417,6 +417,17 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert err.startswith("error: tensor power too large")
 
+    @pytest.mark.parametrize("flags", [["--exhaustive"], []])
+    def test_audit_over_limit_is_invalid_input(self, capsys, states,
+                                               monkeypatch, flags):
+        # three levels, four steps: 15 cells, one past the patched limit
+        monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", 14)
+        code, out, err = run(capsys, ["simulate", states["three_a"],
+                                      states["three_b"], *flags])
+        assert (code, out) == (1, "")
+        assert err == ("error: audit too large: 3 levels x 5 step "
+                       "boundaries = 15 cells (limit 14)\n")
+
     @pytest.mark.parametrize("extra", [["--exhaustive"],
                                        ["--trials", "500", "--seed", "3"]])
     def test_float_plan_refused_in_exact_arithmetic(self, capsys, tmp_path,
@@ -519,7 +530,8 @@ def test_simulate_runs_on_integer_states_alone(capsys, tmp_path,
         raise AssertionError("simulate reached amplitude-level code")
 
     for name in ("locc.exhaustive_run", "locc.monte_carlo_run",
-                 "locc.schmidt_decompose", "schmidt.schmidt_decompose"):
+                 "locc.schmidt_decompose", "schmidt.schmidt_decompose",
+                 "locc.LocalUnitary._dense"):
         monkeypatch.setattr(f"entconvert.{name}", refuse)
     monkeypatch.setattr(locc.ExactMonomial, "matrix", refuse)
     paths = []

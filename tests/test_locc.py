@@ -438,6 +438,50 @@ class TestProtocolAsData:
             with pytest.raises(ProtocolError, match="at least one operator"):
                 LocalMeasurement("A", **empty)
 
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_relabels_are_permutations(self, name):
+        proto = build_full_protocol(self.PLANS[name]())
+        steps = proto.steps
+        relabels = [pos for pos, step in enumerate(steps)
+                    if isinstance(step, LocalUnitary)]
+        for pos in relabels:
+            step, swap = steps[pos], steps[pos - 2].exact[1]
+            assert "matrix" not in vars(step)
+            assert step.exact == ExactMonomial(swap.rows, (1,) * swap.n)
+            dense = step.matrix
+            expected = np.eye(swap.n, dtype=complex)[list(swap.rows)]
+            assert (dense.dtype, dense.shape) == (expected.dtype,
+                                                  expected.shape)
+            assert dense.tobytes() == expected.tobytes()
+            assert not dense.flags.writeable
+            assert step.matrix is dense
+
+    def test_unitary_from_a_permutation_alone(self):
+        cycle = ExactMonomial((2, 0, 1), (1, 1, 1))
+        unitary = LocalUnitary("B", cycle, condition=OutcomeIs(0, 1))
+        assert "matrix" not in vars(unitary) and unitary.exact is cycle
+        clone = pickle.loads(pickle.dumps(unitary))
+        assert "matrix" not in vars(clone) and clone.exact == cycle
+        for step in (unitary, clone):
+            assert np.array_equal(step.matrix, cycle.matrix())
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            unitary.missing
+        with pytest.raises(ProtocolError, match="matrix is not unitary"):
+            LocalUnitary("A", ExactMonomial((1, 0), (1, F(1, 2))))
+        with pytest.raises(ProtocolError, match="not a permutation"):
+            LocalUnitary("A", ExactMonomial((0, 0), (1, 1)))
+
+    def test_large_protocol_holds_no_dense_matrix(self):
+        rng = np.random.default_rng(2560)
+        plan = build_plan(*(rand_rational_schmidt(rng, 256)
+                            for _ in range(2)))
+        proto = build_full_protocol(plan)
+        assert proto.measurement_count > 200
+        assert not any({"matrix", "operators"} & set(vars(step))
+                       for step in proto.steps)
+        # and its merged runs stay within the audit limit
+        assert 256 * (len(proto.steps) + 1) <= locc.MAX_AUDIT_CELLS
+
 
 class TestMonotoneAudit:
     def test_two_level_filter_keeps_tail_weight(self):
@@ -632,6 +676,9 @@ class TestMergedEngine:
         exhaustive_run_exact(proto, plan.source)
         measured = [s for s in proto.steps if isinstance(s, LocalMeasurement)]
         assert all("operators" not in vars(s) for s in measured)
+        relabels = [s for s in proto.steps if isinstance(s, LocalUnitary)]
+        assert relabels
+        assert all("matrix" not in vars(s) for s in relabels)
         first = measured[0].operators
         assert measured[0].operators is first
         assert "operators" in vars(measured[0])
@@ -640,6 +687,34 @@ class TestMergedEngine:
             assert not op.flags.writeable
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             measured[0].missing
+
+
+class TestAuditSizeLimit:
+    """Merged runs refuse an audit of more than MAX_AUDIT_CELLS cells
+    (levels x step boundaries) before any level runs."""
+
+    def _protocol(self):
+        plan = build_plan(ALPHA3, BETA3)
+        proto = build_full_protocol(plan)
+        return proto, plan.source, 3 * (len(proto.steps) + 1)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        proto, source, cells = self._protocol()
+        monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells)
+        assert len(merged_run_exact(proto, source).audit) * 3 == cells
+        merged_sample_exact(proto, source, 10, 0)
+
+    @pytest.mark.parametrize("run", [
+        merged_run_exact,
+        lambda proto, source: merged_sample_exact(proto, source, 10, 0)])
+    def test_over_limit_is_refused_before_any_level(self, monkeypatch, run):
+        proto, source, cells = self._protocol()
+        monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells - 1)
+        monkeypatch.setattr(locc, "_merged_levels", None)
+        with pytest.raises(ValueError, match=(
+                f"audit too large: 3 levels x {cells // 3} step boundaries "
+                f"= {cells} cells \\(limit {cells - 1}\\)")):
+            run(proto, source)
 
 
 class TestMergedSampler:

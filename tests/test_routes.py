@@ -302,3 +302,27 @@ def test_sampled_route_skips_a_zero_probability_outcome():
         Fraction(7, 15)
     for trials, seed in ((3000, 8), (_DRAW_BLOCK + 37, 9)):
         _assert_sampled_routes_agree(proto, source, trials, seed)
+
+
+def test_exact_routes_follow_row_order():
+    # outcome 0 of the first measurement leaves the state on level 2
+    # alone, |1>|1>, which the mixer then meets in that order; sorted, it
+    # would meet |0>|0> and succeed with probability 1/3, not 7/15
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    first = LocalMeasurement("A", exact=(
+        ExactMonomial((0, 1, 2), (0, 1, 0)),
+        ExactMonomial((0, 1, 2), (1, 0, 1))))
+    mixer = LocalMeasurement("B", exact=(
+        ExactMonomial((0, 1, 2), (third, 1 - third, half)),
+        ExactMonomial((0, 1, 2), (1 - third, third, half))))
+    proto = LoccProtocol((first, mixer), success_predicate=OutcomeIs(-1, 0))
+    source = SchmidtVector((Fraction(3, 5), Fraction(2, 5), Fraction(0)))
+    amplitude = success_probability(
+        exhaustive_run(proto, state_from_schmidt(source)),
+        proto.success_predicate)
+    assert math.isclose(amplitude, 7 / 15, rel_tol=1e-12)
+    assert merged_run_exact(proto, source).success_probability == \
+        Fraction(7, 15)
+    assert success_probability(exhaustive_run_exact(proto, source),
+                               proto.success_predicate) == Fraction(7, 15)
+    _assert_sampled_routes_agree(proto, source, 3000, 8)
