@@ -10,8 +10,10 @@ Exhaustive enumeration and a seeded Monte-Carlo sampler (per-trial
 randomness a function of (seed, trial index) alone) share one step
 interpreter, and the state's type picks the level: a BipartiteState
 runs in floating point on amplitudes with arbitrary operators, a
-SchmidtVector exactly on the monomials' integer numerators, each post
-state in the row order its measurement left it in.  The monotone audit
+SchmidtVector exactly on the monomials' integer numerators.  An integer
+state keeps its squared coefficients in A's level order, with the level
+of B each pairs with, so measurements and relabels on either party meet
+the levels as on amplitudes.  The monotone audit
 profiles each distinct state object once, however many branches or
 trials pass.  When success reads the last outcome alone, the merged
 exact engine keeps one entry per (state, last outcome) and level
@@ -72,9 +74,10 @@ BRANCH_CAP = 100_000
 MAX_TREE_BYTES = 2 ** 30   # amplitude bytes a Monte-Carlo branch tree keeps
 PRUNE_EPS = 1e-12  # outcomes below this are never normalized into states
 # Audit cells (levels x step boundaries) a merged run may average.  A whole
-# exact CLI run peaks near 1.1 KB per cell (217 MB at n = 256, 466 MB at
-# n = 384), so a run at this limit stays near 600 MB.  A protocol has at
-# most 3n - 2 steps, so every pair up to n = 418 stays within it.
+# exact CLI run peaks at 1.1-1.2 KB per cell (217-237 MB at n = 256,
+# 466-487 MB at n = 384), so a run at this limit stays under 700 MB.  A
+# protocol has at most 3n - 2 steps, so every pair up to n = 418 stays
+# within it.
 MAX_AUDIT_CELLS = 2 ** 19
 
 
@@ -100,7 +103,10 @@ class ExactMonomial:
     squared magnitudes — enough to track Schmidt-level branches exactly.
 
     ``rows[c]`` is the row of column c's nonzero entry, a permutation of
-    0..n-1, and ``squared[c]`` its squared magnitude.  The squares are
+    0..n-1, and ``squared[c]`` its squared magnitude: the operator takes
+    level c to level ``rows[c]``.  So ``matrix()`` equals
+    ``np.eye(n)[list(rows)]`` only when ``rows`` is its own inverse, as a
+    transposition is, and is its transpose otherwise.  The squares are
     also kept as integers over one denominator, as
     ``SchmidtVector._scaled`` keeps a vector's entries.
     """
@@ -243,8 +249,10 @@ class LocalUnitary(_DenseOnDemand):
     outcome history so far satisfies ``condition`` (say an OutcomeIs).
 
     ``matrix`` may instead be an ExactMonomial whose squares are all 1,
-    a permutation of levels, kept as ``exact``; the dense matrix is then
-    derived from it on first use."""
+    a permutation taking level c to level ``rows[c]``, kept as
+    ``exact``; the dense matrix, ``exact.matrix()``, is then derived on
+    first use.  The exact engines read only that permutation and refuse
+    a unitary given densely."""
 
     party: str
     matrix: np.ndarray
@@ -401,17 +409,20 @@ class Branch:
 def _advance(protocol, pos, state, history):
     """Snapshots after each step from ``pos`` up to the next measurement,
     and its position.  An announcement repeats the state; a unitary whose
-    condition holds on ``history`` acts on a BipartiteState, while a
-    SchmidtVector passes every unitary through as the same object."""
+    condition holds on ``history`` acts on it, on an integer state as the
+    permutation it is."""
     steps = protocol.steps
     snapshots = []
     while pos < len(steps) and not isinstance(steps[pos], LocalMeasurement):
         step = steps[pos]
-        if isinstance(step, LocalUnitary) and isinstance(
-                state, BipartiteState) and (
-                step.condition is None or step.condition(history)):
-            state = BipartiteState(_apply_operator(state.amplitudes,
-                                                   step.party, step.matrix))
+        if isinstance(step, LocalUnitary):
+            exact = not isinstance(state, BipartiteState)
+            if exact:
+                _checked_relabel(step, pos, len(state[1]))
+            if step.condition is None or step.condition(history):
+                state = (_relabeled(step, state) if exact else BipartiteState(
+                    _apply_operator(state.amplitudes, step.party,
+                                    step.matrix)))
         snapshots.append(state)
         pos += 1
     return snapshots, pos
@@ -435,54 +446,104 @@ def _checked_monomials(step, n):
         raise ProtocolError("measurement operators do not resolve the identity")
 
 
-def _measure(step, state, tol, interned, checked):
+def _checked_relabel(step, pos, n):
+    """Refuse a unitary, at step ``pos``, that is not a permutation of
+    the n levels of its party, since only those act on integer states."""
+    mono = getattr(step, "exact", None)
+    if mono is None:
+        raise ProtocolError(
+            f"step {pos} ({step.label or 'unitary'}) is a dense unitary; "
+            "use the amplitude-level exhaustive_run instead")
+    if mono.n != n:
+        raise ProtocolError(
+            f"step {pos}: unitary shape mismatch: party {step.party} has "
+            f"dimension {n}")
+
+
+# An integer state is (scaled, partners): ``scaled`` its squared
+# coefficients as integers over one denominator, indexed by A's levels,
+# and ``partners[a]`` the level of B that A's level a pairs with.
+
+def _placed(rows, values):
+    """``values`` moved by a permutation: entry c to position rows[c]."""
+    out = [0] * len(rows)
+    for row, value in zip(rows, values):
+        out[row] = value
+    return tuple(out)
+
+
+def _transposed(state):
+    """An integer state as B sees it: indexed by B's levels, with A's as
+    partners."""
+    (nums, den), partners = state
+    return ((_placed(partners, nums), den),
+            _placed(partners, range(len(partners))))
+
+
+def _exact_outcomes(step, state):
+    """(probability, post) per monomial of measurement ``step`` on an
+    integer state, post None for an outcome of probability 0.  A
+    measurement on B is one on A of the state as B sees it."""
+    seen = state if step.party == "A" else _transposed(state)
+    results = []
+    for mono in step.exact:
+        p, post = mono.outcome(seen[0])
+        if post is not None:
+            post = (post, _placed(mono.rows, seen[1]))
+            if step.party == "B":
+                post = _transposed(post)
+        results.append((p, post))
+    return results
+
+
+def _relabeled(step, state):
+    """An integer state after the permutation unitary ``step``: on A the
+    levels move, on B only their partners do."""
+    (nums, den), partners = state
+    rows = step.exact.rows
+    if step.party == "B":
+        return (nums, den), tuple(map(rows.__getitem__, partners))
+    return (_placed(rows, nums), den), _placed(rows, partners)
+
+
+def _measure(step, state, tol, checked):
     """One MeasurementOutcome per outcome of ``step``: a BipartiteState
-    as apply_measurement gives them, a SchmidtVector from the step's exact
-    monomial data.  A SchmidtVector is sorted, but the measurement after
-    it meets its levels in the row order its own measurement left them
-    in: ``interned`` maps each post state in that order to one vector,
-    and the vector's id back to it.  A step's operators are checked the
-    first time a state meets it and then added to ``checked``: every
-    state of one run has the same shape, so that check holds for the
-    whole run."""
+    as apply_measurement gives them, an integer state from the step's
+    exact monomial data.  A step's operators are checked the first time
+    a state meets it and then added to ``checked``: every state of one
+    run has the same shape, so that check holds for the whole run."""
     if isinstance(state, BipartiteState):
         if step not in checked:
             _checked_operators(state, step.party, step.operators, tol)
             checked.add(step)
         return _outcomes(state, step.party, step.operators)
     if step not in checked:
-        _checked_monomials(step, state.n)
+        _checked_monomials(step, len(state[1]))
         checked.add(step)
-    scaled = interned.get(id(state), state._scaled)
-    results = []
-    for idx, mono in enumerate(step.exact):
-        p, post = mono.outcome(scaled)
-        if post is not None and post not in interned:
-            nums, den = post
-            vector = SchmidtVector(tuple(
-                Fraction(x, den) for x in sorted(nums, reverse=True)))
-            interned[post], interned[id(vector)] = vector, post
-        results.append(MeasurementOutcome(idx, p, interned.get(post)))
-    return results
+    return [MeasurementOutcome(idx, p, post) for idx, (p, post)
+            in enumerate(_exact_outcomes(step, state))]
 
 
 def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
     """Every unpruned branch in history order, one level at a time, with
     probabilities multiplied left to right from ``one``.  A BipartiteState
-    belongs to one branch, but equal SchmidtVectors are one object shared
-    by many, so each of those is measured, or advanced, once per level."""
+    belongs to one branch; a SchmidtVector runs as an integer state, and
+    equal integer states are measured once per level, however many
+    branches reach them.  Their snapshots are SchmidtVectors, one object
+    per distinct state."""
     steps = protocol.steps
-    frontier, pos, checked, interned = [((), one, [initial])], 0, set(), {}
+    exact = isinstance(initial, SchmidtVector)
+    start = (initial._scaled, tuple(range(initial.n))) if exact else initial
+    frontier, pos, checked = [((), one, [start])], 0, set()
     while frontier and pos < len(steps):
-        grown, shared = [], {}   # shared: id(state) -> result
+        grown, shared = [], {}   # shared: integer state -> its outcomes
         if isinstance(steps[pos], LocalMeasurement):
             for history, prob, states in frontier:
-                outcomes = shared.get(id(states[-1]))
+                outcomes = shared.get(states[-1]) if exact else None
                 if outcomes is None:
-                    outcomes = _measure(steps[pos], states[-1], tol,
-                                        interned, checked)
-                    if isinstance(states[-1], SchmidtVector):
-                        shared[id(states[-1])] = outcomes
+                    outcomes = _measure(steps[pos], states[-1], tol, checked)
+                    if exact:
+                        shared[states[-1]] = outcomes
                 for out in outcomes:
                     if out.post_state is not None:
                         grown.append((history + (out.index,),
@@ -491,18 +552,22 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
             pos += 1
         else:
             for history, prob, states in frontier:
-                advanced = shared.get(id(states[-1]))
-                if advanced is None:
-                    advanced = _advance(protocol, pos, states[-1], history)
-                    if isinstance(states[-1], SchmidtVector):
-                        shared[id(states[-1])] = advanced
-                snapshots, end = advanced
+                snapshots, end = _advance(protocol, pos, states[-1], history)
                 grown.append((history, prob, states + snapshots))
             pos = end
         if len(grown) > branch_cap:
             raise BranchLimitError(
                 f"branch count {len(grown)} exceeds cap {branch_cap}")
         frontier = grown
+    if exact:
+        vectors = {initial._scaled: initial}
+        for _, _, states in frontier:
+            for i, (scaled, _) in enumerate(states):
+                if scaled not in vectors:
+                    nums, den = scaled
+                    vectors[scaled] = SchmidtVector(tuple(
+                        Fraction(x, den) for x in sorted(nums, reverse=True)))
+                states[i] = vectors[scaled]
     return [Branch(h, p, tuple(s)) for h, p, s in frontier]
 
 
@@ -522,13 +587,12 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
     """Enumerate branches with exact rational probabilities.
 
     Works at the Schmidt-coefficient level: each measurement must carry
-    exact monomial data (true of protocols built by this module), and
-    local unitaries never change Schmidt coefficients, so they and the
-    announcements pass through.  A measurement meets each state in the
-    row order the measurement before it left it in, as on amplitudes; a
-    built protocol's measurements leave every state sorted in that
-    order, and its relabels align the other party's levels with it.
-    The initial vector must be exact.
+    exact monomial data and each unitary be a permutation (true of
+    protocols built by this module); a unitary given densely is refused
+    with ProtocolError naming its step.  The state is kept as integers in
+    A's level order, with the level of B each pairs with, so every
+    measurement and relabel meets the levels as on amplitudes.  The
+    initial vector must be exact.
 
     Equal post-measurement states are one shared vector object, so
     the branches of a deterministic stage, which all land on the same
@@ -576,18 +640,19 @@ def merged_run_exact(protocol: LoccProtocol,
                      initial: SchmidtVector) -> MergedRun:
     """Exact run of a protocol whose success reads the last outcome only.
 
-    Local unitaries leave Schmidt coefficients unchanged, so two
-    histories whose last outcome led to the same state go on alike.  Each
+    Two histories whose last outcome led to the same state go on alike
+    when the unitaries after it read that outcome alone.  Each
     measurement level is therefore one dict keyed by (post state, last
     outcome), mapping to (exact weight, history count), and the run costs
     one outcome per distinct state and outcome, where enumerating costs
     one per history.  Branch count, success probability and audit equal
     those of exhaustive_run_exact followed by audit_trajectories, and an
     increasing average raises the same MonotoneViolationError.  States
-    are kept in their integer form, in the row order of the measurement
-    that left them, which the next measurement meets.  An audit of more
-    than MAX_AUDIT_CELLS cells (levels x step boundaries) is refused
-    with ValueError before any level runs.
+    are integer states as exhaustive_run_exact keeps them; a unitary
+    given densely, or conditioned on more than the last outcome, is
+    refused with ProtocolError naming its step.  An audit of more than
+    MAX_AUDIT_CELLS cells (levels x step boundaries) is refused with
+    ValueError before any level runs.
     """
     _check_audit_size(protocol, initial)
     last, per_state = _merged_levels(protocol, initial, (Fraction(1), 1),
@@ -616,14 +681,14 @@ def _merged_levels(protocol, initial, root, split, add):
     """The level loop of every run on integer states, exhaustive or
     sampled.
 
-    Each measurement level is one dict keyed by (post state in integer
-    form and row order, last outcome).  ``root`` is the initial state's
-    entry.
+    Each measurement level is one dict keyed by (integer state, last
+    outcome), which the unitaries after the measurement relabel.  ``root``
+    is the initial state's entry.
     ``split(entry, outcomes, depth)`` yields (outcome index, entry) for
     the outcomes that the entry of one state takes at the measurement
     after ``depth`` outcomes, given that state's (probability, post) per
     outcome; ``add`` sums two entries.  Returns the last level and, per
-    level, its entries summed per state.
+    level, its entries summed per squared coefficients in integer form.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
@@ -631,21 +696,47 @@ def _merged_levels(protocol, initial, root, split, add):
         raise ProtocolError(
             "success predicate reads more than the last outcome; "
             "use exhaustive_run_exact instead")
-    level = {(initial._scaled, None): root}
-    per_state = [_per_state(level, add)]
-    measurements = [s for s in protocol.steps
-                    if isinstance(s, LocalMeasurement)]
-    for depth, step in enumerate(measurements):
-        _checked_monomials(step, initial.n)
-        grown = {}
-        for state, entry in per_state[-1].items():
-            outcomes = [mono.outcome(state) for mono in step.exact]
-            for idx, part in split(entry, outcomes, depth):
-                key = (outcomes[idx][1], idx)
-                grown[key] = add(grown[key], part) if key in grown else part
-        level = grown
-        per_state.append(_per_state(level, add))
+    n = initial.n
+    level = {((initial._scaled, tuple(range(n))), None): root}
+    per_state, depth = [], 0
+    for pos, step in enumerate(protocol.steps):
+        if isinstance(step, LocalUnitary):
+            _checked_relabel(step, pos, n)
+            acts = _last_outcome_test(step, pos, depth)
+            # a relabel is one-to-one and keeps the outcome: no keys merge
+            level = {(_relabeled(step, state) if acts(idx) else state, idx):
+                     entry for (state, idx), entry in level.items()}
+        elif isinstance(step, LocalMeasurement):
+            _checked_monomials(step, n)
+            states = _per_state(level, add)
+            per_state.append(_per_state(states, add))
+            grown = {}
+            for state, entry in states.items():
+                outcomes = _exact_outcomes(step, state)
+                for idx, part in split(entry, outcomes, depth):
+                    key = (outcomes[idx][1], idx)
+                    grown[key] = add(grown[key], part) if key in grown else part
+            level = grown
+            depth += 1
+    per_state.append(_per_state(_per_state(level, add), add))
     return level, per_state
+
+
+def _last_outcome_test(step, pos, depth):
+    """Whether unitary ``step``, at ``pos``, acts on a merged level, as a
+    test of the last outcome: every history there holds ``depth``
+    outcomes, so an OutcomeIs reads the last of them or none."""
+    test = step.condition
+    if test is None:
+        return lambda last: True
+    if isinstance(test, OutcomeIs):
+        if not -depth <= test.index < depth:
+            return lambda last: False
+        if test.index in (-1, depth - 1):
+            return lambda last: last == test.value
+    raise ProtocolError(
+        f"step {pos} ({step.label or 'unitary'}) is conditioned on more "
+        "than the last outcome; use exhaustive_run_exact instead")
 
 
 def _every_outcome(entry, outcomes, depth):
@@ -661,8 +752,10 @@ def _add_pairs(a, b):
 
 
 def _per_state(level, add):
-    """{state: entry} of a level, summed over last outcomes: the
-    histories that reached a state go on alike from there."""
+    """{first: entry} of a dict keyed by pairs, summed over the second:
+    of a level keyed by (state, last outcome), the histories that reached
+    a state, which go on alike from there; of one keyed by integer state,
+    the states with equal squared coefficients."""
     merged = {}
     for (state, _), entry in level.items():
         merged[state] = add(merged[state], entry) if state in merged else entry
@@ -702,7 +795,7 @@ def _merged_audit(weights, starts, depth, check=True):
         for state, w in level.items():
             if state not in tails:
                 run, tail = 0, []
-                for x in sorted(state[0]):   # a post is in row order
+                for x in sorted(state[0]):   # in A's level order
                     run += x
                     tail.append(run)
                 tail.reverse()
@@ -992,7 +1085,7 @@ class _LazyBranchTree:
         states = (state, *snapshots)
         outcomes = None
         if pos < len(steps):
-            outcomes = _measure(steps[pos], states[-1], self._tol, {},
+            outcomes = _measure(steps[pos], states[-1], self._tol,
                                 self._checked)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (

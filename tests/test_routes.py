@@ -18,12 +18,14 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconvert import (ExactMonomial, InfeasibleConversionError,
-                        LocalMeasurement, LoccProtocol, OutcomeIs,
+                        LocalMeasurement, LocalUnitary, LoccProtocol,
+                        OutcomeIs, ProtocolError,
                         SchmidtVector, audit_trajectories, breakpoints,
                         build_full_protocol, build_plan,
                         exhaustive_run, exhaustive_run_exact,
@@ -326,3 +328,119 @@ def test_exact_routes_follow_row_order():
     assert success_probability(exhaustive_run_exact(proto, source),
                                proto.success_predicate) == Fraction(7, 15)
     _assert_sampled_routes_agree(proto, source, 3000, 8)
+
+
+def _exact_engines_agree_with_amplitudes(proto, source, trials, seed):
+    """All three exact engines against the amplitude engine and sampler:
+    equal branch counts, the exact success probability, the amplitude
+    one within 1e-9, equal audits and equal sampled runs."""
+    branches = exhaustive_run_exact(proto, source)
+    amplitude = exhaustive_run(proto, state_from_schmidt(source))
+    merged = merged_run_exact(proto, source)
+    exact = success_probability(branches, proto.success_predicate)
+    assert merged.success_probability == exact
+    assert merged.branches == len(branches) == len(amplitude)
+    assert abs(float(exact) - success_probability(
+        amplitude, proto.success_predicate)) <= 1e-9
+    ks = range(1, source.n + 1)
+    table = audit_trajectories([(b.probability, b.states) for b in branches],
+                               ks)
+    assert [[Fraction(nums[i], den) for nums, den in merged.audit]
+            for i in range(source.n)] == table
+    floats = audit_trajectories(
+        [(b.probability, b.states) for b in amplitude], ks)
+    assert np.allclose(np.array(table, dtype=float), floats, atol=1e-9)
+    _assert_sampled_routes_agree(proto, source, trials, seed)
+    return exact
+
+
+def test_exact_routes_follow_each_partys_order():
+    # A swaps its levels, so A's level 0 (2/5) pairs with B's level 1 and
+    # the B mixer meets B's level 0 at 3/5: 3/5 * 1/3 + 2/5 * 2/3
+    third = Fraction(1, 3)
+    swap = LocalMeasurement("A", exact=(ExactMonomial((1, 0), (1, 1)),))
+    mixer = LocalMeasurement("B", exact=(
+        ExactMonomial((0, 1), (third, 1 - third)),
+        ExactMonomial((0, 1), (1 - third, third))))
+    proto = LoccProtocol((swap, mixer), success_predicate=OutcomeIs(-1, 0))
+    source = SchmidtVector((Fraction(3, 5), Fraction(2, 5)))
+    assert _exact_engines_agree_with_amplitudes(
+        proto, source, 3000, 8) == Fraction(7, 15)
+
+
+def test_exact_routes_apply_permutation_unitaries():
+    # a swap on B before the B mixer: B's level 0 now holds 2/5
+    third = Fraction(1, 3)
+    mixer = LocalMeasurement("B", exact=(
+        ExactMonomial((0, 1), (third, 1 - third)),
+        ExactMonomial((0, 1), (1 - third, third))))
+    source = SchmidtVector((Fraction(3, 5), Fraction(2, 5)))
+    swap = LocalUnitary("B", ExactMonomial((1, 0), (1, 1)), label="swap B")
+    proto = LoccProtocol((swap, mixer), success_predicate=OutcomeIs(-1, 0))
+    assert _exact_engines_agree_with_amplitudes(
+        proto, source, 3000, 8) == Fraction(8, 15)
+    # the same swap given densely is refused, naming its step, by every
+    # exact engine, whether or not its condition holds
+    for condition in (None, OutcomeIs(0, 1)):
+        dense = LocalUnitary("B", np.eye(2)[[1, 0]], condition=condition,
+                             label="swap B")
+        proto = LoccProtocol((dense, mixer),
+                             success_predicate=OutcomeIs(-1, 0))
+        for run in (exhaustive_run_exact, merged_run_exact,
+                    lambda proto, source: merged_sample_exact(
+                        proto, source, 10, 0)):
+            with pytest.raises(ProtocolError, match=(
+                    r"step 0 \(swap B\) is a dense unitary")):
+                run(proto, source)
+
+
+def test_merged_routes_refuse_a_relabel_reading_an_earlier_outcome():
+    half = Fraction(1, 2)
+    coin = LocalMeasurement("A", exact=(
+        ExactMonomial((0, 1), (half, half)),) * 2)
+    relabel = LocalUnitary("B", ExactMonomial((1, 0), (1, 1)),
+                           condition=OutcomeIs(0, 1), label="late")
+    proto = LoccProtocol((coin, coin, relabel, coin),
+                         success_predicate=OutcomeIs(-1, 0))
+    assert len(exhaustive_run_exact(proto, SchmidtVector((half, half)))) == 8
+    for run in (merged_run_exact, lambda proto, source: merged_sample_exact(
+            proto, source, 10, 0)):
+        with pytest.raises(ProtocolError, match=(
+                r"step 2 \(late\) is conditioned on more than the last")):
+            run(proto, SchmidtVector((half, half)))
+
+
+@st.composite
+def monomial_protocols(draw):
+    """(protocol, source): up to three two-outcome monomial measurements,
+    each on either party with its own permutations, and permutation
+    unitaries on either party, always or on the last outcome."""
+    n = draw(st.integers(2, 4))
+    loads = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    if not any(loads):
+        loads[0] = 1
+    perms = st.permutations(range(n))
+    parties = st.sampled_from("AB")
+    splits = st.sampled_from([Fraction(x, 6) for x in range(7)])
+    steps = []
+    for depth in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            last = draw(st.sampled_from([None, OutcomeIs(-1, 1),
+                                         OutcomeIs(max(depth - 1, 0), 0)]))
+            steps.append(LocalUnitary(draw(parties), ExactMonomial(
+                draw(perms), (1,) * n), condition=last))
+        squares = [draw(splits) for _ in range(n)]
+        steps.append(LocalMeasurement(draw(parties), exact=(
+            ExactMonomial(draw(perms), squares),
+            ExactMonomial(draw(perms), [1 - s for s in squares]))))
+    if draw(st.booleans()):
+        steps.append(LocalUnitary(draw(parties), ExactMonomial(
+            draw(perms), (1,) * n), condition=OutcomeIs(-1, 0)))
+    return (LoccProtocol(tuple(steps), success_predicate=OutcomeIs(-1, 0)),
+            _vector(loads))
+
+
+@given(monomial_protocols(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_routes_equal_amplitudes_on_monomial_protocols(case, seed):
+    _exact_engines_agree_with_amplitudes(*case, 300, seed)
