@@ -18,7 +18,8 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          multi_copy_bound, optimal_probability,
                          optimal_probability_detail,
                          tensor_conversion_probability)
-from .locc import build_full_protocol, merged_run_exact, merged_sample_exact
+from .locc import (_check_plan_audit_size, build_full_protocol,
+                   merged_run_exact, merged_sample_exact)
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
@@ -196,16 +197,18 @@ def cmd_simulate(args) -> int:
         raise InfeasibleConversionError(
             "conversion probability is 0 (target has more nonzero Schmidt "
             "coefficients than source); nothing to simulate")
+    if not args.exhaustive:
+        if args.trials < 1:
+            raise ValueError("trials must be positive")
+        if args.workers < 1:
+            raise ValueError("workers must be positive")
+    _check_plan_audit_size(plan)
     protocol = build_full_protocol(plan)
     # every run is exact: a float plan's on the dyadic lift it was planned on
     initial = _lifted(plan.source)
     if args.exhaustive:
         doc = _exhaustive_doc(plan, protocol, initial)
     else:
-        if args.trials < 1:
-            raise ValueError("trials must be positive")
-        if args.workers < 1:
-            raise ValueError("workers must be positive")
         report = merged_sample_exact(protocol, initial, args.trials,
                                      args.seed, predicted=plan.probability)
         doc = {"mode": "monte_carlo", **eio.report_to_dict(report)}

@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .conversion import ConversionPlan, build_plan
-from .numeric import DEFAULT_TOL, RATIONAL, parse_scalar, scalar_to_json
+from .numeric import (DEFAULT_TOL, RATIONAL, parse_scalar, round12,
+                      scalar_to_json)
 from .schmidt import BipartiteState, SchmidtVector, schmidt_decompose
 
 __all__ = [
@@ -183,7 +184,6 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
 
 
 def report_to_dict(report) -> dict:
-    from .numeric import round12
     return {
         "trials": report.trials,
         "successes": report.successes,

@@ -6,23 +6,26 @@ announcements.  The protocols built here are plain data: a measurement
 is its rational monomials, a relabel its permutation (an ExactMonomial
 whose squares are all 1), each with its dense form derived only when
 first asked for, and an outcome condition is an ``OutcomeIs``.
-Exhaustive enumeration and a seeded Monte-Carlo sampler (per-trial
-randomness a function of (seed, trial index) alone) share one step
-interpreter, and the state's type picks the level: a BipartiteState
-runs in floating point on amplitudes with arbitrary operators, a
-SchmidtVector exactly on the monomials' integer numerators.  An integer
-state keeps its squared coefficients in A's level order, with the level
-of B each pairs with, so measurements and relabels on either party meet
-the levels as on amplitudes.  The monotone audit
-profiles each distinct state object once, however many branches or
-trials pass.  When success reads the last outcome alone, the merged
-exact engine keeps one entry per (state, last outcome) and level
-instead of one per history, on integer states: exhaustively a weight
-and a history count (merged_run_exact), sampled the trials that reached
-it (merged_sample_exact); both refuse an audit of more than
-MAX_AUDIT_CELLS cells.  The CLI runs on that engine alone; the
-enumerating engines and the amplitude-level sampler stay as its
-reference.
+Exhaustive enumeration and seeded sampling (per-trial randomness a
+function of (seed, trial index) alone) share one step interpreter, and
+the state's type picks the level: a BipartiteState runs in floating
+point on amplitudes with arbitrary operators, a SchmidtVector exactly on
+the monomials' integer numerators.  Either way a measurement gives one
+(probability, post) pair per outcome, post None if pruned; only
+apply_measurement wraps them as MeasurementOutcome.  An integer state
+keeps its squared coefficients in A's level order with the level of B
+each pairs with, and one move of a party's levels (_relabeled) serves
+measurements and relabels on either party.  Every sampler splits trials
+among outcomes by one rule (_sampled_outcomes): the first outcome whose
+running sum of float probabilities exceeds the trial's uniform.  The
+monotone audit profiles each distinct state object once.  When success
+reads the last outcome alone, the merged exact engine keeps one entry
+per (state, last outcome) and level instead of one per history:
+exhaustively a weight and a history count (merged_run_exact), sampled
+the trials that reached it (merged_sample_exact).  Both refuse an audit
+of more than MAX_AUDIT_CELLS cells, as the CLI does before it builds the
+protocol.  The CLI runs on that engine alone; the enumerating engines
+and the amplitude-level sampler stay as its reference.
 """
 
 from __future__ import annotations
@@ -143,27 +146,6 @@ class ExactMonomial:
         for col, (row, sq) in enumerate(zip(self.rows, self.squared)):
             mat[row, col] = math.sqrt(float(sq))
         return mat
-
-    def outcome(self, scaled):
-        """(probability, post) on a diagonal state whose squared
-        coefficients, level by level, are the integers ``scaled[0]`` over
-        ``scaled[1]``.
-
-        The probability is a Fraction.  ``post`` is the post-measurement
-        state in the same reduced integer form, in row order (entry
-        ``rows[c]`` comes from level c), over the sum of its numerators,
-        or None for a probability-0 outcome.
-        """
-        nums, den = self._scaled
-        weights = [s * x for s, x in zip(nums, scaled[0])]
-        total = sum(weights)
-        if total == 0:
-            return Fraction(0), None
-        g = math.gcd(*weights)
-        post = [0] * len(weights)
-        for row, w in zip(self.rows, weights):
-            post[row] = w // g
-        return Fraction(total, den * scaled[1]), (tuple(post), total // g)
 
 
 @dataclass(frozen=True)
@@ -353,7 +335,8 @@ def apply_measurement(state: BipartiteState, party: str, operators,
         pruning threshold carry ``post_state=None``.
     """
     ops = _checked_operators(state, party, operators, tol)
-    return _outcomes(state, party, ops)
+    return [MeasurementOutcome(idx, p, post)
+            for idx, (p, post) in enumerate(_outcomes(state, party, ops))]
 
 
 def _checked_operators(state, party, operators, tol):
@@ -375,16 +358,14 @@ def _checked_operators(state, party, operators, tol):
 
 
 def _outcomes(state, party, ops):
-    """One MeasurementOutcome per operator, the checks already passed."""
+    """(probability, post) per operator, the checks already passed; post
+    is None for an outcome below the pruning threshold."""
     outcomes = []
-    for idx, op in enumerate(ops):
+    for op in ops:
         branch = _apply_operator(state.amplitudes, party, op)
         p = float(np.linalg.norm(branch)) ** 2
-        if p < PRUNE_EPS:
-            outcomes.append(MeasurementOutcome(idx, p, None))
-        else:
-            outcomes.append(MeasurementOutcome(
-                idx, p, BipartiteState(branch / math.sqrt(p))))
+        outcomes.append((p, None if p < PRUNE_EPS
+                         else BipartiteState(branch / math.sqrt(p))))
     return outcomes
 
 
@@ -420,9 +401,9 @@ def _advance(protocol, pos, state, history):
             if exact:
                 _checked_relabel(step, pos, len(state[1]))
             if step.condition is None or step.condition(history):
-                state = (_relabeled(step, state) if exact else BipartiteState(
-                    _apply_operator(state.amplitudes, step.party,
-                                    step.matrix)))
+                state = (_relabeled(step.party, step.exact.rows, state)
+                         if exact else BipartiteState(_apply_operator(
+                             state.amplitudes, step.party, step.matrix)))
         snapshots.append(state)
         pos += 1
     return snapshots, pos
@@ -464,53 +445,48 @@ def _checked_relabel(step, pos, n):
 # coefficients as integers over one denominator, indexed by A's levels,
 # and ``partners[a]`` the level of B that A's level a pairs with.
 
-def _placed(rows, values):
-    """``values`` moved by a permutation: entry c to position rows[c]."""
-    out = [0] * len(rows)
-    for row, value in zip(rows, values):
-        out[row] = value
-    return tuple(out)
-
-
-def _transposed(state):
-    """An integer state as B sees it: indexed by B's levels, with A's as
-    partners."""
+def _relabeled(party, rows, state):
+    """An integer state after the levels of ``party`` move by a
+    permutation, level c to level rows[c]: on A the weights and their
+    partners move, on B only the partners do."""
     (nums, den), partners = state
-    return ((_placed(partners, nums), den),
-            _placed(partners, range(len(partners))))
+    if party == "B":
+        return (nums, den), tuple(map(rows.__getitem__, partners))
+    moved, paired = [0] * len(rows), [0] * len(rows)
+    for row, x, b in zip(rows, nums, partners):
+        moved[row] = x
+        paired[row] = b
+    return (tuple(moved), den), tuple(paired)
 
 
 def _exact_outcomes(step, state):
     """(probability, post) per monomial of measurement ``step`` on an
-    integer state, post None for an outcome of probability 0.  A
-    measurement on B is one on A of the state as B sees it."""
-    seen = state if step.party == "A" else _transposed(state)
+    integer state: A's level a meets the measured party's level a on A,
+    its partner on B.  The probability is a Fraction; post, reduced over
+    the sum of its numerators, has the party's levels moved by the
+    monomial's rows, or is None for an outcome of probability 0."""
+    (nums, den), partners = state
+    meets = range(len(nums)) if step.party == "A" else partners
     results = []
     for mono in step.exact:
-        p, post = mono.outcome(seen[0])
-        if post is not None:
-            post = (post, _placed(mono.rows, seen[1]))
-            if step.party == "B":
-                post = _transposed(post)
-        results.append((p, post))
+        squares, scale = mono._scaled
+        weights = [squares[c] * x for c, x in zip(meets, nums)]
+        total = sum(weights)
+        if total == 0:
+            results.append((Fraction(0), None))
+            continue
+        g = math.gcd(*weights)
+        post = ((tuple(w // g for w in weights), total // g), partners)
+        results.append((Fraction(total, scale * den),
+                        _relabeled(step.party, mono.rows, post)))
     return results
 
 
-def _relabeled(step, state):
-    """An integer state after the permutation unitary ``step``: on A the
-    levels move, on B only their partners do."""
-    (nums, den), partners = state
-    rows = step.exact.rows
-    if step.party == "B":
-        return (nums, den), tuple(map(rows.__getitem__, partners))
-    return (_placed(rows, nums), den), _placed(rows, partners)
-
-
 def _measure(step, state, tol, checked):
-    """One MeasurementOutcome per outcome of ``step``: a BipartiteState
-    as apply_measurement gives them, an integer state from the step's
-    exact monomial data.  A step's operators are checked the first time
-    a state meets it and then added to ``checked``: every state of one
+    """(probability, post) per outcome of ``step``: a BipartiteState's
+    from its operators, an integer state's from the step's exact
+    monomial data.  A step's operators are checked the first time a
+    state meets it and then added to ``checked``: every state of one
     run has the same shape, so that check holds for the whole run."""
     if isinstance(state, BipartiteState):
         if step not in checked:
@@ -520,8 +496,7 @@ def _measure(step, state, tol, checked):
     if step not in checked:
         _checked_monomials(step, len(state[1]))
         checked.add(step)
-    return [MeasurementOutcome(idx, p, post) for idx, (p, post)
-            in enumerate(_exact_outcomes(step, state))]
+    return _exact_outcomes(step, state)
 
 
 def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
@@ -544,11 +519,10 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
                     outcomes = _measure(steps[pos], states[-1], tol, checked)
                     if exact:
                         shared[states[-1]] = outcomes
-                for out in outcomes:
-                    if out.post_state is not None:
-                        grown.append((history + (out.index,),
-                                      prob * out.probability,
-                                      states + [out.post_state]))
+                for idx, (p, post) in enumerate(outcomes):
+                    if post is not None:
+                        grown.append((history + (idx,), prob * p,
+                                      states + [post]))
             pos += 1
         else:
             for history, prob, states in frontier:
@@ -654,7 +628,7 @@ def merged_run_exact(protocol: LoccProtocol,
     MAX_AUDIT_CELLS cells (levels x step boundaries) is refused with
     ValueError before any level runs.
     """
-    _check_audit_size(protocol, initial)
+    _check_audit_size(initial.n, len(protocol.steps))
     last, per_state = _merged_levels(protocol, initial, (Fraction(1), 1),
                                      _every_outcome, _add_pairs)
     success = sum((w for w, _ in _succeeded(protocol, last)), Fraction(0))
@@ -666,15 +640,14 @@ def merged_run_exact(protocol: LoccProtocol,
                      success, audit)
 
 
-def _check_audit_size(protocol, initial):
+def _check_audit_size(n, steps):
     """Refuse a merged run whose audit would pass MAX_AUDIT_CELLS cells,
-    one per level of ``initial`` and step boundary, before it starts."""
-    cells = initial.n * (len(protocol.steps) + 1)
+    one per each of n levels and step boundary, before it starts."""
+    cells = n * (steps + 1)
     if cells > MAX_AUDIT_CELLS:
         raise ValueError(
-            f"audit too large: {initial.n} levels x "
-            f"{len(protocol.steps) + 1} step boundaries = {cells} cells "
-            f"(limit {MAX_AUDIT_CELLS})")
+            f"audit too large: {n} levels x {steps + 1} step boundaries "
+            f"= {cells} cells (limit {MAX_AUDIT_CELLS})")
 
 
 def _merged_levels(protocol, initial, root, split, add):
@@ -704,8 +677,9 @@ def _merged_levels(protocol, initial, root, split, add):
             _checked_relabel(step, pos, n)
             acts = _last_outcome_test(step, pos, depth)
             # a relabel is one-to-one and keeps the outcome: no keys merge
-            level = {(_relabeled(step, state) if acts(idx) else state, idx):
-                     entry for (state, idx), entry in level.items()}
+            level = {(_relabeled(step.party, step.exact.rows, state)
+                      if acts(idx) else state, idx): entry
+                     for (state, idx), entry in level.items()}
         elif isinstance(step, LocalMeasurement):
             _checked_monomials(step, n)
             states = _per_state(level, add)
@@ -907,20 +881,25 @@ def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL, check=True):
 # protocol builders
 
 
-def _t_transform_chain(target, start):
-    """T-transform chain from ``start`` down to ``target``.
+def _t_transform_chain(alpha, gamma):
+    """T-transform chain from ``gamma`` down to ``alpha``, on their
+    integer numerators over one common denominator, padded to n levels;
+    MajorizationError unless gamma majorizes alpha exactly there.
 
-    Both are sorted lists of integer numerators over one common
-    denominator, with equal sums and target majorized by start.  Each
-    step moves weight between exactly two positions (j, k), j < k,
+    Each step moves weight between exactly two positions (j, k), j < k,
     keeping the vector sorted; at most n - 1 steps are needed.  Returns
     records (before, after, j, k) in construction order, walking from
-    ``start`` toward ``target``.
+    ``gamma`` toward ``alpha``.
     """
+    if not majorizes(alpha, gamma):
+        raise MajorizationError("gamma does not majorize alpha")
+    n = max(alpha.n, gamma.n)
+    (xa, da), (xg, dg) = alpha._scaled, gamma._scaled
+    den = math.lcm(da, dg)
+    a = [x * (den // da) for x in xa] + [0] * (n - len(xa))
+    v = [x * (den // dg) for x in xg] + [0] * (n - len(xg))
     records = []
-    v = list(start)
-    a = list(target)
-    guard = len(v) + 1
+    guard = n + 1
     while v != a:
         if guard == 0:
             raise RuntimeError("T-transform chain failed to terminate")
@@ -940,7 +919,7 @@ def _t_transform_chain(target, start):
     return records
 
 
-def _mixing_step(x, y, j, k, n, meas_index):
+def _mixing_step(x, y, j, k, meas_index):
     """Two-outcome measurement turning sorted ``x`` into sorted ``y``
     (integer numerators over one denominator, which differ only at
     positions j < k, with y_j > x_j >= x_k > y_k and equal pair sums),
@@ -952,6 +931,7 @@ def _mixing_step(x, y, j, k, n, meas_index):
     Each operator has three distinct squares: its outcome's probability
     and the two it puts at positions j and k.
     """
+    n = len(x)
     spread = y[j] - y[k]
     t, u = x[j] - y[k], y[j] - x[j]   # over spread: t and 1 - t
     sq1 = [Fraction(t, spread)] * n
@@ -988,19 +968,20 @@ def deterministic_protocol(alpha: SchmidtVector,
     majorization must hold exactly there; violations raise
     MajorizationError.
     """
-    if not majorizes(alpha, gamma):
-        raise MajorizationError("gamma does not majorize alpha")
-    n = max(alpha.n, gamma.n)
-    (xa, da), (xg, dg) = alpha._scaled, gamma._scaled
-    den = math.lcm(da, dg)
-    a = [x * (den // da) for x in xa] + [0] * (n - len(xa))
-    g = [x * (den // dg) for x in xg] + [0] * (n - len(xg))
     steps = []
-    # chain records run start -> target; execution undoes them in reverse
-    records = _t_transform_chain(a, g)
+    # chain records run gamma -> alpha; execution undoes them in reverse
+    records = _t_transform_chain(alpha, gamma)
     for meas_index, (before, after, j, k) in enumerate(reversed(records)):
-        steps.extend(_mixing_step(after, before, j, k, n, meas_index))
+        steps.extend(_mixing_step(after, before, j, k, meas_index))
     return LoccProtocol(tuple(steps), success_predicate=None)
+
+
+def _check_plan_audit_size(plan):
+    """Refuse a feasible plan whose protocol's merged run would refuse
+    its audit, before any monomial is made: build_full_protocol gives
+    that protocol three steps per T-transform and the final filter."""
+    chain = _t_transform_chain(plan.source, plan.intermediate)
+    _check_audit_size(plan.source.n, 3 * len(chain) + 1)
 
 
 def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
@@ -1043,12 +1024,12 @@ class _LazyBranchTree:
     """Branch tree expanded on demand and shared across trials.
 
     A node is keyed by its outcome history; it stores the state snapshots
-    accumulated since the parent measurement and the outcome-probability
-    vector of the pending measurement (None once the protocol ends), with
-    its running sums and the outcome each pick falls back to.  Asking for
-    a node expands its unexpanded ancestors first.  ``nbytes`` counts the
-    distinct amplitude matrices kept; a node that would take it past
-    MAX_TREE_BYTES raises ValueError instead.
+    accumulated since the parent measurement, the (probability, post)
+    pairs of the pending measurement (None once the protocol ends) and
+    that measurement's position plus one.  Asking for a node expands its
+    unexpanded ancestors first.  ``nbytes`` counts the distinct amplitude
+    matrices kept; a node that would take it past MAX_TREE_BYTES raises
+    ValueError instead.
     """
 
     def __init__(self, protocol, initial, tol):
@@ -1057,27 +1038,13 @@ class _LazyBranchTree:
         self._nodes = {}
         self._checked = set()   # measurement steps whose operators passed
         self.nbytes = initial.amplitudes.nbytes
-        self._root = self._make_node((), 0, initial)
+        self._make_node((), 0, initial)
 
+    @dataclass(slots=True)
     class _Node:
-        __slots__ = ("states", "probs", "cumulative", "fallback", "posts",
-                     "next_pos")
-
-        def __init__(self, states, outcomes, next_pos):
-            self.states = states
-            self.next_pos = next_pos
-            if outcomes is None:
-                self.probs = self.posts = self.cumulative = self.fallback = None
-                return
-            self.probs = np.array([out.probability for out in outcomes])
-            self.posts = posts = [out.post_state for out in outcomes]
-            # running sums in order, as a per-trial ``acc += p`` loop has them
-            self.cumulative = np.cumsum(self.probs)
-            self.fallback = []
-            for idx in range(len(posts)):
-                while posts[idx] is None:   # never land on a pruned branch
-                    idx -= 1
-                self.fallback.append(idx)
+        states: tuple
+        outcomes: list | None
+        next_pos: int
 
     def _make_node(self, history, pos, state):
         steps = self._protocol.steps
@@ -1089,7 +1056,7 @@ class _LazyBranchTree:
                                 self._checked)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (
-            *snapshots, *(out.post_state for out in outcomes or ()))
+            *snapshots, *(post for _, post in outcomes or ()))
             if s is not None and s is not state}
         nbytes = self.nbytes + sum(fresh.values())
         if nbytes > MAX_TREE_BYTES:
@@ -1104,7 +1071,7 @@ class _LazyBranchTree:
         node = self._nodes.get(history)
         if node is None:
             parent = self.node(history[:-1])
-            post = parent.posts[history[-1]]
+            post = parent.outcomes[history[-1]][1]
             if post is None:
                 raise ProtocolError("sampled a pruned zero-probability branch")
             node = self._make_node(history, parent.next_pos, post)
@@ -1133,30 +1100,27 @@ def _sample_histories(tree, trials, seed, n_meas):
     Trial t uses row t of a Philox uniform matrix keyed by ``seed``, its
     column d for the measurement after d outcomes.  The rows are drawn in
     blocks, which yields the same numbers as one draw of the whole
-    matrix.  Within a block, the rows are grouped per tree node.
+    matrix.  Within a block, the rows are grouped per tree node and split
+    among its outcomes by _sampled_outcomes, the split of
+    merged_sample_exact.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     first, counts = {}, {}
     for lo in range(0, trials, _DRAW_BLOCK):
         uniforms = rng.random((min(_DRAW_BLOCK, trials - lo), n_meas))
+        split = _sampled_outcomes(uniforms)
         pending = [((), np.arange(len(uniforms)))]
         while pending:
             history, rows = pending.pop()
             node = tree.node(history)
-            if node.probs is None:
+            if node.outcomes is None:
                 t = lo + int(rows[0])
                 if t < first.get(history, trials):
                     first[history] = t
                 counts[history] = counts.get(history, 0) + len(rows)
                 continue
-            # the first outcome whose running sum exceeds u, else the last
-            picks = np.searchsorted(node.cumulative,
-                                    uniforms[rows, len(history)], side="right")
-            np.minimum(picks, len(node.probs) - 1, out=picks)
-            sizes = np.bincount(picks, minlength=len(node.probs))
-            for idx in np.flatnonzero(sizes).tolist():
-                child = history + (node.fallback[idx],)
-                pending.append((child, rows[picks == idx]))
+            for idx, part in split(rows, node.outcomes, len(history)):
+                pending.append((history + (idx,), part))
     return {h: counts[h] for h in sorted(counts, key=first.__getitem__)}
 
 
@@ -1219,12 +1183,11 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     protocol whose success reads the last outcome only, from an exact
     initial vector.  Trial t consumes row t of the Philox uniform matrix
     keyed by ``seed``, drawn in the blocks monte_carlo_run draws, its
-    column d at the measurement after d outcomes; it takes the outcome
-    monte_carlo_run takes there, the first whose running sum of
-    probabilities exceeds the uniform.  Each level groups a block's rows
-    by state instead of by history.  The audit averages over the trials
-    exactly, then rounds once; sampled averages may rise, so it is not
-    checked for increases.
+    column d at the measurement after d outcomes, where monte_carlo_run's
+    split (_sampled_outcomes) picks its outcome.  Each level groups a
+    block's rows by state instead of by history.  The audit averages
+    over the trials exactly, then rounds once; sampled averages may
+    rise, so it is not checked for increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
     (step, k, average) triples in the same order.  Refuses an audit past
@@ -1232,7 +1195,7 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    _check_audit_size(protocol, initial)
+    _check_audit_size(initial.n, len(protocol.steps))
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_meas = max(protocol.measurement_count, 1)
     counts = [{} for _ in range(protocol.measurement_count + 1)]
@@ -1262,20 +1225,24 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
 
 
 def _sampled_outcomes(uniforms):
-    """Sampled split of an array of block rows: each row takes the first
-    outcome whose running sum of float probabilities exceeds its uniform
-    (the last outcome if none does), stepping down past outcomes of
-    probability 0 as the branch tree's fallback does."""
+    """The one sampling split, of the branch tree and the merged levels:
+    ``split(rows, outcomes, depth)`` yields (outcome index, rows) for an
+    array of a block's rows, given the (probability, post) pairs of the
+    measurement after ``depth`` outcomes.  A row takes the first outcome
+    whose running sum of float probabilities exceeds its uniform in
+    column ``depth``, the last if none does, then steps down past pruned
+    outcomes (post None), so an outcome may be yielded twice."""
     def split(rows, outcomes, depth):
-        cumulative = np.cumsum([float(p) for p, _ in outcomes])
-        picks = np.searchsorted(cumulative, uniforms[rows, depth],
-                                side="right")
-        np.minimum(picks, len(outcomes) - 1, out=picks)
-        for idx in np.flatnonzero(np.bincount(picks)).tolist():
-            took = idx
-            while outcomes[took][1] is None:
-                took -= 1
-            yield took, rows[picks == idx]
+        sums = np.array([float(p) for p, _ in outcomes]).cumsum()
+        sums[-1] = np.inf   # the last outcome if no sum exceeds u
+        picks = np.searchsorted(sums, uniforms[rows, depth], side="right")
+        for idx in range(len(outcomes)):
+            part = rows[picks == idx]
+            if len(part):
+                took = idx
+                while outcomes[took][1] is None:
+                    took -= 1
+                yield took, part
     return split
 
 

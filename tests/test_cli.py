@@ -31,6 +31,10 @@ def states(tmp_path):
     return paths
 
 
+def _no_monomials(self):
+    raise AssertionError("a monomial was made")
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -420,8 +424,11 @@ class TestFailureModes:
     @pytest.mark.parametrize("flags", [["--exhaustive"], []])
     def test_audit_over_limit_is_invalid_input(self, capsys, states,
                                                monkeypatch, flags):
-        # three levels, four steps: 15 cells, one past the patched limit
+        # three levels, four steps: 15 cells, one past the patched limit,
+        # refused before the protocol is built
         monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", 14)
+        monkeypatch.setattr(locc.ExactMonomial, "__post_init__",
+                            _no_monomials)
         code, out, err = run(capsys, ["simulate", states["three_a"],
                                       states["three_b"], *flags])
         assert (code, out) == (1, "")

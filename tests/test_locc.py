@@ -25,8 +25,10 @@ from entconvert import (Announce, BipartiteState, BranchLimitError,
                         MonotoneViolationError, schmidt_decompose,
                         state_from_schmidt, success_probability)
 from entconvert import locc
-from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree, _sample_histories
+from entconvert.locc import (_DRAW_BLOCK, _LazyBranchTree, _exact_outcomes,
+                             _sample_histories)
 from entconvert.numeric import DEFAULT_TOL
+from entconvert.schmidt import _lifted
 from util import (rand_float_schmidt, rand_kraus, rand_majorized_below,
                   rand_rational_schmidt, rand_state)
 
@@ -142,6 +144,16 @@ class TestMeasurementCheckPerStep:
         assert 0 < len(calls) <= proto.measurement_count
 
 
+def _outcome(mono, sv, party="A", partners=None):
+    """(probability, post) of ``mono`` alone, measured on ``party`` of the
+    integer state of ``sv`` whose A level a pairs with B's partners[a]."""
+    if partners is None:
+        partners = tuple(range(sv.n))
+    step = LocalMeasurement(party, exact=(mono,))
+    [outcome] = _exact_outcomes(step, (sv._scaled, partners))
+    return outcome
+
+
 class TestExactMonomial:
     def test_matrix_layout(self):
         mono = ExactMonomial((1, 0), (F(1, 4), F(1)))
@@ -151,23 +163,35 @@ class TestExactMonomial:
 
     def test_outcome_on_diagonal_state(self):
         mono = ExactMonomial((0, 1), (F(1, 4), F(1)))
-        p, post = mono.outcome(ALPHA2._scaled)
+        p, post = _outcome(mono, ALPHA2)
         assert p == F(2, 5)
         # the post state's reduced integer form, as a SchmidtVector has it
-        assert post == ((1, 1), 2) == BELL._scaled
+        assert post == (((1, 1), 2), (0, 1)) and post[0] == BELL._scaled
 
     def test_outcome_is_the_post_vectors_integer_form(self):
         mono = ExactMonomial((2, 0, 1), (F(1, 6), F(2, 3), F(1, 2)))
-        p, post = mono.outcome(ALPHA3._scaled)
+        p, post = _outcome(mono, ALPHA3)
         weights = [F(1, 6) * F(1, 2), F(2, 3) * F(3, 10), F(1, 2) * F(1, 5)]
         assert p == sum(weights)
         want = SchmidtVector(tuple(sorted((w / p for w in weights),
                                           reverse=True)))
-        assert post == want._scaled
+        # level c moves to rows[c], and its partner with it
+        assert post == (want._scaled, (1, 2, 0))
+
+    def test_outcome_on_b_meets_each_level_through_its_partner(self):
+        # A's levels 0, 1, 2 pair with B's 1, 2, 0
+        mono = ExactMonomial((2, 0, 1), (F(1, 6), F(2, 3), F(1, 2)))
+        p, post = _outcome(mono, ALPHA3, "B", (1, 2, 0))
+        weights = [F(2, 3) * F(1, 2), F(1, 2) * F(3, 10), F(1, 6) * F(1, 5)]
+        assert p == sum(weights)
+        # on B only the partners move, to rows[partner]
+        want = tuple(w / p for w in weights)
+        assert post[1] == (0, 1, 2)
+        assert tuple(F(x, post[0][1]) for x in post[0][0]) == want
 
     def test_zero_outcome(self):
         mono = ExactMonomial((0, 1), (F(0), F(0)))
-        p, post = mono.outcome(ALPHA2._scaled)
+        p, post = _outcome(mono, ALPHA2)
         assert p == 0 and post is None
 
     def test_validation(self):
@@ -717,6 +741,33 @@ class TestAuditSizeLimit:
             run(proto, source)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+    def test_plan_check_counts_the_built_protocol(self, monkeypatch, n):
+        # the CLI's check, made before any monomial, counts the cells of
+        # the protocol built after it: refused exactly when the merged
+        # engines refuse, with their message
+        rng = np.random.default_rng(900 + n)
+        for source, target in [(rand_rational_schmidt(rng, n),
+                                rand_rational_schmidt(rng, n)),
+                               (rand_float_schmidt(rng, n),
+                                rand_float_schmidt(rng, n))]:
+            plan = build_plan(source, target)
+            if not plan.is_feasible:
+                continue
+            cells = n * (len(build_full_protocol(plan).steps) + 1)
+            monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells)
+            locc._check_plan_audit_size(plan)
+            monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells - 1)
+            with pytest.raises(ValueError) as refused:
+                locc._check_plan_audit_size(plan)
+            with pytest.raises(ValueError) as engine:
+                merged_run_exact(build_full_protocol(plan),
+                                 _lifted(plan.source))
+            assert str(refused.value) == str(engine.value) == (
+                f"audit too large: {n} levels x {cells // n} step "
+                f"boundaries = {cells} cells (limit {cells - 1})")
+
+
 class TestMergedSampler:
     def _protocol(self):
         plan = build_plan(ALPHA2, BELL)
@@ -890,12 +941,21 @@ class TestSamplerOracle:
         proto = LoccProtocol((first, Announce(), mixer),
                              success_predicate=lambda h: h[-1] == 0)
         tree = _LazyBranchTree(proto, initial, DEFAULT_TOL)
-        assert tree.node(()).posts[1] is None
-        assert tree.node(()).fallback == [0, 0, 2]
+        assert tree.node(()).outcomes[1][1] is None
         report = monte_carlo_run(proto, initial, 3000, seed=8)
         _assert_same_report(report,
                             _reference_monte_carlo(proto, initial, 3000, 8))
         assert 0 < report.successes < 3000
+
+    def test_split_steps_down_past_pruned_outcomes(self):
+        # running sums 0.5, 0.5, 0.8, then the last outcome for any u;
+        # a pick of pruned outcome 2 falls back to 0, yielded again
+        outcomes = [(0.5, "a"), (0.0, None), (0.3, None), (0.2, "d")]
+        uniforms = np.array([[0.1], [0.6], [0.9], [0.99], [0.3]])
+        split = locc._sampled_outcomes(uniforms)
+        parts = [(idx, rows.tolist()) for idx, rows in
+                 split(np.arange(5), outcomes, 0)]
+        assert parts == [(0, [0, 4]), (0, [1]), (3, [2, 3])]
 
     def test_trials_cross_the_draw_block(self):
         plan = build_plan(ALPHA3, BETA3)
@@ -918,7 +978,7 @@ class TestSamplerOracle:
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive(), "node() did not return"
-        assert found and found[0].probs is None   # a leaf: protocol over
+        assert found and found[0].outcomes is None   # a leaf: protocol over
         assert len(tree.trajectory((0, 0))) == len(proto.steps) + 1
 
 
@@ -936,7 +996,8 @@ class TestTreeMemoryGuard:
         tree = _LazyBranchTree(proto, initial, DEFAULT_TOL)
         _sample_histories(tree, 400, 5, proto.measurement_count)
         kept = {id(s): s.amplitudes.nbytes for node in tree._nodes.values()
-                for s in (*node.states, *(node.posts or ()))
+                for s in (*node.states,
+                          *(post for _, post in node.outcomes or ()))
                 if s is not None}
         assert len(tree._nodes) > 1
         assert tree.nbytes == sum(kept.values())

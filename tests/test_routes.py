@@ -394,6 +394,33 @@ def test_exact_routes_apply_permutation_unitaries():
                 run(proto, source)
 
 
+def test_exact_routes_follow_three_cycles_on_either_party():
+    # a 3-cycle relabel on B pairs A's levels 0, 1, 2 with B's 1, 2, 0,
+    # which the B measurement meets through those partners; the A
+    # measurement then cycles A's levels, each with its partner, and the
+    # last two measurements meet them in that order on either party
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    relabel = LocalUnitary("B", ExactMonomial((1, 2, 0), (1, 1, 1)),
+                           label="cycle B")
+    on_b = LocalMeasurement("B", exact=(
+        ExactMonomial((0, 1, 2), (Fraction(1, 4), half, 1)),
+        ExactMonomial((0, 1, 2), (Fraction(3, 4), half, 0))))
+    on_a = LocalMeasurement("A", exact=(
+        ExactMonomial((2, 0, 1), (third, 1 - third, Fraction(1, 5))),
+        ExactMonomial((2, 0, 1), (1 - third, third, Fraction(4, 5)))))
+    last_a = LocalMeasurement("A", exact=(
+        ExactMonomial((0, 1, 2), (1, half, 0)),
+        ExactMonomial((0, 1, 2), (0, half, 1))))
+    last_b = LocalMeasurement("B", exact=(
+        ExactMonomial((0, 1, 2), (third, 1, half)),
+        ExactMonomial((0, 1, 2), (1 - third, 0, half))))
+    proto = LoccProtocol((relabel, on_b, on_a, last_a, last_b),
+                         success_predicate=OutcomeIs(-1, 0))
+    source = SchmidtVector((half, third, Fraction(1, 6)))
+    assert _exact_engines_agree_with_amplitudes(
+        proto, source, 3000, 8) == Fraction(13, 18)
+
+
 def test_merged_routes_refuse_a_relabel_reading_an_earlier_outcome():
     half = Fraction(1, 2)
     coin = LocalMeasurement("A", exact=(
