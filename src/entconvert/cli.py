@@ -18,8 +18,7 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          multi_copy_bound, optimal_probability,
                          optimal_probability_detail,
                          tensor_conversion_probability)
-from .locc import (_check_plan_audit_size, build_full_protocol,
-                   merged_run_exact, merged_sample_exact)
+from .locc import build_full_protocol, merged_run_exact, merged_sample_exact
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
@@ -202,7 +201,6 @@ def cmd_simulate(args) -> int:
             raise ValueError("trials must be positive")
         if args.workers < 1:
             raise ValueError("workers must be positive")
-    _check_plan_audit_size(plan)
     protocol = build_full_protocol(plan)
     # every run is exact: a float plan's on the dyadic lift it was planned on
     initial = _lifted(plan.source)
@@ -272,9 +270,8 @@ def _fmt_prob(p) -> str:
 def _demo_cycle() -> str:
     states = INTRANSITIVE_TRIPLE
     lines = ["Intransitivity of the pairwise conversion ordering", ""]
-    raw = ((108, 12, 12, 12), (66, 66, 6, 6), (47, 47, 47, 3))
-    for i, nums in enumerate(raw, start=1):
-        entries = ", ".join(f"{x}/144" for x in nums)
+    for i, state in enumerate(states, start=1):
+        entries = ", ".join(f"{p * 144}/144" for p in state.probs)
         lines.append(f"  state {i}: ({entries})")
     lines.append("")
     lines.append("  directed optimal conversion probabilities:")

@@ -15,17 +15,21 @@ the monomials' integer numerators.  Either way a measurement gives one
 apply_measurement wraps them as MeasurementOutcome.  An integer state
 keeps its squared coefficients in A's level order with the level of B
 each pairs with, and one move of a party's levels (_relabeled) serves
-measurements and relabels on either party.  Every sampler splits trials
-among outcomes by one rule (_sampled_outcomes): the first outcome whose
-running sum of float probabilities exceeds the trial's uniform.  The
-monotone audit profiles each distinct state object once.  When success
-reads the last outcome alone, the merged exact engine keeps one entry
-per (state, last outcome) and level instead of one per history:
-exhaustively a weight and a history count (merged_run_exact), sampled
-the trials that reached it (merged_sample_exact).  Both refuse an audit
-of more than MAX_AUDIT_CELLS cells, as the CLI does before it builds the
-protocol.  The CLI runs on that engine alone; the enumerating engines
-and the amplitude-level sampler stay as its reference.
+measurements and relabels on either party.  Both samplers take one draw
+(_draws: trial t reads row t of one Philox uniform matrix keyed by the
+seed), split trials among outcomes by one rule (_sampled_outcomes: the
+first outcome whose running sum of float probabilities exceeds the
+trial's uniform) and summarize through one report (_report).  The
+amplitude-level sampler expands each history it reaches once per run,
+top-down.  The monotone audit profiles each distinct state object once.
+When success reads the last outcome alone, the merged exact engine keeps
+one entry per (state, last outcome) and level instead of one per
+history: exhaustively a weight and a history count (merged_run_exact),
+sampled the trials that reached it (merged_sample_exact).  Both refuse
+an audit of more than MAX_AUDIT_CELLS cells, as build_full_protocol does
+before it makes any monomial.  The CLI runs on that engine alone; the
+enumerating engines and the amplitude-level sampler stay as its
+reference.
 """
 
 from __future__ import annotations
@@ -919,39 +923,41 @@ def _t_transform_chain(alpha, gamma):
     return records
 
 
-def _mixing_step(x, y, j, k, meas_index):
-    """Two-outcome measurement turning sorted ``x`` into sorted ``y``
-    (integer numerators over one denominator, which differ only at
-    positions j < k, with y_j > x_j >= x_k > y_k and equal pair sums),
-    plus the outcome-1 correction on B, given by the permutation of the
-    outcome it corrects.
+def _mixing_steps(records):
+    """The steps undoing a T-transform chain, whose records run from
+    gamma toward alpha, in reverse: per record, a two-outcome measurement
+    turning sorted ``x`` into sorted ``y`` (integer numerators over one
+    denominator, which differ only at positions j < k, with
+    y_j > x_j >= x_k > y_k and equal pair sums), an announcement, and the
+    outcome-1 correction on B, given by the permutation of the outcome it
+    corrects.
 
     Outcome probabilities are exactly t and 1 - t with
     t = (x_j - y_k)/(y_j - y_k); both branches land exactly on ``y``.
     Each operator has three distinct squares: its outcome's probability
     and the two it puts at positions j and k.
     """
-    n = len(x)
-    spread = y[j] - y[k]
-    t, u = x[j] - y[k], y[j] - x[j]   # over spread: t and 1 - t
-    sq1 = [Fraction(t, spread)] * n
-    sq1[j] = Fraction(t * y[j], spread * x[j])
-    sq1[k] = Fraction(t * y[k], spread * x[k])
-    rows1 = tuple(range(n))
-    sq2 = [Fraction(u, spread)] * n
-    sq2[j] = Fraction(u * y[k], spread * x[j])   # column j feeds row k
-    sq2[k] = Fraction(u * y[j], spread * x[k])   # column k feeds row j
-    rows2 = list(range(n))
-    rows2[j], rows2[k] = k, j
-    meas = LocalMeasurement(
-        "A", exact=(ExactMonomial(rows1, tuple(sq1)),
-                    ExactMonomial(rows2, tuple(sq2))),
-        label=f"balance levels {j + 1},{k + 1}")
-    correction = LocalUnitary(
-        "B", ExactMonomial(rows2, (1,) * n),
-        condition=OutcomeIs(meas_index, 1),
-        label=f"relabel levels {j + 1},{k + 1} on the swap branch")
-    return [meas, Announce(label="broadcast outcome"), correction]
+    for meas_index, (y, x, j, k) in enumerate(reversed(records)):
+        n = len(x)
+        spread = y[j] - y[k]
+        t, u = x[j] - y[k], y[j] - x[j]   # over spread: t and 1 - t
+        sq1 = [Fraction(t, spread)] * n
+        sq1[j] = Fraction(t * y[j], spread * x[j])
+        sq1[k] = Fraction(t * y[k], spread * x[k])
+        sq2 = [Fraction(u, spread)] * n
+        sq2[j] = Fraction(u * y[k], spread * x[j])   # column j feeds row k
+        sq2[k] = Fraction(u * y[j], spread * x[k])   # column k feeds row j
+        rows2 = list(range(n))
+        rows2[j], rows2[k] = k, j
+        yield LocalMeasurement(
+            "A", exact=(ExactMonomial(tuple(range(n)), tuple(sq1)),
+                        ExactMonomial(rows2, tuple(sq2))),
+            label=f"balance levels {j + 1},{k + 1}")
+        yield Announce(label="broadcast outcome")
+        yield LocalUnitary(
+            "B", ExactMonomial(rows2, (1,) * n),
+            condition=OutcomeIs(meas_index, 1),
+            label=f"relabel levels {j + 1},{k + 1} on the swap branch")
 
 
 def deterministic_protocol(alpha: SchmidtVector,
@@ -968,20 +974,8 @@ def deterministic_protocol(alpha: SchmidtVector,
     majorization must hold exactly there; violations raise
     MajorizationError.
     """
-    steps = []
-    # chain records run gamma -> alpha; execution undoes them in reverse
-    records = _t_transform_chain(alpha, gamma)
-    for meas_index, (before, after, j, k) in enumerate(reversed(records)):
-        steps.extend(_mixing_step(after, before, j, k, meas_index))
-    return LoccProtocol(tuple(steps), success_predicate=None)
-
-
-def _check_plan_audit_size(plan):
-    """Refuse a feasible plan whose protocol's merged run would refuse
-    its audit, before any monomial is made: build_full_protocol gives
-    that protocol three steps per T-transform and the final filter."""
-    chain = _t_transform_chain(plan.source, plan.intermediate)
-    _check_audit_size(plan.source.n, 3 * len(chain) + 1)
+    return LoccProtocol(tuple(_mixing_steps(_t_transform_chain(alpha, gamma))),
+                        success_predicate=None)
 
 
 def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
@@ -989,17 +983,22 @@ def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
 
     Deterministic stage to the intermediate state, then the final
     two-outcome filter; outcome 0 of the last measurement is success.
+    A protocol whose audit the merged engines would refuse (more than
+    MAX_AUDIT_CELLS cells) is refused with their ValueError before any
+    monomial is made.
     """
     if not plan.is_feasible:
         raise InfeasibleConversionError(
             "plan has probability 0; no protocol exists")
-    det = deterministic_protocol(plan.source, plan.intermediate)
+    chain = _t_transform_chain(plan.source, plan.intermediate)
+    # three steps per T-transform, then the filter
+    _check_audit_size(plan.source.n, 3 * len(chain) + 1)
     rows = tuple(range(plan.intermediate.n))
     filter_step = LocalMeasurement("A", exact=tuple(
         ExactMonomial(rows, op.squared)
         for op in (plan.success_operator, plan.failure_operator)),
         label="final two-outcome filter")
-    return LoccProtocol(det.steps + (filter_step,),
+    return LoccProtocol((*_mixing_steps(chain), filter_step),
                         success_predicate=OutcomeIs(-1, 0))
 
 
@@ -1020,108 +1019,90 @@ class SimulationReport:
     seed: int
 
 
-class _LazyBranchTree:
-    """Branch tree expanded on demand and shared across trials.
+_DRAW_BLOCK = 8192  # trials whose uniforms are drawn at once
 
-    A node is keyed by its outcome history; it stores the state snapshots
-    accumulated since the parent measurement, the (probability, post)
-    pairs of the pending measurement (None once the protocol ends) and
-    that measurement's position plus one.  Asking for a node expands its
-    unexpanded ancestors first.  ``nbytes`` counts the distinct amplitude
-    matrices kept; a node that would take it past MAX_TREE_BYTES raises
+
+def _draws(protocol, trials, seed):
+    """The one draw of both samplers: (first trial, uniforms) per block of
+    up to _DRAW_BLOCK trials.  Trial t reads row t of a Philox uniform
+    matrix keyed by ``seed``, its column d at the measurement after d
+    outcomes; drawn in blocks, the rows are the same numbers as one draw
+    of the whole matrix."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    columns = max(protocol.measurement_count, 1)
+    for lo in range(0, trials, _DRAW_BLOCK):
+        yield lo, rng.random((min(_DRAW_BLOCK, trials - lo), columns))
+
+
+def _report(trials, successes, predicted, seed, audit):
+    """The SimulationReport of both samplers, with the empirical
+    probability and its standard error sqrt(p(1-p)/trials)."""
+    empirical = successes / trials
+    return SimulationReport(
+        trials=trials, successes=successes, empirical_probability=empirical,
+        std_error=math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials),
+        predicted=predicted, monotone_audit=tuple(audit), seed=seed)
+
+
+def _sample_histories(protocol, initial, trials, seed, tol):
+    """{history: (trial count, trajectory)} for ``trials`` sampled trials
+    from an amplitude state, ordered by the first trial that took each
+    history; a trajectory holds a state per step boundary.
+
+    Within each block of _draws, the rows are grouped per history and
+    split among its outcomes by _sampled_outcomes, the split of
+    merged_sample_exact.  One dict for the run maps each history reached
+    to its states since the measurement before it, the (probability,
+    post) pairs of the measurement after it (None once the protocol
+    ends) and that measurement's position plus one.  A history is
+    expanded once, when first reached from its parent's post, and later
+    blocks reuse it.  The distinct amplitude matrices kept are counted:
+    a history that would take them past MAX_TREE_BYTES bytes raises
     ValueError instead.
     """
+    steps, checked = protocol.steps, set()
+    tree, kept = {}, initial.amplitudes.nbytes
 
-    def __init__(self, protocol, initial, tol):
-        self._protocol = protocol
-        self._tol = tol
-        self._nodes = {}
-        self._checked = set()   # measurement steps whose operators passed
-        self.nbytes = initial.amplitudes.nbytes
-        self._make_node((), 0, initial)
-
-    @dataclass(slots=True)
-    class _Node:
-        states: tuple
-        outcomes: list | None
-        next_pos: int
-
-    def _make_node(self, history, pos, state):
-        steps = self._protocol.steps
-        snapshots, pos = _advance(self._protocol, pos, state, history)
+    def expand(history, pos, state):
+        nonlocal kept
+        snapshots, pos = _advance(protocol, pos, state, history)
         states = (state, *snapshots)
-        outcomes = None
-        if pos < len(steps):
-            outcomes = _measure(steps[pos], states[-1], self._tol,
-                                self._checked)
+        outcomes = (_measure(steps[pos], states[-1], tol, checked)
+                    if pos < len(steps) else None)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (
             *snapshots, *(post for _, post in outcomes or ()))
             if s is not None and s is not state}
-        nbytes = self.nbytes + sum(fresh.values())
-        if nbytes > MAX_TREE_BYTES:
+        kept += sum(fresh.values())
+        if kept > MAX_TREE_BYTES:
             raise ValueError(
                 f"sampled branch tree would keep more than {MAX_TREE_BYTES} "
                 "bytes of amplitude matrices; use fewer trials (--trials)")
-        self.nbytes = nbytes
-        node = self._nodes[history] = self._Node(states, outcomes, pos + 1)
-        return node
+        tree[history] = states, outcomes, pos + 1
 
-    def node(self, history):
-        node = self._nodes.get(history)
-        if node is None:
-            parent = self.node(history[:-1])
-            post = parent.outcomes[history[-1]][1]
-            if post is None:
-                raise ProtocolError("sampled a pruned zero-probability branch")
-            node = self._make_node(history, parent.next_pos, post)
-        return node
-
-    def trajectory(self, history):
-        """State snapshots along a complete history (len(steps) + 1).
-
-        The root contributes boundaries up to the first measurement; each
-        descendant's first state is the post-measurement snapshot, a new
-        boundary, so nodes concatenate whole.
-        """
-        states = []
-        for cut in range(len(history) + 1):
-            states.extend(self.node(history[:cut]).states)
-        return states
-
-
-_DRAW_BLOCK = 8192  # trials whose uniforms are drawn at once
-
-
-def _sample_histories(tree, trials, seed, n_meas):
-    """{history: trial count} for ``trials`` sampled trials, ordered by
-    the first trial that took each history.
-
-    Trial t uses row t of a Philox uniform matrix keyed by ``seed``, its
-    column d for the measurement after d outcomes.  The rows are drawn in
-    blocks, which yields the same numbers as one draw of the whole
-    matrix.  Within a block, the rows are grouped per tree node and split
-    among its outcomes by _sampled_outcomes, the split of
-    merged_sample_exact.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    expand((), 0, initial)
     first, counts = {}, {}
-    for lo in range(0, trials, _DRAW_BLOCK):
-        uniforms = rng.random((min(_DRAW_BLOCK, trials - lo), n_meas))
+    for lo, uniforms in _draws(protocol, trials, seed):
         split = _sampled_outcomes(uniforms)
         pending = [((), np.arange(len(uniforms)))]
         while pending:
             history, rows = pending.pop()
-            node = tree.node(history)
-            if node.outcomes is None:
+            if history not in tree:
+                _, outcomes, pos = tree[history[:-1]]
+                expand(history, pos, outcomes[history[-1]][1])
+            _, outcomes, _ = tree[history]
+            if outcomes is None:
                 t = lo + int(rows[0])
                 if t < first.get(history, trials):
                     first[history] = t
                 counts[history] = counts.get(history, 0) + len(rows)
                 continue
-            for idx, part in split(rows, node.outcomes, len(history)):
+            for idx, part in split(rows, outcomes, len(history)):
                 pending.append((history + (idx,), part))
-    return {h: counts[h] for h in sorted(counts, key=first.__getitem__)}
+    return {history: (counts[history],
+                      [state for cut in range(len(history) + 1)
+                       for state in tree[history[:cut]][0]])
+            for history in sorted(counts, key=first.__getitem__)}
 
 
 def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
@@ -1131,8 +1112,9 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
 
     Reproducibility: trial t consumes row t of a Philox-generated uniform
     matrix keyed by ``seed``, so its outcomes are a pure function of
-    (seed, t).  Trials are sampled together, grouped per node of the
-    branch tree, and aggregated as integer counts.
+    (seed, t).  Trials are sampled together, grouped per outcome history,
+    and aggregated as integer counts; each history reached is expanded
+    once per run, from its parent's post-measurement state.
 
     Parameters
     ----------
@@ -1152,26 +1134,17 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
         raise ValueError("trials must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
-    n_meas = max(protocol.measurement_count, 1)
-    tree = _LazyBranchTree(protocol, initial, tol)
-    counts = _sample_histories(tree, trials, seed, n_meas)
+    histories = _sample_histories(protocol, initial, trials, seed, tol)
     predicate = protocol.success_predicate
-    successes = sum(cnt for hist, cnt in counts.items()
-                    if predicate is None or predicate(hist))
-    empirical = successes / trials
-    std_error = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
+    successes = sum(count for history, (count, _) in histories.items()
+                    if predicate is None or predicate(history))
     # audit from the visited trajectories, weighted by visit counts
     ks = range(1, min(initial.n_a, initial.n_b) + 1)
-    table = audit_trajectories(
-        [(cnt, tree.trajectory(hist)) for hist, cnt in counts.items()], ks,
-        tol=tol, check=False)
-    audit = [(s, k, float(averages[s]))
-             for s in range(len(protocol.steps) + 1)
-             for k, averages in zip(ks, table)]
-    return SimulationReport(trials=trials, successes=successes,
-                            empirical_probability=empirical,
-                            std_error=std_error, predicted=predicted,
-                            monotone_audit=tuple(audit), seed=seed)
+    table = audit_trajectories(list(histories.values()), ks, tol=tol,
+                               check=False)
+    return _report(trials, successes, predicted, seed, (
+        (s, k, float(averages[s])) for s in range(len(protocol.steps) + 1)
+        for k, averages in zip(ks, table)))
 
 
 def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
@@ -1181,13 +1154,14 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
 
     The merged level loop of merged_run_exact in its sampled mode, for a
     protocol whose success reads the last outcome only, from an exact
-    initial vector.  Trial t consumes row t of the Philox uniform matrix
-    keyed by ``seed``, drawn in the blocks monte_carlo_run draws, its
-    column d at the measurement after d outcomes, where monte_carlo_run's
-    split (_sampled_outcomes) picks its outcome.  Each level groups a
-    block's rows by state instead of by history.  The audit averages
-    over the trials exactly, then rounds once; sampled averages may
-    rise, so it is not checked for increases.
+    initial vector.  Trials take monte_carlo_run's draw: trial t consumes
+    row t of the Philox uniform matrix keyed by ``seed``, its column d at
+    the measurement after d outcomes, where monte_carlo_run's split
+    (_sampled_outcomes) picks its outcome.  The loop runs once per block
+    of the draw, and each level groups the block's rows by state instead
+    of by history.  The audit averages over the trials exactly, then
+    rounds once; sampled averages may rise, so it is not checked for
+    increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
     (step, k, average) triples in the same order.  Refuses an audit past
@@ -1196,12 +1170,9 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_audit_size(initial.n, len(protocol.steps))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n_meas = max(protocol.measurement_count, 1)
     counts = [{} for _ in range(protocol.measurement_count + 1)]
     successes = 0
-    for lo in range(0, trials, _DRAW_BLOCK):
-        uniforms = rng.random((min(_DRAW_BLOCK, trials - lo), n_meas))
+    for _, uniforms in _draws(protocol, trials, seed):
         last, per_state = _merged_levels(
             protocol, initial, np.arange(len(uniforms)),
             _sampled_outcomes(uniforms), _joined)
@@ -1213,25 +1184,20 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
                 for state, count in level.items()} for level in counts]
     audit = _merged_audit(weights, _level_starts(protocol),
                           len(protocol.steps) + 1, check=False)
-    empirical = successes / trials
-    std_error = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials)
-    return SimulationReport(
-        trials=trials, successes=successes, empirical_probability=empirical,
-        std_error=std_error, predicted=predicted,
-        monotone_audit=tuple((s, k, nums[k - 1] / den)
-                             for s, (nums, den) in enumerate(audit)
-                             for k in range(1, initial.n + 1)),
-        seed=seed)
+    return _report(trials, successes, predicted, seed, (
+        (s, k, nums[k - 1] / den) for s, (nums, den) in enumerate(audit)
+        for k in range(1, initial.n + 1)))
 
 
 def _sampled_outcomes(uniforms):
-    """The one sampling split, of the branch tree and the merged levels:
-    ``split(rows, outcomes, depth)`` yields (outcome index, rows) for an
-    array of a block's rows, given the (probability, post) pairs of the
-    measurement after ``depth`` outcomes.  A row takes the first outcome
-    whose running sum of float probabilities exceeds its uniform in
-    column ``depth``, the last if none does, then steps down past pruned
-    outcomes (post None), so an outcome may be yielded twice."""
+    """The one sampling split, of both samplers: ``split(rows, outcomes,
+    depth)`` yields (outcome index, rows) for an array of a block's rows,
+    given the (probability, post) pairs of the measurement after
+    ``depth`` outcomes.  A row picks the first outcome whose running sum
+    of float probabilities exceeds its uniform in column ``depth``, the
+    last if none does, and takes the nearest unpruned outcome (post not
+    None) at or below its pick, or if there is none the first above it;
+    so an outcome may be yielded twice, and a pruned one never is."""
     def split(rows, outcomes, depth):
         sums = np.array([float(p) for p, _ in outcomes]).cumsum()
         sums[-1] = np.inf   # the last outcome if no sum exceeds u
@@ -1241,7 +1207,8 @@ def _sampled_outcomes(uniforms):
             if len(part):
                 took = idx
                 while outcomes[took][1] is None:
-                    took -= 1
+                    # down from the pick, then up from it once 0 is passed
+                    took = took - 1 if 0 < took <= idx else max(took, idx) + 1
                 yield took, part
     return split
 

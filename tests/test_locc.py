@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import pickle
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -25,9 +24,7 @@ from entconvert import (Announce, BipartiteState, BranchLimitError,
                         MonotoneViolationError, schmidt_decompose,
                         state_from_schmidt, success_probability)
 from entconvert import locc
-from entconvert.locc import (_DRAW_BLOCK, _LazyBranchTree, _exact_outcomes,
-                             _sample_histories)
-from entconvert.numeric import DEFAULT_TOL
+from entconvert.locc import _DRAW_BLOCK, _exact_outcomes
 from entconvert.schmidt import _lifted
 from util import (rand_float_schmidt, rand_kraus, rand_majorized_below,
                   rand_rational_schmidt, rand_state)
@@ -46,6 +43,10 @@ FLOAT_REFUSED = (
                    0.22282938363663637, 0.06514650435289661)),
     SchmidtVector((0.3525155968935936, 0.2720785050141842,
                    0.216458009209973, 0.15894788888224937)))
+
+
+def _no_monomials(self):
+    raise AssertionError("a monomial was made")
 
 
 def _final_schmidt(branch):
@@ -743,9 +744,10 @@ class TestAuditSizeLimit:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
     def test_plan_check_counts_the_built_protocol(self, monkeypatch, n):
-        # the CLI's check, made before any monomial, counts the cells of
-        # the protocol built after it: refused exactly when the merged
+        # build_full_protocol counts the cells of the protocol it builds
+        # before it makes any monomial: refused exactly when the merged
         # engines refuse, with their message
+        limit = locc.MAX_AUDIT_CELLS
         rng = np.random.default_rng(900 + n)
         for source, target in [(rand_rational_schmidt(rng, n),
                                 rand_rational_schmidt(rng, n)),
@@ -754,15 +756,19 @@ class TestAuditSizeLimit:
             plan = build_plan(source, target)
             if not plan.is_feasible:
                 continue
-            cells = n * (len(build_full_protocol(plan).steps) + 1)
+            monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", limit)
+            proto = build_full_protocol(plan)
+            cells = n * (len(proto.steps) + 1)
             monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells)
-            locc._check_plan_audit_size(plan)
+            build_full_protocol(plan)
             monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells - 1)
-            with pytest.raises(ValueError) as refused:
-                locc._check_plan_audit_size(plan)
+            with monkeypatch.context() as no_monomials:
+                no_monomials.setattr(ExactMonomial, "__post_init__",
+                                     _no_monomials)
+                with pytest.raises(ValueError) as refused:
+                    build_full_protocol(plan)
             with pytest.raises(ValueError) as engine:
-                merged_run_exact(build_full_protocol(plan),
-                                 _lifted(plan.source))
+                merged_run_exact(proto, _lifted(plan.source))
             assert str(refused.value) == str(engine.value) == (
                 f"audit too large: {n} levels x {cells // n} step "
                 f"boundaries = {cells} cells (limit {cells - 1})")
@@ -853,7 +859,8 @@ def _reference_monte_carlo(protocol, initial, trials, seed):
     Trial t walks the protocol step by step; at each measurement it takes
     the first outcome whose running probability sum exceeds its next
     uniform (the last outcome if none does), stepping down past pruned
-    outcomes.  The audit sums over histories in first-trial order.
+    outcomes, or up to the first unpruned one when none lies below.  The
+    audit sums over histories in first-trial order.
     """
     n_meas = max(protocol.measurement_count, 1)
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(
@@ -879,8 +886,11 @@ def _reference_monte_carlo(protocol, initial, trials, seed):
                     if u < acc:
                         idx = i
                         break
-                while outs[idx].post_state is None:
+                while idx >= 0 and outs[idx].post_state is None:
                     idx -= 1
+                if idx < 0:   # none unpruned below the pick: the first above
+                    idx = next(i for i, out in enumerate(outs)
+                               if out.post_state is not None)
                 history += (idx,)
                 states.append(outs[idx].post_state)
             elif isinstance(step, LocalUnitary) and (
@@ -940,8 +950,8 @@ class TestSamplerOracle:
             np.random.default_rng(5), 3, 2)))
         proto = LoccProtocol((first, Announce(), mixer),
                              success_predicate=lambda h: h[-1] == 0)
-        tree = _LazyBranchTree(proto, initial, DEFAULT_TOL)
-        assert tree.node(()).outcomes[1][1] is None
+        outcomes = apply_measurement(initial, "A", projectors)
+        assert outcomes[1].post_state is None
         report = monte_carlo_run(proto, initial, 3000, seed=8)
         _assert_same_report(report,
                             _reference_monte_carlo(proto, initial, 3000, 8))
@@ -957,6 +967,16 @@ class TestSamplerOracle:
                  split(np.arange(5), outcomes, 0)]
         assert parts == [(0, [0, 4]), (0, [1]), (3, [2, 3])]
 
+    def test_split_never_yields_a_negative_or_pruned_outcome(self):
+        # u = 0 picks outcome 0, pruned at a positive probability, with no
+        # outcome below it: the first unpruned outcome above it takes the
+        # row, not index -1 (the last outcome under a second index)
+        outcomes = [(1e-13, None), (1 - 1e-13, "b")]
+        split = locc._sampled_outcomes(np.array([[0.0], [0.5]]))
+        parts = [(idx, rows.tolist()) for idx, rows in
+                 split(np.arange(2), outcomes, 0)]
+        assert parts == [(1, [0]), (1, [1])]
+
     def test_trials_cross_the_draw_block(self):
         plan = build_plan(ALPHA3, BETA3)
         proto = build_full_protocol(plan)
@@ -965,21 +985,6 @@ class TestSamplerOracle:
         _assert_same_report(
             monte_carlo_run(proto, initial, trials, seed=31),
             _reference_monte_carlo(proto, initial, trials, 31))
-
-    def test_node_expands_unexpanded_parents(self):
-        # asking for a grandchild first must return, not wait on itself
-        plan = build_plan(ALPHA3, BETA3)
-        proto = build_full_protocol(plan)
-        tree = _LazyBranchTree(proto, state_from_schmidt(plan.source),
-                               DEFAULT_TOL)
-        found = []
-        worker = threading.Thread(target=lambda: found.append(
-            tree.node((0, 0))), daemon=True)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive(), "node() did not return"
-        assert found and found[0].outcomes is None   # a leaf: protocol over
-        assert len(tree.trajectory((0, 0))) == len(proto.steps) + 1
 
 
 class TestTreeMemoryGuard:
@@ -991,18 +996,24 @@ class TestTreeMemoryGuard:
         proto = build_full_protocol(build_plan(self.SOURCE, self.TARGET))
         return proto, state_from_schmidt(self.SOURCE)
 
-    def test_counter_sums_distinct_matrices(self):
-        proto, initial = self._run()
-        tree = _LazyBranchTree(proto, initial, DEFAULT_TOL)
-        _sample_histories(tree, 400, 5, proto.measurement_count)
-        kept = {id(s): s.amplitudes.nbytes for node in tree._nodes.values()
-                for s in (*node.states,
-                          *(post for _, post in node.outcomes or ()))
-                if s is not None}
-        assert len(tree._nodes) > 1
-        assert tree.nbytes == sum(kept.values())
-        assert len(kept) < sum(len(node.states)
-                               for node in tree._nodes.values())
+    def test_limit_counts_each_distinct_matrix_once(self, monkeypatch):
+        # a Bell pair measured on A, the outcome announced, and B swapped
+        # on outcome 1 keeps four 64-byte matrices: the initial state,
+        # the two posts and the swapped post; the announcement and the
+        # unswapped branch repeat a state, which is not counted again
+        initial = state_from_schmidt(BELL)
+        projectors = tuple(np.diag(d).astype(complex)
+                           for d in ([1, 0], [0, 1]))
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        proto = LoccProtocol((LocalMeasurement("A", projectors), Announce(),
+                              LocalUnitary("B", swap, OutcomeIs(0, 1))))
+        assert initial.amplitudes.nbytes == 64
+        monkeypatch.setattr(locc, "MAX_TREE_BYTES", 256)
+        report = monte_carlo_run(proto, initial, 1000, 3)
+        assert report.successes == 1000
+        monkeypatch.setattr(locc, "MAX_TREE_BYTES", 255)
+        with pytest.raises(ValueError, match=r"more than 255 bytes"):
+            monte_carlo_run(proto, initial, 1000, 3)
 
     def test_tree_over_limit_is_refused(self, monkeypatch):
         proto, initial = self._run()

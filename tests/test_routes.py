@@ -34,7 +34,7 @@ from entconvert import (ExactMonomial, InfeasibleConversionError,
                         optimal_probability_detail, state_from_schmidt,
                         success_probability)
 from entconvert.cli import main
-from entconvert.locc import _DRAW_BLOCK, _LazyBranchTree, _sample_histories
+from entconvert.locc import _DRAW_BLOCK, _sample_histories
 from entconvert.numeric import DEFAULT_TOL, round12
 from entconvert.schmidt import _lifted
 
@@ -245,12 +245,12 @@ def _assert_sampled_routes_agree(protocol, source, trials, seed):
         sampled.trials, sampled.successes, sampled.empirical_probability,
         sampled.std_error, sampled.seed)
     # exact reference: each sampled history's exact states, by its count
-    tree = _LazyBranchTree(protocol, initial, DEFAULT_TOL)
-    counts = _sample_histories(tree, trials, seed,
-                               max(protocol.measurement_count, 1))
+    histories = _sample_histories(protocol, initial, trials, seed,
+                                  DEFAULT_TOL)
     states = {b.history: b.states
               for b in exhaustive_run_exact(protocol, _lifted(source))}
-    table = audit_trajectories([(c, states[h]) for h, c in counts.items()],
+    table = audit_trajectories([(c, states[h])
+                                for h, (c, _) in histories.items()],
                                range(1, source.n + 1), check=False)
     assert len(merged.monotone_audit) == len(sampled.monotone_audit)
     for (s, k, new), (s_old, k_old, old) in zip(merged.monotone_audit,
