@@ -86,7 +86,7 @@ def parse_state_document(doc, *, mode=RATIONAL, tol=DEFAULT_TOL,
         matrix = [[complex(float(parse_scalar(re, "float")),
                            float(parse_scalar(im, "float")))
                    for re, im in row] for row in rows]
-        state = BipartiteState.from_amplitudes(matrix)
+        state = BipartiteState(matrix)
     except (TypeError, ValueError) as err:
         raise StateFileError(f"bad amplitude matrix: {err}") from err
     sv = schmidt_decompose(state, trim=trim, tol=tol)

@@ -183,9 +183,9 @@ class _DenseOnDemand:
 @dataclass(frozen=True, eq=False)
 class LocalMeasurement(_DenseOnDemand):
     """Generalized measurement on one party; operators must satisfy
-    sum K^dag K = identity.  ``exact`` optionally carries the monomial
-    description of each operator for rational bookkeeping; without
-    ``operators`` the dense operators are derived from it on first use."""
+    sum K^dag K = identity.  Given by ``operators`` or by ``exact``, the
+    monomial description of each operator for rational bookkeeping, not
+    both; from ``exact`` the dense operators are derived on first use."""
 
     party: str
     operators: tuple = field(default_factory=tuple)
@@ -198,7 +198,9 @@ class LocalMeasurement(_DenseOnDemand):
         if self.party not in ("A", "B"):
             raise ProtocolError(f"party must be 'A' or 'B', got {self.party!r}")
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
-        if not ops and self.exact:
+        if ops and self.exact is not None:
+            raise ProtocolError("give operators or exact monomials, not both")
+        if self.exact:
             if len({mono.n for mono in self.exact}) != 1:
                 raise ProtocolError("measurement operators differ in shape")
             object.__delattr__(self, "operators")
@@ -210,8 +212,6 @@ class LocalMeasurement(_DenseOnDemand):
             raise ProtocolError("measurement operators must be square")
         if any(op.shape != shape for op in ops):
             raise ProtocolError("measurement operators differ in shape")
-        if self.exact is not None and len(self.exact) != len(ops):
-            raise ProtocolError("exact data does not match operator count")
         for op in ops:
             op.setflags(write=False)
         object.__setattr__(self, "operators", ops)
@@ -319,8 +319,7 @@ def _apply_operator(amps: np.ndarray, party: str, op: np.ndarray) -> np.ndarray:
     return op @ amps if party == "A" else amps @ op.T
 
 
-def apply_measurement(state: BipartiteState, party: str, operators,
-                      *, tol=DEFAULT_TOL):
+def apply_measurement(state: BipartiteState, party: str, operators):
     """All outcomes of a generalized local measurement.
 
     Parameters
@@ -329,7 +328,7 @@ def apply_measurement(state: BipartiteState, party: str, operators,
     party : str
         "A" (operators act on rows) or "B" (columns).
     operators : sequence of square matrices
-        Must resolve the identity on the measured party within ``tol``.
+        Must resolve the identity on the measured party within DEFAULT_TOL.
 
     Returns
     -------
@@ -338,14 +337,14 @@ def apply_measurement(state: BipartiteState, party: str, operators,
         probabilities sum to 1 within tolerance.  Outcomes below the
         pruning threshold carry ``post_state=None``.
     """
-    ops = _checked_operators(state, party, operators, tol)
+    ops = _checked_operators(state, party, operators)
     return [MeasurementOutcome(idx, p, post)
             for idx, (p, post) in enumerate(_outcomes(state, party, ops))]
 
 
-def _checked_operators(state, party, operators, tol):
+def _checked_operators(state, party, operators):
     """The operators as complex arrays, once they fit the measured party
-    of ``state`` and resolve its identity within ``tol``."""
+    of ``state`` and resolve its identity within DEFAULT_TOL."""
     if party not in ("A", "B"):
         raise ProtocolError(f"party must be 'A' or 'B', got {party!r}")
     ops = [np.array(op, dtype=complex) for op in operators]
@@ -356,7 +355,7 @@ def _checked_operators(state, party, operators, tol):
         raise ProtocolError(
             f"operator shape mismatch: party {party} has dimension {dim}")
     if not np.allclose(sum(op.conj().T @ op for op in ops), np.eye(dim),
-                       atol=max(tol, 1e-9)):
+                       atol=DEFAULT_TOL):
         raise ProtocolError("measurement operators do not resolve the identity")
     return ops
 
@@ -401,13 +400,12 @@ def _advance(protocol, pos, state, history):
     while pos < len(steps) and not isinstance(steps[pos], LocalMeasurement):
         step = steps[pos]
         if isinstance(step, LocalUnitary):
-            exact = not isinstance(state, BipartiteState)
-            if exact:
-                _checked_relabel(step, pos, len(state[1]))
+            _checked_unitary(step, pos, state)
             if step.condition is None or step.condition(history):
-                state = (_relabeled(step.party, step.exact.rows, state)
-                         if exact else BipartiteState(_apply_operator(
-                             state.amplitudes, step.party, step.matrix)))
+                state = (BipartiteState(_apply_operator(
+                    state.amplitudes, step.party, step.matrix))
+                    if isinstance(state, BipartiteState)
+                    else _relabeled(step.party, step.exact.rows, state))
         snapshots.append(state)
         pos += 1
     return snapshots, pos
@@ -431,15 +429,20 @@ def _checked_monomials(step, n):
         raise ProtocolError("measurement operators do not resolve the identity")
 
 
-def _checked_relabel(step, pos, n):
-    """Refuse a unitary, at step ``pos``, that is not a permutation of
-    the n levels of its party, since only those act on integer states."""
+def _checked_unitary(step, pos, state):
+    """Refuse a unitary, at step ``pos``, that does not fit its party's
+    levels in ``state``, or, on an integer state, one given densely."""
     mono = getattr(step, "exact", None)
-    if mono is None:
+    if isinstance(state, BipartiteState):
+        n = state.n_a if step.party == "A" else state.n_b
+        size = step.matrix.shape[0] if mono is None else mono.n
+    elif mono is None:
         raise ProtocolError(
             f"step {pos} ({step.label or 'unitary'}) is a dense unitary; "
             "use the amplitude-level exhaustive_run instead")
-    if mono.n != n:
+    else:
+        n, size = len(state[1]), mono.n
+    if size != n:
         raise ProtocolError(
             f"step {pos}: unitary shape mismatch: party {step.party} has "
             f"dimension {n}")
@@ -486,7 +489,7 @@ def _exact_outcomes(step, state):
     return results
 
 
-def _measure(step, state, tol, checked):
+def _measure(step, state, checked):
     """(probability, post) per outcome of ``step``: a BipartiteState's
     from its operators, an integer state's from the step's exact
     monomial data.  A step's operators are checked the first time a
@@ -494,7 +497,7 @@ def _measure(step, state, tol, checked):
     run has the same shape, so that check holds for the whole run."""
     if isinstance(state, BipartiteState):
         if step not in checked:
-            _checked_operators(state, step.party, step.operators, tol)
+            _checked_operators(state, step.party, step.operators)
             checked.add(step)
         return _outcomes(state, step.party, step.operators)
     if step not in checked:
@@ -503,7 +506,7 @@ def _measure(step, state, tol, checked):
     return _exact_outcomes(step, state)
 
 
-def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
+def _enumerate(protocol, initial, one):
     """Every unpruned branch in history order, one level at a time, with
     probabilities multiplied left to right from ``one``.  A BipartiteState
     belongs to one branch; a SchmidtVector runs as an integer state, and
@@ -520,7 +523,7 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
             for history, prob, states in frontier:
                 outcomes = shared.get(states[-1]) if exact else None
                 if outcomes is None:
-                    outcomes = _measure(steps[pos], states[-1], tol, checked)
+                    outcomes = _measure(steps[pos], states[-1], checked)
                     if exact:
                         shared[states[-1]] = outcomes
                 for idx, (p, post) in enumerate(outcomes):
@@ -533,9 +536,9 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
                 snapshots, end = _advance(protocol, pos, states[-1], history)
                 grown.append((history, prob, states + snapshots))
             pos = end
-        if len(grown) > branch_cap:
+        if len(grown) > BRANCH_CAP:
             raise BranchLimitError(
-                f"branch count {len(grown)} exceeds cap {branch_cap}")
+                f"branch count {len(grown)} exceeds cap {BRANCH_CAP}")
         frontier = grown
     if exact:
         vectors = {initial._scaled: initial}
@@ -549,19 +552,18 @@ def _enumerate(protocol, initial, one, branch_cap, tol=DEFAULT_TOL):
     return [Branch(h, p, tuple(s)) for h, p, s in frontier]
 
 
-def exhaustive_run(protocol: LoccProtocol, initial: BipartiteState,
-                   *, branch_cap=BRANCH_CAP, tol=DEFAULT_TOL):
+def exhaustive_run(protocol: LoccProtocol, initial: BipartiteState):
     """Enumerate every branch of a protocol at the amplitude level.
 
-    Branches whose probability falls below the pruning threshold are
-    dropped; the probabilities of the returned branches sum to 1 within
-    tolerance.  Raises BranchLimitError beyond ``branch_cap`` branches.
+    Operators must resolve the identity within DEFAULT_TOL.  Branches
+    whose probability falls below the pruning threshold are dropped; the
+    probabilities of the returned branches sum to 1 within tolerance.
+    Raises BranchLimitError beyond BRANCH_CAP branches.
     """
-    return _enumerate(protocol, initial, 1.0, branch_cap, tol)
+    return _enumerate(protocol, initial, 1.0)
 
 
-def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
-                         *, branch_cap=BRANCH_CAP):
+def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector):
     """Enumerate branches with exact rational probabilities.
 
     Works at the Schmidt-coefficient level: each measurement must carry
@@ -572,16 +574,16 @@ def exhaustive_run_exact(protocol: LoccProtocol, initial: SchmidtVector,
     measurement and relabel meets the levels as on amplitudes.  The
     initial vector must be exact.
 
-    Equal post-measurement states are one shared vector object, so
-    the branches of a deterministic stage, which all land on the same
-    vector, carry a single state per step boundary.  The run still costs
-    one entry per history; merged_run_exact gives the same counts,
-    probabilities and audit without enumerating, when the success
-    predicate allows it.
+    Equal post-measurement states are one shared vector object, so the
+    branches of a deterministic stage, which all land on the same vector,
+    carry a single state per step boundary.  The run still costs one
+    entry per history, up to BRANCH_CAP (BranchLimitError beyond);
+    merged_run_exact gives the same counts, probabilities and audit
+    without enumerating, when the success predicate allows it.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
-    return _enumerate(protocol, initial, Fraction(1), branch_cap)
+    return _enumerate(protocol, initial, Fraction(1))
 
 
 def success_probability(branches, predicate=None):
@@ -673,19 +675,19 @@ def _merged_levels(protocol, initial, root, split, add):
         raise ProtocolError(
             "success predicate reads more than the last outcome; "
             "use exhaustive_run_exact instead")
-    n = initial.n
-    level = {((initial._scaled, tuple(range(n))), None): root}
+    start = (initial._scaled, tuple(range(initial.n)))
+    level = {(start, None): root}
     per_state, depth = [], 0
     for pos, step in enumerate(protocol.steps):
         if isinstance(step, LocalUnitary):
-            _checked_relabel(step, pos, n)
+            _checked_unitary(step, pos, start)
             acts = _last_outcome_test(step, pos, depth)
             # a relabel is one-to-one and keeps the outcome: no keys merge
             level = {(_relabeled(step.party, step.exact.rows, state)
                       if acts(idx) else state, idx): entry
                      for (state, idx), entry in level.items()}
         elif isinstance(step, LocalMeasurement):
-            _checked_monomials(step, n)
+            _checked_monomials(step, initial.n)
             states = _per_state(level, add)
             per_state.append(_per_state(states, add))
             grown = {}
@@ -706,10 +708,10 @@ def _last_outcome_test(step, pos, depth):
     outcomes, so an OutcomeIs reads the last of them or none."""
     test = step.condition
     if test is None:
-        return lambda last: True
+        return lambda _last: True
     if isinstance(test, OutcomeIs):
         if not -depth <= test.index < depth:
-            return lambda last: False
+            return lambda _last: False
         if test.index in (-1, depth - 1):
             return lambda last: last == test.value
     raise ProtocolError(
@@ -717,7 +719,7 @@ def _last_outcome_test(step, pos, depth):
         "than the last outcome; use exhaustive_run_exact instead")
 
 
-def _every_outcome(entry, outcomes, depth):
+def _every_outcome(entry, outcomes, _depth):
     """Exhaustive split of a (weight, history count) entry: every
     outcome of nonzero probability, weighted by it."""
     w, count = entry
@@ -1044,7 +1046,7 @@ def _report(trials, successes, predicted, seed, audit):
         predicted=predicted, monotone_audit=tuple(audit), seed=seed)
 
 
-def _sample_histories(protocol, initial, trials, seed, tol):
+def _sample_histories(protocol, initial, trials, seed):
     """{history: (trial count, trajectory)} for ``trials`` sampled trials
     from an amplitude state, ordered by the first trial that took each
     history; a trajectory holds a state per step boundary.
@@ -1067,7 +1069,7 @@ def _sample_histories(protocol, initial, trials, seed, tol):
         nonlocal kept
         snapshots, pos = _advance(protocol, pos, state, history)
         states = (state, *snapshots)
-        outcomes = (_measure(steps[pos], states[-1], tol, checked)
+        outcomes = (_measure(steps[pos], states[-1], checked)
                     if pos < len(steps) else None)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (
@@ -1106,8 +1108,8 @@ def _sample_histories(protocol, initial, trials, seed, tol):
 
 
 def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
-                    trials: int, seed: int, *, workers: int = 1,
-                    predicted=None, tol=DEFAULT_TOL) -> SimulationReport:
+                    trials: int, seed: int, *,
+                    predicted=None) -> SimulationReport:
     """Sample a protocol ``trials`` times and summarize.
 
     Reproducibility: trial t consumes row t of a Philox-generated uniform
@@ -1120,9 +1122,6 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
     ----------
     protocol, initial : the protocol and the start state.
     trials, seed : sample size and RNG key.
-    workers : accepted for compatibility and validated (>= 1); sampling
-        runs in the calling thread and the report is the same for any
-        value.
     predicted : closed-form probability to embed in the report.
 
     Returns
@@ -1132,16 +1131,13 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    histories = _sample_histories(protocol, initial, trials, seed, tol)
+    histories = _sample_histories(protocol, initial, trials, seed)
     predicate = protocol.success_predicate
     successes = sum(count for history, (count, _) in histories.items()
                     if predicate is None or predicate(history))
     # audit from the visited trajectories, weighted by visit counts
     ks = range(1, min(initial.n_a, initial.n_b) + 1)
-    table = audit_trajectories(list(histories.values()), ks, tol=tol,
-                               check=False)
+    table = audit_trajectories(list(histories.values()), ks, check=False)
     return _report(trials, successes, predicted, seed, (
         (s, k, float(averages[s])) for s in range(len(protocol.steps) + 1)
         for k, averages in zip(ks, table)))

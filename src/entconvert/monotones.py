@@ -136,8 +136,7 @@ def ensemble_average(ensemble: Ensemble, k: int):
     return sum(w * entanglement_monotone(sv, k) for w, sv in ensemble.members)
 
 
-def smallest_eigenvalue_sum(sigma: DensityOperator, k: int,
-                            *, tol=DEFAULT_TOL) -> float:
+def smallest_eigenvalue_sum(sigma: DensityOperator, k: int) -> float:
     """Sum of the n-k+1 smallest eigenvalues of a density operator.
 
     This is the spectral functional whose concavity drives the monotone

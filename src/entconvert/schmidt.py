@@ -124,14 +124,14 @@ class SchmidtVector:
         return tuple(nums), sum(nums)
 
     @classmethod
-    def from_values(cls, values, *, mode="rational", normalize=False,
-                    trim=False, tol=DEFAULT_TOL):
+    def from_values(cls, values, *, mode="rational", trim=False,
+                    tol=DEFAULT_TOL):
         """Build a vector from loosely typed entries.
 
         Entries are parsed per ``mode`` ("108/144" and decimal strings are
-        exact in rational mode), stably sorted in non-increasing order,
-        optionally normalized by their sum, and optionally trimmed of
-        trailing entries below ``tol`` (with renormalization).
+        exact in rational mode), stably sorted in non-increasing order and
+        optionally trimmed of trailing entries below ``tol`` (with
+        renormalization); the result must sum to 1.
         """
         given = [parse_scalar(v, mode) for v in values]
         if not given:
@@ -147,11 +147,6 @@ class SchmidtVector:
         if parsed[-1] < 0:
             raise InvalidStateError("negative squared coefficient "
                                     f"{next(p for p in given if p < 0)}")
-        if normalize:
-            total = sum(parsed)
-            if total == 0:
-                raise InvalidStateError("cannot normalize an all-zero vector")
-            parsed = [p / total for p in parsed]
         if trim:
             keep = len(parsed)
             while keep > 1 and parsed[keep - 1] < tol:
@@ -200,16 +195,6 @@ class BipartiteState:
             raise InvalidStateError(f"state norm {norm} deviates from 1")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
-
-    @classmethod
-    def from_amplitudes(cls, values, *, normalize=False) -> "BipartiteState":
-        arr = np.array(values, dtype=complex)
-        if normalize:
-            norm = np.linalg.norm(arr)
-            if norm == 0:
-                raise InvalidStateError("cannot normalize the zero vector")
-            arr = arr / norm
-        return cls(arr)
 
     @property
     def n_a(self) -> int:

@@ -79,8 +79,8 @@ class TestOptimalProbability:
            st.lists(st.integers(1, 40), min_size=2, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_bounds_hypothesis(self, xs, ys):
-        a = SchmidtVector.from_values(xs, normalize=True)
-        b = SchmidtVector.from_values(ys, normalize=True)
+        a = SchmidtVector.from_values([F(x, sum(xs)) for x in xs])
+        b = SchmidtVector.from_values([F(y, sum(ys)) for y in ys])
         p = optimal_probability(a, b)
         assert 0 <= p <= 1
 

@@ -128,9 +128,9 @@ class TestMeasurementCheckPerStep:
         calls = []
         real = locc._checked_operators
 
-        def counting(state, party, operators, tol):
+        def counting(state, party, operators):
             calls.append(len(operators))
-            return real(state, party, operators, tol)
+            return real(state, party, operators)
 
         monkeypatch.setattr(locc, "_checked_operators", counting)
         plan = build_plan(rand_rational_schmidt(np.random.default_rng(8), 6),
@@ -217,11 +217,31 @@ class TestProtocolSteps:
         # one array holding every operator is a sequence of operators
         stacked = np.stack([np.eye(2) / math.sqrt(2)] * 2)
         assert len(LocalMeasurement("A", stacked).operators) == 2
+        # dense operators and monomials could define two measurements
+        half = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
+        with pytest.raises(ProtocolError, match="not both"):
+            LocalMeasurement("A", (np.diag([1.0, 0]), np.diag([0, 1.0])),
+                             exact=(half, half))
 
     def test_unitary_validation(self):
         with pytest.raises(ProtocolError):
             LocalUnitary("A", np.ones((2, 2)))
         LocalUnitary("B", np.eye(2))
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(3), ExactMonomial((0, 1, 2), (1, 1, 1))])
+    def test_unitary_that_does_not_fit_is_refused(self, matrix):
+        proto = LoccProtocol((LocalUnitary("B", matrix),))
+        message = "step 0: unitary shape mismatch: party B has dimension 2"
+        initial = state_from_schmidt(BELL)
+        with pytest.raises(ProtocolError, match=message):
+            exhaustive_run(proto, initial)
+        with pytest.raises(ProtocolError, match=message):
+            monte_carlo_run(proto, initial, 10, 0)
+        if isinstance(matrix, ExactMonomial):
+            for run in (exhaustive_run_exact, merged_run_exact):
+                with pytest.raises(ProtocolError, match=message):
+                    run(proto, BELL)
 
     def test_protocol_rejects_unknown_steps(self):
         with pytest.raises(ProtocolError):
@@ -815,35 +835,37 @@ class TestMergedSampler:
 
 
 class TestBranchCap:
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(locc, "BRANCH_CAP", 4)
         ops = tuple(np.eye(2, dtype=complex) / math.sqrt(2) for _ in range(2))
         meas = LocalMeasurement("A", ops)
         proto = LoccProtocol((meas, meas, meas))
         with pytest.raises(BranchLimitError):
-            exhaustive_run(proto, state_from_schmidt(BELL), branch_cap=4)
+            exhaustive_run(proto, state_from_schmidt(BELL))
 
-    def test_exact_engine_cap(self):
+    def test_exact_engine_cap(self, monkeypatch):
+        monkeypatch.setattr(locc, "BRANCH_CAP", 4)
         mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
-        ops = (mono.matrix(), mono.matrix())
-        meas = LocalMeasurement("A", ops, exact=(mono, mono))
+        meas = LocalMeasurement("A", exact=(mono, mono))
         proto = LoccProtocol((meas, meas, meas))
         with pytest.raises(BranchLimitError):
-            exhaustive_run_exact(proto, BELL, branch_cap=4)
+            exhaustive_run_exact(proto, BELL)
 
     @pytest.mark.parametrize("exact", [True, False])
-    def test_cap_is_inclusive(self, exact):
+    def test_cap_is_inclusive(self, exact, monkeypatch):
         mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
-        meas = LocalMeasurement("A", (mono.matrix(), mono.matrix()),
-                                exact=(mono, mono))
+        meas = LocalMeasurement("A", exact=(mono, mono))
         proto = LoccProtocol((meas, Announce(), meas, meas))
         engine = exhaustive_run_exact if exact else exhaustive_run
         initial = BELL if exact else state_from_schmidt(BELL)
-        branches = engine(proto, initial, branch_cap=8)
+        monkeypatch.setattr(locc, "BRANCH_CAP", 8)
+        branches = engine(proto, initial)
         assert [b.history for b in branches] == [
             (i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
         assert all(len(b.states) == 5 for b in branches)
+        monkeypatch.setattr(locc, "BRANCH_CAP", 7)
         with pytest.raises(BranchLimitError) as info:
-            engine(proto, initial, branch_cap=7)
+            engine(proto, initial)
         assert str(info.value) == "branch count 8 exceeds cap 7"
 
     def test_exact_engine_needs_monomial_data(self):
@@ -1046,12 +1068,6 @@ class TestMonteCarlo:
         r3 = monte_carlo_run(proto, initial, 5000, seed=10)
         assert r3.successes != r1.successes
 
-    def test_worker_count_invariance(self):
-        proto, initial, _ = self._protocol()
-        serial = monte_carlo_run(proto, initial, 4000, seed=3, workers=1)
-        threaded = monte_carlo_run(proto, initial, 4000, seed=3, workers=4)
-        assert serial == threaded
-
     def test_audit_covers_every_boundary(self):
         proto, initial, _ = self._protocol()
         report = monte_carlo_run(proto, initial, 1000, seed=5)
@@ -1078,5 +1094,3 @@ class TestMonteCarlo:
         proto, initial, _ = self._protocol()
         with pytest.raises(ValueError):
             monte_carlo_run(proto, initial, 0, seed=0)
-        with pytest.raises(ValueError):
-            monte_carlo_run(proto, initial, 10, seed=0, workers=0)

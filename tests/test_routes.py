@@ -35,7 +35,7 @@ from entconvert import (ExactMonomial, InfeasibleConversionError,
                         success_probability)
 from entconvert.cli import main
 from entconvert.locc import _DRAW_BLOCK, _sample_histories
-from entconvert.numeric import DEFAULT_TOL, round12
+from entconvert.numeric import round12
 from entconvert.schmidt import _lifted
 
 # amplitude and sampled routes run only on protocols this short, so
@@ -245,8 +245,7 @@ def _assert_sampled_routes_agree(protocol, source, trials, seed):
         sampled.trials, sampled.successes, sampled.empirical_probability,
         sampled.std_error, sampled.seed)
     # exact reference: each sampled history's exact states, by its count
-    histories = _sample_histories(protocol, initial, trials, seed,
-                                  DEFAULT_TOL)
+    histories = _sample_histories(protocol, initial, trials, seed)
     states = {b.history: b.states
               for b in exhaustive_run_exact(protocol, _lifted(source))}
     table = audit_trajectories([(c, states[h])

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entconvert import (BipartiteState, InvalidStateError, SchmidtVector,
                         majorizes, reduced_density, schmidt_decompose,
@@ -87,10 +85,6 @@ class TestSchmidtVector:
         assert not sv.is_exact
         assert sv.probs == (0.8, 0.2)
 
-    def test_from_values_normalize(self):
-        sv = SchmidtVector.from_values([3, 1], normalize=True)
-        assert sv.probs == (F(3, 4), F(1, 4))
-
     def test_from_values_trim(self):
         sv = SchmidtVector.from_values(["0.5", "0.5", "0"], trim=True)
         assert sv.n == 2
@@ -110,14 +104,6 @@ class TestSchmidtVector:
         svf = SchmidtVector((0.5, 0.5, 1e-12))
         assert svf.nonzero_count() == 2
 
-    @given(st.lists(st.integers(min_value=1, max_value=100),
-                    min_size=1, max_size=8))
-    @settings(max_examples=80, deadline=None)
-    def test_from_values_normalized_hypothesis(self, parts):
-        sv = SchmidtVector.from_values(parts, normalize=True)
-        assert sum(sv.probs) == 1
-        assert all(a >= b for a, b in zip(sv.probs, sv.probs[1:]))
-
 
 class TestBipartiteState:
     def test_norm_enforced(self):
@@ -129,13 +115,8 @@ class TestBipartiteState:
         with pytest.raises(InvalidStateError):
             BipartiteState(np.array([[bad, 0.0], [0.0, 0.0]]))
 
-    def test_from_amplitudes_normalize(self):
-        st_ = BipartiteState.from_amplitudes(np.eye(2), normalize=True)
-        assert st_.n_a == st_.n_b == 2
-        assert abs(np.linalg.norm(st_.amplitudes) - 1.0) < 1e-12
-
     def test_amplitudes_read_only(self):
-        st_ = BipartiteState.from_amplitudes(np.eye(2), normalize=True)
+        st_ = BipartiteState(np.eye(2) / math.sqrt(2))
         with pytest.raises(ValueError):
             st_.amplitudes[0, 0] = 5.0
 
