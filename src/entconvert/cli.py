@@ -201,6 +201,8 @@ def cmd_simulate(args) -> int:
             raise ValueError("trials must be positive")
         if args.workers < 1:
             raise ValueError("workers must be positive")
+        if not 0 <= args.seed < 2 ** 128:   # the Philox key's range
+            raise ValueError("--seed must be at least 0 and below 2**128")
     protocol = build_full_protocol(plan)
     # every run is exact: a float plan's on the dyadic lift it was planned on
     initial = _lifted(plan.source)

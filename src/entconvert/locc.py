@@ -5,7 +5,10 @@ A protocol is a finite sequence of steps: local generalized measurements
 announcements.  The protocols built here are plain data: a measurement
 is its rational monomials, a relabel its permutation (an ExactMonomial
 whose squares are all 1), each with its dense form derived only when
-first asked for, and an outcome condition is an ``OutcomeIs``.
+first asked for, and an outcome condition is an ``OutcomeIs``.  A step
+is checked when it is made (a measurement must resolve the identity,
+exactly on monomials), and each engine fits the whole protocol to its
+initial state once per run, before any step runs (_fit).
 Exhaustive enumeration and seeded sampling (per-trial randomness a
 function of (seed, trial index) alone) share one step interpreter, and
 the state's type picks the level: a BipartiteState runs in floating
@@ -183,9 +186,11 @@ class _DenseOnDemand:
 @dataclass(frozen=True, eq=False)
 class LocalMeasurement(_DenseOnDemand):
     """Generalized measurement on one party; operators must satisfy
-    sum K^dag K = identity.  Given by ``operators`` or by ``exact``, the
-    monomial description of each operator for rational bookkeeping, not
-    both; from ``exact`` the dense operators are derived on first use."""
+    sum K^dag K = identity, checked here: within DEFAULT_TOL on dense
+    operators, exactly on monomials, whose squares must sum to 1 in every
+    column.  Given by ``operators`` or by ``exact``, the monomial
+    description of each operator for rational bookkeeping, not both; from
+    ``exact`` the dense operators are derived on first use."""
 
     party: str
     operators: tuple = field(default_factory=tuple)
@@ -203,18 +208,28 @@ class LocalMeasurement(_DenseOnDemand):
         if self.exact:
             if len({mono.n for mono in self.exact}) != 1:
                 raise ProtocolError("measurement operators differ in shape")
+            den = math.lcm(*(mono._scaled[1] for mono in self.exact))
+            columns = zip(*([x * (den // d) for x in nums]
+                            for nums, d in (m._scaled for m in self.exact)))
+            complete = all(sum(column) == den for column in columns)
             object.__delattr__(self, "operators")
-            return
-        if not ops:
-            raise ProtocolError("a measurement needs at least one operator")
-        shape = ops[0].shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ProtocolError("measurement operators must be square")
-        if any(op.shape != shape for op in ops):
-            raise ProtocolError("measurement operators differ in shape")
-        for op in ops:
-            op.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        else:
+            if not ops:
+                raise ProtocolError(
+                    "a measurement needs at least one operator")
+            shape = ops[0].shape
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ProtocolError("measurement operators must be square")
+            if any(op.shape != shape for op in ops):
+                raise ProtocolError("measurement operators differ in shape")
+            complete = np.allclose(sum(op.conj().T @ op for op in ops),
+                                   np.eye(shape[0]), atol=DEFAULT_TOL)
+            for op in ops:
+                op.setflags(write=False)
+            object.__setattr__(self, "operators", ops)
+        if not complete:
+            raise ProtocolError(
+                "measurement operators do not resolve the identity")
 
     def _dense(self):
         ops = tuple(mono.matrix() for mono in self.exact)
@@ -270,6 +285,10 @@ class LocalUnitary(_DenseOnDemand):
         mat = self.exact.matrix()
         mat.setflags(write=False)
         return mat
+
+    @property
+    def n(self) -> int:
+        return self.exact.n if "exact" in vars(self) else self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -328,7 +347,8 @@ def apply_measurement(state: BipartiteState, party: str, operators):
     party : str
         "A" (operators act on rows) or "B" (columns).
     operators : sequence of square matrices
-        Must resolve the identity on the measured party within DEFAULT_TOL.
+        Must fit the measured party and resolve its identity within
+        DEFAULT_TOL.
 
     Returns
     -------
@@ -337,35 +357,42 @@ def apply_measurement(state: BipartiteState, party: str, operators):
         probabilities sum to 1 within tolerance.  Outcomes below the
         pruning threshold carry ``post_state=None``.
     """
-    ops = _checked_operators(state, party, operators)
+    step = LocalMeasurement(party, operators)
+    _fit((step,), state)
     return [MeasurementOutcome(idx, p, post)
-            for idx, (p, post) in enumerate(_outcomes(state, party, ops))]
+            for idx, (p, post) in enumerate(_outcomes(step, state))]
 
 
-def _checked_operators(state, party, operators):
-    """The operators as complex arrays, once they fit the measured party
-    of ``state`` and resolve its identity within DEFAULT_TOL."""
-    if party not in ("A", "B"):
-        raise ProtocolError(f"party must be 'A' or 'B', got {party!r}")
-    ops = [np.array(op, dtype=complex) for op in operators]
-    if not ops:
-        raise ProtocolError("a measurement needs at least one operator")
-    dim = state.n_a if party == "A" else state.n_b
-    if any(op.shape != (dim, dim) for op in ops):
-        raise ProtocolError(
-            f"operator shape mismatch: party {party} has dimension {dim}")
-    if not np.allclose(sum(op.conj().T @ op for op in ops), np.eye(dim),
-                       atol=DEFAULT_TOL):
-        raise ProtocolError("measurement operators do not resolve the identity")
-    return ops
+def _fit(steps, initial):
+    """Refuse steps that do not fit ``initial``, once per run, before any
+    step runs: each must act on its party's dimension, and on a
+    SchmidtVector, run as integers, each must carry its monomials."""
+    exact = isinstance(initial, SchmidtVector)
+    dims = (initial.n,) * 2 if exact else (initial.n_a, initial.n_b)
+    for pos, step in enumerate(steps):
+        if isinstance(step, Announce):
+            continue
+        measured = isinstance(step, LocalMeasurement)
+        if exact and getattr(step, "exact", None) is None:
+            raise ProtocolError(
+                ("measurement lacks exact monomial data" if measured else
+                 f"step {pos} ({step.label or 'unitary'}) is a dense unitary")
+                + "; use the amplitude-level exhaustive_run instead")
+        dim = dims[step.party == "B"]
+        if step.n != dim:
+            raise ProtocolError(
+                ("operator shape mismatch" if measured else
+                 f"step {pos}: unitary shape mismatch")
+                + f": party {step.party} has dimension {dim}")
 
 
-def _outcomes(state, party, ops):
-    """(probability, post) per operator, the checks already passed; post
-    is None for an outcome below the pruning threshold."""
+def _outcomes(step, state):
+    """(probability, post) per operator of measurement ``step`` on an
+    amplitude state; post is None for an outcome below the pruning
+    threshold."""
     outcomes = []
-    for op in ops:
-        branch = _apply_operator(state.amplitudes, party, op)
+    for op in step.operators:
+        branch = _apply_operator(state.amplitudes, step.party, op)
         p = float(np.linalg.norm(branch)) ** 2
         outcomes.append((p, None if p < PRUNE_EPS
                          else BipartiteState(branch / math.sqrt(p))))
@@ -400,7 +427,6 @@ def _advance(protocol, pos, state, history):
     while pos < len(steps) and not isinstance(steps[pos], LocalMeasurement):
         step = steps[pos]
         if isinstance(step, LocalUnitary):
-            _checked_unitary(step, pos, state)
             if step.condition is None or step.condition(history):
                 state = (BipartiteState(_apply_operator(
                     state.amplitudes, step.party, step.matrix))
@@ -409,43 +435,6 @@ def _advance(protocol, pos, state, history):
         snapshots.append(state)
         pos += 1
     return snapshots, pos
-
-
-def _checked_monomials(step, n):
-    """Refuse an exact measurement unless its monomials fit an n-level
-    state and resolve the identity: for every column, the squares of the
-    step's operators sum to exactly 1, compared on integers."""
-    if step.exact is None:
-        raise ProtocolError(
-            "measurement lacks exact monomial data; "
-            "use the amplitude-level exhaustive_run instead")
-    if any(mono.n != n for mono in step.exact):
-        raise ProtocolError(
-            f"operator shape mismatch: party {step.party} has dimension {n}")
-    den = math.lcm(*(mono._scaled[1] for mono in step.exact))
-    columns = zip(*([x * (den // d) for x in nums]
-                    for nums, d in (mono._scaled for mono in step.exact)))
-    if any(sum(column) != den for column in columns):
-        raise ProtocolError("measurement operators do not resolve the identity")
-
-
-def _checked_unitary(step, pos, state):
-    """Refuse a unitary, at step ``pos``, that does not fit its party's
-    levels in ``state``, or, on an integer state, one given densely."""
-    mono = getattr(step, "exact", None)
-    if isinstance(state, BipartiteState):
-        n = state.n_a if step.party == "A" else state.n_b
-        size = step.matrix.shape[0] if mono is None else mono.n
-    elif mono is None:
-        raise ProtocolError(
-            f"step {pos} ({step.label or 'unitary'}) is a dense unitary; "
-            "use the amplitude-level exhaustive_run instead")
-    else:
-        n, size = len(state[1]), mono.n
-    if size != n:
-        raise ProtocolError(
-            f"step {pos}: unitary shape mismatch: party {step.party} has "
-            f"dimension {n}")
 
 
 # An integer state is (scaled, partners): ``scaled`` its squared
@@ -489,23 +478,6 @@ def _exact_outcomes(step, state):
     return results
 
 
-def _measure(step, state, checked):
-    """(probability, post) per outcome of ``step``: a BipartiteState's
-    from its operators, an integer state's from the step's exact
-    monomial data.  A step's operators are checked the first time a
-    state meets it and then added to ``checked``: every state of one
-    run has the same shape, so that check holds for the whole run."""
-    if isinstance(state, BipartiteState):
-        if step not in checked:
-            _checked_operators(state, step.party, step.operators)
-            checked.add(step)
-        return _outcomes(state, step.party, step.operators)
-    if step not in checked:
-        _checked_monomials(step, len(state[1]))
-        checked.add(step)
-    return _exact_outcomes(step, state)
-
-
 def _enumerate(protocol, initial, one):
     """Every unpruned branch in history order, one level at a time, with
     probabilities multiplied left to right from ``one``.  A BipartiteState
@@ -514,16 +486,18 @@ def _enumerate(protocol, initial, one):
     branches reach them.  Their snapshots are SchmidtVectors, one object
     per distinct state."""
     steps = protocol.steps
+    _fit(steps, initial)
     exact = isinstance(initial, SchmidtVector)
+    measure = _exact_outcomes if exact else _outcomes
     start = (initial._scaled, tuple(range(initial.n))) if exact else initial
-    frontier, pos, checked = [((), one, [start])], 0, set()
+    frontier, pos = [((), one, [start])], 0
     while frontier and pos < len(steps):
         grown, shared = [], {}   # shared: integer state -> its outcomes
         if isinstance(steps[pos], LocalMeasurement):
             for history, prob, states in frontier:
                 outcomes = shared.get(states[-1]) if exact else None
                 if outcomes is None:
-                    outcomes = _measure(steps[pos], states[-1], checked)
+                    outcomes = measure(steps[pos], states[-1])
                     if exact:
                         shared[states[-1]] = outcomes
                 for idx, (p, post) in enumerate(outcomes):
@@ -635,8 +609,8 @@ def merged_run_exact(protocol: LoccProtocol,
     ValueError before any level runs.
     """
     _check_audit_size(initial.n, len(protocol.steps))
-    last, per_state = _merged_levels(protocol, initial, (Fraction(1), 1),
-                                     _every_outcome, _add_pairs)
+    [(last, per_state)] = _merged_levels(
+        protocol, initial, [((Fraction(1), 1), _every_outcome)], _add_pairs)
     success = sum((w for w, _ in _succeeded(protocol, last)), Fraction(0))
     weights = [{state: w for state, (w, _) in states.items()}
                for states in per_state]
@@ -656,18 +630,21 @@ def _check_audit_size(n, steps):
             f"= {cells} cells (limit {MAX_AUDIT_CELLS})")
 
 
-def _merged_levels(protocol, initial, root, split, add):
+def _merged_levels(protocol, initial, passes, add):
     """The level loop of every run on integer states, exhaustive or
-    sampled.
+    sampled, once per pass.
 
     Each measurement level is one dict keyed by (integer state, last
-    outcome), which the unitaries after the measurement relabel.  ``root``
-    is the initial state's entry.
-    ``split(entry, outcomes, depth)`` yields (outcome index, entry) for
-    the outcomes that the entry of one state takes at the measurement
-    after ``depth`` outcomes, given that state's (probability, post) per
-    outcome; ``add`` sums two entries.  Returns the last level and, per
-    level, its entries summed per squared coefficients in integer form.
+    outcome), which the unitaries after the measurement relabel.
+    ``passes`` gives (root, split) per pass: ``root`` is the initial
+    state's entry, and ``split(entry, outcomes, depth)`` yields (outcome
+    index, entry) for the outcomes that the entry of one state takes at
+    the measurement after ``depth`` outcomes, given that state's
+    (probability, post) per outcome; ``add`` sums two entries.  Yields
+    per pass the last level and, per level, its entries summed per
+    squared coefficients in integer form.  The protocol is fitted to the
+    initial state once, and each (step, state) measured once, for all
+    passes.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
@@ -675,31 +652,35 @@ def _merged_levels(protocol, initial, root, split, add):
         raise ProtocolError(
             "success predicate reads more than the last outcome; "
             "use exhaustive_run_exact instead")
+    _fit(protocol.steps, initial)
     start = (initial._scaled, tuple(range(initial.n)))
-    level = {(start, None): root}
-    per_state, depth = [], 0
-    for pos, step in enumerate(protocol.steps):
-        if isinstance(step, LocalUnitary):
-            _checked_unitary(step, pos, start)
-            acts = _last_outcome_test(step, pos, depth)
-            # a relabel is one-to-one and keeps the outcome: no keys merge
-            level = {(_relabeled(step.party, step.exact.rows, state)
-                      if acts(idx) else state, idx): entry
-                     for (state, idx), entry in level.items()}
-        elif isinstance(step, LocalMeasurement):
-            _checked_monomials(step, initial.n)
-            states = _per_state(level, add)
-            per_state.append(_per_state(states, add))
-            grown = {}
-            for state, entry in states.items():
-                outcomes = _exact_outcomes(step, state)
-                for idx, part in split(entry, outcomes, depth):
-                    key = (outcomes[idx][1], idx)
-                    grown[key] = add(grown[key], part) if key in grown else part
-            level = grown
-            depth += 1
-    per_state.append(_per_state(_per_state(level, add), add))
-    return level, per_state
+    measured = {}   # (step, integer state) -> its outcomes
+    for root, split in passes:
+        level = {(start, None): root}
+        per_state, depth = [], 0
+        for pos, step in enumerate(protocol.steps):
+            if isinstance(step, LocalUnitary):
+                acts = _last_outcome_test(step, pos, depth)
+                # a relabel is one-to-one and keeps the outcome: no keys merge
+                level = {(_relabeled(step.party, step.exact.rows, state)
+                          if acts(idx) else state, idx): entry
+                         for (state, idx), entry in level.items()}
+            elif isinstance(step, LocalMeasurement):
+                states = _per_state(level, add)
+                per_state.append(_per_state(states, add))
+                grown = {}
+                for state, entry in states.items():
+                    if (step, state) not in measured:
+                        measured[step, state] = _exact_outcomes(step, state)
+                    outcomes = measured[step, state]
+                    for idx, part in split(entry, outcomes, depth):
+                        key = (outcomes[idx][1], idx)
+                        grown[key] = (add(grown[key], part) if key in grown
+                                      else part)
+                level = grown
+                depth += 1
+        per_state.append(_per_state(_per_state(level, add), add))
+        yield level, per_state
 
 
 def _last_outcome_test(step, pos, depth):
@@ -1062,14 +1043,15 @@ def _sample_histories(protocol, initial, trials, seed):
     a history that would take them past MAX_TREE_BYTES bytes raises
     ValueError instead.
     """
-    steps, checked = protocol.steps, set()
+    steps = protocol.steps
+    _fit(steps, initial)
     tree, kept = {}, initial.amplitudes.nbytes
 
     def expand(history, pos, state):
         nonlocal kept
         snapshots, pos = _advance(protocol, pos, state, history)
         states = (state, *snapshots)
-        outcomes = (_measure(steps[pos], states[-1], checked)
+        outcomes = (_outcomes(steps[pos], states[-1])
                     if pos < len(steps) else None)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (
@@ -1155,9 +1137,9 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     the measurement after d outcomes, where monte_carlo_run's split
     (_sampled_outcomes) picks its outcome.  The loop runs once per block
     of the draw, and each level groups the block's rows by state instead
-    of by history.  The audit averages over the trials exactly, then
-    rounds once; sampled averages may rise, so it is not checked for
-    increases.
+    of by history; each (step, state) is measured once per run.  The
+    audit averages over the trials exactly, then rounds once; sampled
+    averages may rise, so it is not checked for increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
     (step, k, average) triples in the same order.  Refuses an audit past
@@ -1168,10 +1150,9 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     _check_audit_size(initial.n, len(protocol.steps))
     counts = [{} for _ in range(protocol.measurement_count + 1)]
     successes = 0
-    for _, uniforms in _draws(protocol, trials, seed):
-        last, per_state = _merged_levels(
-            protocol, initial, np.arange(len(uniforms)),
-            _sampled_outcomes(uniforms), _joined)
+    for last, per_state in _merged_levels(protocol, initial, (
+            (np.arange(len(uniforms)), _sampled_outcomes(uniforms))
+            for _, uniforms in _draws(protocol, trials, seed)), _joined):
         successes += sum(map(len, _succeeded(protocol, last)))
         for level, states in zip(counts, per_state):
             for state, rows in states.items():

@@ -1,9 +1,11 @@
-"""Every import and every parameter in the package source is read.
+"""Every import, parameter and private top-level name in the package
+source is read.
 
 Neither pyflakes nor ruff is a dependency, so stdlib ``ast`` scans do the
-two checks of theirs kept here: an import whose name the module never
-reads and does not export, and a parameter of a function or lambda that
-its body never reads.
+checks of theirs kept here: an import whose name the module never reads
+and does not export, a parameter of a function or lambda that its body
+never reads, and a module-private function, class or constant that no
+module of the package reads.
 """
 
 import ast
@@ -95,3 +97,47 @@ def test_scan_finds_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert _unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def _unread_privates(sources):
+    """(module, line, name) of each top-level function, class or constant
+    whose name starts with one ``_`` (dunders are exempt) that no module
+    in ``sources``, a dict of module name -> source, reads as a name or
+    as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_scan_finds_an_unread_private():
+    sources = {
+        "a.py": ("_USED = 1\n_UNUSED: int = 2\n__version__ = '1'\n"
+                 "def _helper():\n    return _USED\n"
+                 "class _Box:\n    pass\ndef _called():\n    pass\n"),
+        "b.py": "import a\nfrom a import _called\n_called(a._helper)\n"}
+    assert _unread_privates(sources) == [("a.py", 2, "_UNUSED"),
+                                         ("a.py", 6, "_Box")]
+
+
+def test_no_unread_privates():
+    assert _unread_privates({
+        str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+        for path in MODULES}) == []

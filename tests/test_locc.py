@@ -5,6 +5,7 @@ import math
 import pickle
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,9 +99,27 @@ class TestApplyMeasurement:
         assert outs[1].post_state is None
 
 
+def _counting_checks(monkeypatch):
+    """Counts of the calls, from now on, to the fit of a protocol to its
+    initial state and to the check a measurement gets when it is made."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(locc, "_fit", counted("fit", locc._fit))
+    monkeypatch.setattr(LocalMeasurement, "__post_init__", counted(
+        "made", LocalMeasurement.__post_init__))
+    return calls
+
+
 class TestMeasurementCheckPerStep:
-    """The engines check a step's operators once per run, when the step
-    is first measured, and raise what apply_measurement raises."""
+    """A measurement is checked once, when it is made; the amplitude
+    engines fit a protocol to its initial state once per run, before any
+    step runs, and raise what apply_measurement raises."""
 
     @staticmethod
     def _protocol(second_ops):
@@ -109,7 +128,7 @@ class TestMeasurementCheckPerStep:
                              LocalMeasurement("A", second_ops)))
 
     @pytest.mark.parametrize("second_ops, message", [
-        ((np.eye(2) / 2,), "do not resolve the identity"),
+        ((np.eye(1),), "shape mismatch"),
         ((np.eye(3),), "shape mismatch"),
     ])
     def test_bad_later_step_raises_in_every_engine(self, second_ops,
@@ -124,33 +143,30 @@ class TestMeasurementCheckPerStep:
             monte_carlo_run(proto, initial, 50, 1)
 
     def test_checked_once_per_step_per_run(self, monkeypatch):
-        import entconvert.locc as locc
-        calls = []
-        real = locc._checked_operators
-
-        def counting(state, party, operators):
-            calls.append(len(operators))
-            return real(state, party, operators)
-
-        monkeypatch.setattr(locc, "_checked_operators", counting)
         plan = build_plan(rand_rational_schmidt(np.random.default_rng(8), 6),
                           rand_rational_schmidt(np.random.default_rng(9), 6))
         proto = build_full_protocol(plan)
         initial = state_from_schmidt(plan.source)
+        calls = _counting_checks(monkeypatch)
         branches = exhaustive_run(proto, initial)
         assert len(branches) > proto.measurement_count
-        assert len(calls) == proto.measurement_count
+        assert calls == {"fit": 1}
         calls.clear()
-        monte_carlo_run(proto, initial, 500, 3)
-        assert 0 < len(calls) <= proto.measurement_count
+        monte_carlo_run(proto, initial, 2 * _DRAW_BLOCK + 1, 3)
+        assert calls == {"fit": 1}
+        calls.clear()
+        apply_measurement(initial, "A", (np.eye(6),))
+        assert calls == {"fit": 1, "made": 1}
 
 
 def _outcome(mono, sv, party="A", partners=None):
     """(probability, post) of ``mono`` alone, measured on ``party`` of the
-    integer state of ``sv`` whose A level a pairs with B's partners[a]."""
+    integer state of ``sv`` whose A level a pairs with B's partners[a].
+    One monomial seldom resolves the identity, so it is handed over as a
+    stand-in for a measurement."""
     if partners is None:
         partners = tuple(range(sv.n))
-    step = LocalMeasurement(party, exact=(mono,))
+    step = SimpleNamespace(party=party, exact=(mono,))
     [outcome] = _exact_outcomes(step, (sv._scaled, partners))
     return outcome
 
@@ -222,6 +238,15 @@ class TestProtocolSteps:
         with pytest.raises(ProtocolError, match="not both"):
             LocalMeasurement("A", (np.diag([1.0, 0]), np.diag([0, 1.0])),
                              exact=(half, half))
+        # operators must resolve the identity: within DEFAULT_TOL when
+        # dense, exactly, column by column, as monomials
+        for operators, exact in [
+                ((np.eye(2) / 2,), None),
+                ((), (ExactMonomial((0, 1), (F(1, 3), F(1))),)),
+                ((), (half, ExactMonomial((1, 0), (F(1, 2), F(2, 3)))))]:
+            with pytest.raises(ProtocolError,
+                               match="do not resolve the identity"):
+                LocalMeasurement("A", operators, exact)
 
     def test_unitary_validation(self):
         with pytest.raises(ProtocolError):
@@ -625,17 +650,14 @@ class TestMonotoneAudit:
 
 
 class TestExactMeasurementChecks:
-    """Exact engines refuse what the amplitude engine refuses: monomials
-    that do not fit the state or do not resolve the identity."""
+    """Exact engines refuse what the amplitude engines refuse: monomials
+    that do not fit the state.  Each engine fits a protocol to its initial
+    state once per run, before any step runs."""
 
     SOURCE = SchmidtVector((F(3, 4), F(1, 4)))
 
     @pytest.mark.parametrize("monos, message", [
-        ((ExactMonomial((0, 1), (F(1, 3), F(1))),),
-         "do not resolve the identity"),
-        ((ExactMonomial((0, 1), (F(1, 2), F(1, 2))),
-          ExactMonomial((1, 0), (F(1, 2), F(2, 3)))),
-         "do not resolve the identity"),
+        ((ExactMonomial((0,), (F(1),)),), "shape mismatch"),
         ((ExactMonomial((0, 1, 2), (F(1),) * 3),), "shape mismatch"),
     ])
     def test_refused_like_amplitude_operators(self, monos, message):
@@ -647,21 +669,39 @@ class TestExactMeasurementChecks:
             exhaustive_run(proto, state_from_schmidt(self.SOURCE))
 
     def test_checked_once_per_step_per_run(self, monkeypatch):
-        calls = []
-        real = locc._checked_monomials
-
-        def counting(step, n):
-            calls.append(step)
-            return real(step, n)
-
-        monkeypatch.setattr(locc, "_checked_monomials", counting)
         plan = build_plan(rand_rational_schmidt(np.random.default_rng(8), 6),
                           rand_rational_schmidt(np.random.default_rng(9), 6))
         proto = build_full_protocol(plan)
-        for run in (exhaustive_run_exact, merged_run_exact):
+        calls = _counting_checks(monkeypatch)
+        for run in (exhaustive_run_exact, merged_run_exact,
+                    lambda proto, source: merged_sample_exact(
+                        proto, source, 2 * _DRAW_BLOCK + 1, 0)):
             calls.clear()
             run(proto, plan.source)
-            assert len(calls) == len(set(calls)) == proto.measurement_count
+            assert calls == {"fit": 1}
+
+    @pytest.mark.parametrize("last, message", [
+        (LocalMeasurement("B", exact=(ExactMonomial((0, 1, 2), (1, 1, 1)),)),
+         "operator shape mismatch: party B has dimension 2"),
+        (LocalUnitary("B", ExactMonomial((0, 1, 2), (1, 1, 1))),
+         "step 2: unitary shape mismatch: party B has dimension 2"),
+    ])
+    def test_last_step_that_does_not_fit_is_refused_before_any_runs(
+            self, monkeypatch, last, message):
+        mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
+        proto = LoccProtocol((LocalMeasurement("A", exact=(mono, mono)),
+                              Announce(), last))
+        initial = state_from_schmidt(self.SOURCE)
+        monkeypatch.setattr(locc, "_outcomes", None)
+        monkeypatch.setattr(locc, "_exact_outcomes", None)
+        for run, start in [
+                (exhaustive_run, initial),
+                (lambda p, s: monte_carlo_run(p, s, 10, 0), initial),
+                (exhaustive_run_exact, self.SOURCE),
+                (merged_run_exact, self.SOURCE),
+                (lambda p, s: merged_sample_exact(p, s, 10, 0), self.SOURCE)]:
+            with pytest.raises(ProtocolError, match=message):
+                run(proto, start)
 
 
 class TestMergedEngine:
