@@ -651,22 +651,30 @@ class TestMonotoneAudit:
 
 class TestExactMeasurementChecks:
     """Exact engines refuse what the amplitude engines refuse: monomials
-    that do not fit the state.  Each engine fits a protocol to its initial
-    state once per run, before any step runs."""
+    that do not fit the state or do not resolve the identity.  A
+    measurement is checked when it is made; each engine fits a protocol to
+    its initial state once per run, before any step runs."""
 
     SOURCE = SchmidtVector((F(3, 4), F(1, 4)))
 
     @pytest.mark.parametrize("monos, message", [
-        ((ExactMonomial((0,), (F(1),)),), "shape mismatch"),
+        ((ExactMonomial((0, 1), (F(1, 3), F(1))),),
+         "do not resolve the identity"),
+        ((ExactMonomial((0, 1), (F(1, 2), F(1, 2))),
+          ExactMonomial((1, 0), (F(1, 2), F(2, 3)))),
+         "do not resolve the identity"),
         ((ExactMonomial((0, 1, 2), (F(1),) * 3),), "shape mismatch"),
+        ((ExactMonomial((0,), (F(1),)),), "shape mismatch"),
     ])
     def test_refused_like_amplitude_operators(self, monos, message):
-        proto = LoccProtocol((Announce(), LocalMeasurement("A", exact=monos)))
-        for run in (exhaustive_run_exact, merged_run_exact):
+        initial = state_from_schmidt(self.SOURCE)
+        for run, start in [(exhaustive_run_exact, self.SOURCE),
+                           (merged_run_exact, self.SOURCE),
+                           (exhaustive_run, initial)]:
             with pytest.raises(ProtocolError, match=message):
-                run(proto, self.SOURCE)
-        with pytest.raises(ProtocolError, match=message):
-            exhaustive_run(proto, state_from_schmidt(self.SOURCE))
+                run(LoccProtocol((Announce(),
+                                  LocalMeasurement("A", exact=monos))),
+                    start)
 
     def test_checked_once_per_step_per_run(self, monkeypatch):
         plan = build_plan(rand_rational_schmidt(np.random.default_rng(8), 6),
