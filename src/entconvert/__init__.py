@@ -7,20 +7,20 @@ local protocol achieves that optimum, and which monotone certifies that
 nothing better exists.
 """
 
-from .conversion import (Breakpoints, ConversionPlan, DiagonalOperator,
+from .conversion import (Breakpoints, ConversionPlan, ExactMonomial,
                          InfeasibleConversionError, IntermediateOrderError,
                          MultiCopyBound, MULTI_COPY_POSSIBLE,
-                         PlanInvariantError, SINGLE_COPY_OPTIMAL,
-                         breakpoints, build_plan, intermediate_state,
-                         measurement_operators, multi_copy_bound,
-                         optimal_probability, optimal_probability_detail,
+                         PlanInvariantError, ProtocolError,
+                         SINGLE_COPY_OPTIMAL, breakpoints, build_plan,
+                         intermediate_state, measurement_operators,
+                         multi_copy_bound, optimal_probability,
+                         optimal_probability_detail,
                          tensor_conversion_probability)
-from .locc import (Announce, Branch, BranchLimitError, ExactMonomial,
-                   LoccProtocol, LocalMeasurement, LocalUnitary,
-                   MajorizationError, MeasurementOutcome, MergedRun,
-                   MonotoneViolationError, OutcomeIs, ProtocolError,
-                   SimulationReport, apply_measurement, audit_trajectories,
-                   build_full_protocol,
+from .locc import (Announce, Branch, BranchLimitError, LoccProtocol,
+                   LocalMeasurement, LocalUnitary, MajorizationError,
+                   MeasurementOutcome, MergedRun, MonotoneViolationError,
+                   OutcomeIs, SimulationReport, apply_measurement,
+                   audit_trajectories, build_full_protocol,
                    deterministic_protocol, exhaustive_run,
                    exhaustive_run_exact, merged_run_exact,
                    merged_sample_exact, monotone_audit, monte_carlo_run,

@@ -11,11 +11,15 @@ evaluates that closed form directly and, by an independent route, builds
 the object that achieves it: a partition of the index range into
 segments with strictly increasing tail ratios, an intermediate state
 reachable deterministically, and a final two-outcome filter whose
-success branch lands exactly on the target.
+success branch lands exactly on the target.  The filter pair are
+diagonal ExactMonomials, the one exact operator type, from which locc
+builds every protocol step; a built protocol's final measurement holds
+the plan's own pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +33,8 @@ __all__ = [
     "PlanInvariantError",
     "IntermediateOrderError",
     "Breakpoints",
-    "DiagonalOperator",
+    "ProtocolError",
+    "ExactMonomial",
     "ConversionPlan",
     "MultiCopyBound",
     "SINGLE_COPY_OPTIMAL",
@@ -58,6 +63,10 @@ class PlanInvariantError(RuntimeError):
 
 class IntermediateOrderError(RuntimeError):
     """The intermediate state came out of order (should be impossible)."""
+
+
+class ProtocolError(ValueError):
+    """A protocol or one of its steps is malformed."""
 
 
 def _tail_sums(alpha: SchmidtVector, beta: SchmidtVector):
@@ -209,37 +218,57 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector) -> SchmidtVector:
 
 
 @dataclass(frozen=True)
-class DiagonalOperator:
-    """Non-negative diagonal operator stored by its squared diagonal.
+class ExactMonomial:
+    """Monomial operator (one nonzero entry per column) with rational
+    squared magnitudes, the one exact form of an operator: a plan's filter
+    pair and every step of a built protocol are given this way.
 
-    A plan's squared entries are exact rationals; the float matrix (with
-    the square roots taken) is derived on demand.
+    ``rows[c]`` is the row of column c's nonzero entry, a permutation of
+    0..n-1, and ``squared[c]`` its squared magnitude: the operator takes
+    level c to level ``rows[c]``.  So ``matrix`` equals
+    ``np.eye(n)[list(rows)]`` only when ``rows`` is its own inverse, as a
+    transposition is, and is its transpose otherwise.  The squares are
+    also kept as integers over one denominator, as
+    ``SchmidtVector._scaled`` keeps a vector's entries.
     """
 
+    rows: tuple
     squared: tuple
 
     def __post_init__(self):
-        sq = tuple(self.squared)
-        if not sq:
-            raise InvalidStateError("empty diagonal operator")
-        for s in sq:
-            num, den = s.as_integer_ratio()
-            if not 0 <= num <= den:
-                raise InvalidStateError(f"squared diagonal entry {s} outside [0, 1]")
-        object.__setattr__(self, "squared", sq)
+        rows = tuple(map(int, self.rows))
+        squared = tuple(s if isinstance(s, Fraction) else Fraction(s)
+                        for s in self.squared)
+        if len(rows) != len(squared):
+            raise ProtocolError("monomial row/entry length mismatch")
+        if sorted(rows) != list(range(len(rows))):
+            raise ProtocolError(
+                f"monomial rows {rows} are not a permutation of "
+                f"0..{len(rows) - 1}")
+        ratios = [s.as_integer_ratio() for s in squared]
+        den = math.lcm(*{d for _, d in ratios})
+        nums = tuple(x * (den // d) for x, d in ratios)
+        if any(x < 0 for x in nums):
+            raise ProtocolError("negative squared magnitude in monomial")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "squared", squared)
+        # not a field, so __eq__, __hash__ and repr still see the two above
+        object.__setattr__(self, "_scaled", (nums, den))
 
     @property
     def n(self) -> int:
-        return len(self.squared)
+        return len(self.rows)
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.diag(np.sqrt([float(s) for s in self.squared])).astype(
-            complex)
+        mat = np.zeros((self.n, self.n), dtype=complex)
+        for col, (row, sq) in enumerate(zip(self.rows, self.squared)):
+            mat[row, col] = math.sqrt(float(sq))
+        return mat
 
 
 def measurement_operators(bp: Breakpoints):
-    """The final filter pair (success, failure).
+    """The final filter pair (success, failure), as diagonal monomials.
 
     The success operator is block diagonal, sqrt(r_1 / r_j) on segment j
     (identity on the last segment); the failure operator completes it,
@@ -252,7 +281,9 @@ def measurement_operators(bp: Breakpoints):
         s = r1 / bp.ratios[j - 1]
         success += [s] * (hi - lo + 1)
         failure += [1 - s] * (hi - lo + 1)
-    return DiagonalOperator(tuple(success)), DiagonalOperator(tuple(failure))
+    rows = tuple(range(bp.n))
+    return (ExactMonomial(rows, tuple(success)),
+            ExactMonomial(rows, tuple(failure)))
 
 
 @dataclass(frozen=True)
@@ -270,8 +301,8 @@ class ConversionPlan:
     target: SchmidtVector
     breakpoints: Breakpoints | None
     intermediate: SchmidtVector | None
-    success_operator: DiagonalOperator | None
-    failure_operator: DiagonalOperator | None
+    success_operator: ExactMonomial | None
+    failure_operator: ExactMonomial | None
     probability: object
 
     @property

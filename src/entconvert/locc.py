@@ -3,12 +3,14 @@
 A protocol is a finite sequence of steps: local generalized measurements
 (branching), outcome-conditioned local unitaries, and classical outcome
 announcements.  The protocols built here are plain data: a measurement
-is its rational monomials, a relabel its permutation (an ExactMonomial
-whose squares are all 1), each with its dense form derived only when
-first asked for, and an outcome condition is an ``OutcomeIs``.  A step
-is checked when it is made (a measurement must resolve the identity,
-exactly on monomials), and each engine fits the whole protocol to its
-initial state once per run, before any step runs (_fit).
+is its rational monomials (ExactMonomial, the exact operator type that
+conversion defines; the final filter holds the plan's own pair), a
+relabel its permutation (an ExactMonomial whose squares are all 1), each
+with its dense form derived only when first asked for, and an outcome
+condition is an ``OutcomeIs``.  A step is checked when it is made (a
+measurement must resolve the identity, exactly on monomials), and each
+engine fits the whole protocol to its initial state once per run, before
+any step runs (_fit).
 Exhaustive enumeration and seeded sampling (per-trial randomness a
 function of (seed, trial index) alone) share one step interpreter, and
 the state's type picks the level: a BipartiteState runs in floating
@@ -30,7 +32,7 @@ one entry per (state, last outcome) and level instead of one per
 history: exhaustively a weight and a history count (merged_run_exact),
 sampled the trials that reached it (merged_sample_exact).  Both refuse
 an audit of more than MAX_AUDIT_CELLS cells, as build_full_protocol does
-before it makes any monomial.  The CLI runs on that engine alone; the
+before it makes any step.  The CLI runs on that engine alone; the
 enumerating engines and the amplitude-level sampler stay as its
 reference.
 """
@@ -43,7 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conversion import ConversionPlan, InfeasibleConversionError
+from .conversion import (ConversionPlan, ExactMonomial,
+                         InfeasibleConversionError, ProtocolError)
 from .monotones import _tails, entanglement_monotone
 from .numeric import DEFAULT_TOL
 from .schmidt import (BipartiteState, SchmidtVector, majorizes,
@@ -91,10 +94,6 @@ PRUNE_EPS = 1e-12  # outcomes below this are never normalized into states
 MAX_AUDIT_CELLS = 2 ** 19
 
 
-class ProtocolError(ValueError):
-    """A protocol or one of its steps is malformed."""
-
-
 class BranchLimitError(RuntimeError):
     """Exhaustive enumeration exceeded the branch cap."""
 
@@ -105,54 +104,6 @@ class MonotoneViolationError(RuntimeError):
 
 class MajorizationError(ValueError):
     """Deterministic conversion requested without majorization."""
-
-
-@dataclass(frozen=True)
-class ExactMonomial:
-    """Monomial operator (one nonzero entry per column) with rational
-    squared magnitudes — enough to track Schmidt-level branches exactly.
-
-    ``rows[c]`` is the row of column c's nonzero entry, a permutation of
-    0..n-1, and ``squared[c]`` its squared magnitude: the operator takes
-    level c to level ``rows[c]``.  So ``matrix()`` equals
-    ``np.eye(n)[list(rows)]`` only when ``rows`` is its own inverse, as a
-    transposition is, and is its transpose otherwise.  The squares are
-    also kept as integers over one denominator, as
-    ``SchmidtVector._scaled`` keeps a vector's entries.
-    """
-
-    rows: tuple
-    squared: tuple
-
-    def __post_init__(self):
-        rows = tuple(map(int, self.rows))
-        squared = tuple(s if isinstance(s, Fraction) else Fraction(s)
-                        for s in self.squared)
-        if len(rows) != len(squared):
-            raise ProtocolError("monomial row/entry length mismatch")
-        if sorted(rows) != list(range(len(rows))):
-            raise ProtocolError(
-                f"monomial rows {rows} are not a permutation of "
-                f"0..{len(rows) - 1}")
-        ratios = [s.as_integer_ratio() for s in squared]
-        den = math.lcm(*{d for _, d in ratios})
-        nums = tuple(x * (den // d) for x, d in ratios)
-        if any(x < 0 for x in nums):
-            raise ProtocolError("negative squared magnitude in monomial")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "squared", squared)
-        # not a field, so __eq__, __hash__ and repr still see the two above
-        object.__setattr__(self, "_scaled", (nums, den))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=complex)
-        for col, (row, sq) in enumerate(zip(self.rows, self.squared)):
-            mat[row, col] = math.sqrt(float(sq))
-        return mat
 
 
 @dataclass(frozen=True)
@@ -232,7 +183,7 @@ class LocalMeasurement(_DenseOnDemand):
                 "measurement operators do not resolve the identity")
 
     def _dense(self):
-        ops = tuple(mono.matrix() for mono in self.exact)
+        ops = tuple(mono.matrix for mono in self.exact)
         for op in ops:
             op.setflags(write=False)
         return ops
@@ -251,7 +202,7 @@ class LocalUnitary(_DenseOnDemand):
 
     ``matrix`` may instead be an ExactMonomial whose squares are all 1,
     a permutation taking level c to level ``rows[c]``, kept as
-    ``exact``; the dense matrix, ``exact.matrix()``, is then derived on
+    ``exact``; the dense matrix, ``exact.matrix``, is then derived on
     first use.  The exact engines read only that permutation and refuse
     a unitary given densely."""
 
@@ -276,13 +227,13 @@ class LocalUnitary(_DenseOnDemand):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ProtocolError("unitary must be square")
         if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]),
-                           atol=1e-9):
+                           atol=DEFAULT_TOL):
             raise ProtocolError("matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def _dense(self):
-        mat = self.exact.matrix()
+        mat = self.exact.matrix
         mat.setflags(write=False)
         return mat
 
@@ -853,15 +804,15 @@ def audit_trajectories(trajectories, ks, *, tol=DEFAULT_TOL, check=True):
     return table
 
 
-def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL, check=True):
+def monotone_audit(branches, k: int, *, tol=DEFAULT_TOL):
     """Per-step probability-weighted average of the k-th monotone.
 
-    Returns one value per step boundary (index 0 = initial state).  With
-    ``check`` set, raises MonotoneViolationError if the sequence
-    increases beyond tolerance — no LOCC protocol may do that.
+    Returns one value per step boundary (index 0 = initial state).
+    Raises MonotoneViolationError if the sequence increases beyond
+    tolerance — no LOCC protocol may do that.
     """
     trajectories = [(b.probability, b.states) for b in branches]
-    return audit_trajectories(trajectories, (k,), tol=tol, check=check)[0]
+    return audit_trajectories(trajectories, (k,), tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -965,10 +916,10 @@ def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
     """Executable protocol realizing a feasible plan end to end.
 
     Deterministic stage to the intermediate state, then the final
-    two-outcome filter; outcome 0 of the last measurement is success.
-    A protocol whose audit the merged engines would refuse (more than
-    MAX_AUDIT_CELLS cells) is refused with their ValueError before any
-    monomial is made.
+    two-outcome filter, whose operators are the plan's own monomials;
+    outcome 0 of the last measurement is success.  A protocol whose audit
+    the merged engines would refuse (more than MAX_AUDIT_CELLS cells) is
+    refused with their ValueError before any step is made.
     """
     if not plan.is_feasible:
         raise InfeasibleConversionError(
@@ -976,10 +927,8 @@ def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
     chain = _t_transform_chain(plan.source, plan.intermediate)
     # three steps per T-transform, then the filter
     _check_audit_size(plan.source.n, 3 * len(chain) + 1)
-    rows = tuple(range(plan.intermediate.n))
-    filter_step = LocalMeasurement("A", exact=tuple(
-        ExactMonomial(rows, op.squared)
-        for op in (plan.success_operator, plan.failure_operator)),
+    filter_step = LocalMeasurement(
+        "A", exact=(plan.success_operator, plan.failure_operator),
         label="final two-outcome filter")
     return LoccProtocol((*_mixing_steps(chain), filter_step),
                         success_predicate=OutcomeIs(-1, 0))

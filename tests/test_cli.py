@@ -31,8 +31,8 @@ def states(tmp_path):
     return paths
 
 
-def _no_monomials(self):
-    raise AssertionError("a monomial was made")
+def _no_steps(self):
+    raise AssertionError("a protocol step was made")
 
 
 def run(capsys, argv):
@@ -346,8 +346,8 @@ class TestFailureModes:
         # the Philox key is 128 bits; a seed outside it is refused before
         # the protocol is built
         if code:
-            monkeypatch.setattr(locc.ExactMonomial, "__post_init__",
-                                _no_monomials)
+            monkeypatch.setattr(locc.LocalMeasurement, "__post_init__",
+                                _no_steps)
         got, out, err = run(capsys, ["simulate", states["skewed"],
                                      states["bell"], "--trials", "10",
                                      "--seed", str(seed)])
@@ -432,8 +432,8 @@ class TestFailureModes:
         # three levels, four steps: 15 cells, one past the patched limit,
         # refused before the protocol is built
         monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", 14)
-        monkeypatch.setattr(locc.ExactMonomial, "__post_init__",
-                            _no_monomials)
+        monkeypatch.setattr(locc.LocalMeasurement, "__post_init__",
+                            _no_steps)
         code, out, err = run(capsys, ["simulate", states["three_a"],
                                       states["three_b"], *flags])
         assert (code, out) == (1, "")
@@ -545,7 +545,7 @@ def test_simulate_runs_on_integer_states_alone(capsys, tmp_path,
                  "locc.schmidt_decompose", "schmidt.schmidt_decompose",
                  "locc.LocalUnitary._dense"):
         monkeypatch.setattr(f"entconvert.{name}", refuse)
-    monkeypatch.setattr(locc.ExactMonomial, "matrix", refuse)
+    monkeypatch.setattr(locc.ExactMonomial, "matrix", property(refuse))
     paths = []
     for label in ("fa", "fb"):
         paths.append(tmp_path / f"{label}.json")

@@ -1,11 +1,12 @@
 """Every import, parameter and private top-level name in the package
-source is read.
+source is read, and every exported name is bound.
 
 Neither pyflakes nor ruff is a dependency, so stdlib ``ast`` scans do the
 checks of theirs kept here: an import whose name the module never reads
 and does not export, a parameter of a function or lambda that its body
-never reads, and a module-private function, class or constant that no
-module of the package reads.
+never reads, a module-private function, class or constant that no
+module of the package reads, and a name in a literal ``__all__`` that
+its module does not bind.
 """
 
 import ast
@@ -141,3 +142,43 @@ def test_no_unread_privates():
     assert _unread_privates({
         str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
         for path in MODULES}) == []
+
+
+def _unbound_exports(source):
+    """(line, name) of each name a literal ``__all__`` lists that the
+    module does not bind at its top level, by a def, class, assignment
+    or import."""
+    bound, listed = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = {sub.id for t in targets for sub in ast.walk(t)
+                     if isinstance(sub, ast.Name)}
+            bound |= names
+            if "__all__" in names and isinstance(node.value,
+                                                 (ast.List, ast.Tuple)):
+                listed += [(node.lineno, elt.value)
+                           for elt in node.value.elts]
+    return sorted(entry for entry in listed if entry[1] not in bound)
+
+
+def test_scan_finds_an_unbound_export():
+    source = ("import os.path\nfrom math import pi as tau\n"
+              "X, Y = 1, 2\nZ: int = 3\n"
+              "def f():\n    W = 4\nclass C:\n    V = 5\n"
+              "__all__ = ['os', 'tau', 'pi', 'X', 'Y', 'Z', 'f', 'C',\n"
+              "           'W', 'V', 'gone']\n")
+    assert _unbound_exports(source) == [
+        (9, "V"), (9, "W"), (9, "gone"), (9, "pi")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbound_exports(path):
+    assert _unbound_exports(path.read_text(encoding="utf-8")) == []

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from entconvert import (Announce, BipartiteState, BranchLimitError,
-                        DiagonalOperator, ExactMonomial,
-                        InfeasibleConversionError, InvalidStateError,
-                        LocalMeasurement,
-                        LocalUnitary, LoccProtocol, MajorizationError,
+                        ExactMonomial, InfeasibleConversionError,
+                        LocalMeasurement, LocalUnitary, LoccProtocol,
+                        MajorizationError,
                         OutcomeIs, ProtocolError, SchmidtVector,
                         SimulationReport, apply_measurement,
                         audit_trajectories, build_full_protocol, build_plan,
@@ -174,7 +173,7 @@ def _outcome(mono, sv, party="A", partners=None):
 class TestExactMonomial:
     def test_matrix_layout(self):
         mono = ExactMonomial((1, 0), (F(1, 4), F(1)))
-        mat = mono.matrix()
+        mat = mono.matrix
         assert mat[1, 0] == pytest.approx(0.5)
         assert mat[0, 1] == pytest.approx(1.0)
 
@@ -473,7 +472,7 @@ class TestProtocolAsData:
                 assert step.exact is not None
                 assert len(step.operators) == len(step.exact)
                 for op, mono in zip(step.operators, step.exact):
-                    assert np.array_equal(op, mono.matrix())
+                    assert np.array_equal(op, mono.matrix)
 
     @pytest.mark.parametrize("name", ["float-2", "float-3"])
     def test_float_filter_matches_diagonal_operators(self, name):
@@ -483,18 +482,42 @@ class TestProtocolAsData:
             plan.success_operator.matrix.tobytes(),
             plan.failure_operator.matrix.tobytes()]
 
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_filter_step_holds_the_plans_monomials(self, name):
+        plan = self.PLANS[name]()
+        final = build_full_protocol(plan).steps[-1]
+        pair = (plan.success_operator, plan.failure_operator)
+        assert len(final.exact) == 2
+        assert all(got is want for got, want in zip(final.exact, pair))
+
+    def test_filter_matrix_is_the_diagonal_of_square_roots(self):
+        # a diagonal monomial's dense form is the square root of each
+        # square's float on the diagonal, to the byte
+        rng = np.random.default_rng(1717)
+        checked = 0
+        for n in range(1, 17):
+            for draw in (rand_rational_schmidt, rand_float_schmidt):
+                plan = build_plan(draw(rng, n), draw(rng, n))
+                if not plan.is_feasible:
+                    continue
+                for op in (plan.success_operator, plan.failure_operator):
+                    want = np.diag(np.sqrt(
+                        [float(s) for s in op.squared])).astype(complex)
+                    got = op.matrix
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+                    checked += 1
+        assert checked >= 40
+
     def test_filter_squares_outside_unit_range_refused(self):
-        # a float plan's filter is exact, so its squares need no clipping;
-        # squares just outside [0, 1] are refused where they are made
+        # a float plan's filter is exact, so its squares lie in [0, 1]
+        # with no clipping
         plan = _float_plan(ALPHA2, BELL)
         final = build_full_protocol(plan).steps[-1]
         assert [mono.squared for mono in final.exact] == [
             plan.success_operator.squared, plan.failure_operator.squared]
         assert all(isinstance(s, Fraction) and 0 <= s <= 1
                    for mono in final.exact for s in mono.squared)
-        for bad in (1 + 1e-12, -1e-12):
-            with pytest.raises(InvalidStateError, match="outside"):
-                DiagonalOperator((F(1, 2), bad))
 
     def test_measurement_from_monomials_alone(self):
         monos = (ExactMonomial((0, 1), (F(1, 4), F(1))),
@@ -502,7 +525,7 @@ class TestProtocolAsData:
         meas = LocalMeasurement("A", exact=monos)
         assert meas.exact == monos
         for op, mono in zip(meas.operators, monos):
-            assert np.array_equal(op, mono.matrix())
+            assert np.array_equal(op, mono.matrix)
             assert not op.flags.writeable
         for empty in ({}, {"exact": ()}):
             with pytest.raises(ProtocolError, match="at least one operator"):
@@ -533,7 +556,7 @@ class TestProtocolAsData:
         clone = pickle.loads(pickle.dumps(unitary))
         assert "matrix" not in vars(clone) and clone.exact == cycle
         for step in (unitary, clone):
-            assert np.array_equal(step.matrix, cycle.matrix())
+            assert np.array_equal(step.matrix, cycle.matrix)
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             unitary.missing
         with pytest.raises(ProtocolError, match="matrix is not unitary"):
@@ -776,7 +799,7 @@ class TestMergedEngine:
         assert measured[0].operators is first
         assert "operators" in vars(measured[0])
         for op, mono in zip(first, measured[0].exact):
-            assert np.array_equal(op, mono.matrix())
+            assert np.array_equal(op, mono.matrix)
             assert not op.flags.writeable
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             measured[0].missing
@@ -813,7 +836,7 @@ class TestAuditSizeLimit:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
     def test_plan_check_counts_the_built_protocol(self, monkeypatch, n):
         # build_full_protocol counts the cells of the protocol it builds
-        # before it makes any monomial: refused exactly when the merged
+        # before it makes any step: refused exactly when the merged
         # engines refuse, with their message
         limit = locc.MAX_AUDIT_CELLS
         rng = np.random.default_rng(900 + n)
