@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .schmidt import (InvalidStateError, SchmidtVector, _head, _lifted,
                       _typed, majorizes, tensor_power)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InfeasibleConversionError",
@@ -261,6 +263,7 @@ class ExactMonomial:
 
     @property
     def matrix(self) -> np.ndarray:
+        import numpy as np
         mat = np.zeros((self.n, self.n), dtype=complex)
         for col, (row, sq) in enumerate(zip(self.rows, self.squared)):
             mat[row, col] = math.sqrt(float(sq))

@@ -35,6 +35,11 @@ an audit of more than MAX_AUDIT_CELLS cells, as build_full_protocol does
 before it makes any step.  The CLI runs on that engine alone; the
 enumerating engines and the amplitude-level sampler stay as its
 reference.
+numpy is imported only inside the functions that need it: dense
+operators (a step's ``operators`` or ``matrix``) and their checks, the
+amplitude-level engines, and the Philox draw and split of both
+samplers.  Building a protocol and running it exhaustively on a
+SchmidtVector, audit included, never load it.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .conversion import (ConversionPlan, ExactMonomial,
                          InfeasibleConversionError, ProtocolError)
@@ -51,6 +55,9 @@ from .monotones import _tails, entanglement_monotone
 from .numeric import DEFAULT_TOL
 from .schmidt import (BipartiteState, SchmidtVector, majorizes,
                       schmidt_decompose)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProtocolError",
@@ -153,7 +160,7 @@ class LocalMeasurement(_DenseOnDemand):
     def __post_init__(self):
         if self.party not in ("A", "B"):
             raise ProtocolError(f"party must be 'A' or 'B', got {self.party!r}")
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
+        ops = tuple(self.operators)
         if ops and self.exact is not None:
             raise ProtocolError("give operators or exact monomials, not both")
         if self.exact:
@@ -165,6 +172,8 @@ class LocalMeasurement(_DenseOnDemand):
             complete = all(sum(column) == den for column in columns)
             object.__delattr__(self, "operators")
         else:
+            import numpy as np
+            ops = tuple(np.array(op, dtype=complex) for op in ops)
             if not ops:
                 raise ProtocolError(
                     "a measurement needs at least one operator")
@@ -223,6 +232,7 @@ class LocalUnitary(_DenseOnDemand):
             object.__setattr__(self, "exact", self.matrix)
             object.__delattr__(self, "matrix")
             return
+        import numpy as np
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ProtocolError("unitary must be square")
@@ -341,6 +351,7 @@ def _outcomes(step, state):
     """(probability, post) per operator of measurement ``step`` on an
     amplitude state; post is None for an outcome below the pruning
     threshold."""
+    import numpy as np
     outcomes = []
     for op in step.operators:
         branch = _apply_operator(state.amplitudes, step.party, op)
@@ -960,6 +971,7 @@ def _draws(protocol, trials, seed):
     matrix keyed by ``seed``, its column d at the measurement after d
     outcomes; drawn in blocks, the rows are the same numbers as one draw
     of the whole matrix."""
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(key=seed))
     columns = max(protocol.measurement_count, 1)
     for lo in range(0, trials, _DRAW_BLOCK):
@@ -992,6 +1004,7 @@ def _sample_histories(protocol, initial, trials, seed):
     a history that would take them past MAX_TREE_BYTES bytes raises
     ValueError instead.
     """
+    import numpy as np
     steps = protocol.steps
     _fit(steps, initial)
     tree, kept = {}, initial.amplitudes.nbytes
@@ -1097,6 +1110,7 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_audit_size(initial.n, len(protocol.steps))
+    import numpy as np
     counts = [{} for _ in range(protocol.measurement_count + 1)]
     successes = 0
     for last, per_state in _merged_levels(protocol, initial, (
@@ -1124,6 +1138,8 @@ def _sampled_outcomes(uniforms):
     last if none does, and takes the nearest unpruned outcome (post not
     None) at or below its pick, or if there is none the first above it;
     so an outcome may be yielded twice, and a pruned one never is."""
+    import numpy as np
+
     def split(rows, outcomes, depth):
         sums = np.array([float(p) for p, _ in outcomes]).cumsum()
         sums[-1] = np.inf   # the last outcome if no sum exceeds u
@@ -1140,4 +1156,5 @@ def _sampled_outcomes(uniforms):
 
 
 def _joined(a, b):
+    import numpy as np
     return np.concatenate((a, b))

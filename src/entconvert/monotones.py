@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-import numpy as np
-
 from .numeric import DEFAULT_TOL, all_exact
 from .schmidt import DensityOperator, InvalidStateError, SchmidtVector
 
@@ -146,6 +144,7 @@ def smallest_eigenvalue_sum(sigma: DensityOperator, k: int) -> float:
     n = sigma.n
     if not isinstance(k, int) or not 1 <= k <= n:
         raise ValueError(f"index k={k!r} out of range 1..{n}")
+    import numpy as np
     eigs = np.linalg.eigvalsh(sigma.matrix)  # ascending
     eigs = np.clip(eigs, 0.0, 1.0)
     return float(np.sum(eigs[: n - k + 1]))

@@ -4,7 +4,9 @@ A state of two parties is carried either as a full complex amplitude
 matrix or, when only local-unitary-invariant questions are asked, as the
 vector of squared Schmidt coefficients sorted in non-increasing order.
 All conversion results in this package depend on the state through that
-vector alone.
+vector alone.  numpy is imported only where amplitudes are: by
+BipartiteState, DensityOperator, schmidt_decompose, state_from_schmidt
+and SchmidtVector.as_floats, so work on Schmidt vectors never loads it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numeric import DEFAULT_TOL, parse_scalar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InvalidStateError",
@@ -177,6 +181,7 @@ class SchmidtVector:
         return SchmidtVector(self.probs + (_zero_like(self.probs[0]),) * (n - self.n))
 
     def as_floats(self) -> np.ndarray:
+        import numpy as np
         return np.array([float(p) for p in self.probs], dtype=float)
 
 
@@ -187,6 +192,7 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         arr = np.array(self.amplitudes, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidStateError("amplitudes must form a 2-d matrix")
@@ -212,6 +218,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidStateError("a density operator must be square")
@@ -247,6 +254,7 @@ def schmidt_decompose(state: BipartiteState, *, trim=False,
     SchmidtVector
         Float-mode vector of squared Schmidt coefficients.
     """
+    import numpy as np
     svals = np.linalg.svd(state.amplitudes, compute_uv=False)
     probs = [max(float(s) ** 2, 0.0) for s in svals]
     if trim:
@@ -261,6 +269,7 @@ def schmidt_decompose(state: BipartiteState, *, trim=False,
 
 def state_from_schmidt(sv: SchmidtVector) -> BipartiteState:
     """Canonical n x n representative: amplitudes diag(sqrt(probs))."""
+    import numpy as np
     return BipartiteState(np.diag(np.sqrt(sv.as_floats())).astype(complex))
 
 

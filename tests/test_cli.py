@@ -3,6 +3,10 @@
 import hashlib
 import math
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -717,3 +721,80 @@ def test_query_stdout_is_pinned(capsys, tmp_path, name):
     assert (code, err) == (0, "")
     assert len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+# Runs cli.main on each argv of a JSON list in one fresh interpreter and
+# prints, as JSON, whether numpy is loaded after `import entconvert` and
+# after each call, with the package's __all__.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import entconvert
+report = {"import": "numpy" in sys.modules, "all": entconvert.__all__}
+from entconvert.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[" ".join(argv)] = (code, "numpy" in sys.modules)
+print(json.dumps(report))
+"""
+
+PACKAGE_ALL = (
+    "Announce BOTH_UNIT BipartiteState Branch BranchLimitError Breakpoints "
+    "ComparisonResult ConversionPlan DensityOperator EQUAL Ensemble "
+    "ExactMonomial FIRST_GREATER INTRANSITIVE_TRIPLE "
+    "InfeasibleConversionError IntermediateOrderError InvalidStateError "
+    "LocalMeasurement LocalUnitary LoccProtocol MULTI_COPY_POSSIBLE "
+    "MajorizationError MeasurementOutcome MergedRun MonotoneVector "
+    "MonotoneViolationError MultiCopyBound NonadditivityInstance OutcomeIs "
+    "PlanInvariantError ProtocolError SECOND_GREATER SINGLE_COPY_OPTIMAL "
+    "SUPERMULTIPLICATIVE_PAIR SchmidtVector SimulationReport "
+    "apply_measurement audit_trajectories breakpoints build_full_protocol "
+    "build_plan compare conversion deterministic_protocol ensemble_average "
+    "entanglement_monotone entropy_of_entanglement exhaustive_run "
+    "exhaustive_run_exact find_cycle intermediate_state locc majorizes "
+    "measurement_operators merged_run_exact merged_sample_exact "
+    "monotone_audit monotone_profile monotones monte_carlo_run "
+    "multi_copy_bound nonadditivity_search numeric optimal_probability "
+    "optimal_probability_detail ordering reduced_density schmidt "
+    "schmidt_decompose smallest_eigenvalue_sum state_from_schmidt "
+    "success_probability tensor_conversion_probability tensor_power").split()
+
+
+def _numpy_probe(argvs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
+        capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+class TestNumpyOnlyOnAmplitudePaths:
+    def test_schmidt_vector_commands_leave_numpy_unloaded(self, states,
+                                                          tmp_path):
+        a, b = states["three_a"], states["three_b"]
+        plan = str(tmp_path / "plan.json")
+        free = [["prob", a, b], ["compare", a, b],
+                ["plan", a, b, "--out", plan], ["monotones", a],
+                ["tensor", a, b, "--copies", "2"],
+                *(["demo", name] for name in DEMO_NAMES),
+                ["simulate", a, b, "--exhaustive"],
+                ["simulate", a, b, "--exhaustive", "--mode", "float"],
+                ["simulate", "--plan", plan, "--exhaustive"]]
+        sampled = ["simulate", a, b, "--trials", "100", "--seed", "1"]
+        report = _numpy_probe([*free, sampled])
+        assert report["import"] is False
+        assert report["all"] == PACKAGE_ALL
+        for argv in free:
+            assert report[" ".join(argv)] == [0, False], argv
+        # the sampled run draws with numpy, so the checks above can fail
+        assert report[" ".join(sampled)] == [0, True]
+
+    def test_amplitude_state_file_loads_numpy(self, tmp_path):
+        amps = tmp_path / "amps.json"
+        amps.write_text(json.dumps(
+            {"amplitudes": [[[0.6, 0], [0, 0]], [[0, 0], [0.8, 0]]]}))
+        report = _numpy_probe([["monotones", str(amps)]])
+        assert report["import"] is False
+        assert report[f"monotones {amps}"] == [0, True]

@@ -1,12 +1,15 @@
 """Every import, parameter and private top-level name in the package
-source is read, and every exported name is bound.
+source is read, every exported name is bound, and numpy is imported
+only inside the functions that use it.
 
 Neither pyflakes nor ruff is a dependency, so stdlib ``ast`` scans do the
 checks of theirs kept here: an import whose name the module never reads
 and does not export, a parameter of a function or lambda that its body
 never reads, a module-private function, class or constant that no
 module of the package reads, and a name in a literal ``__all__`` that
-its module does not bind.
+its module does not bind.  A fifth scan keeps numpy off the import of
+the package: no numpy import runs when a module is imported, and code
+that reads ``np`` sits in a function, or inside one, that imports it.
 """
 
 import ast
@@ -182,3 +185,81 @@ def test_scan_finds_an_unbound_export():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unbound_exports(path):
     assert _unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_scope(node):
+    """The nodes of ``node``'s body that run in its own scope: nested
+    functions, lambdas and classes are not entered."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (*_SCOPES, ast.ClassDef)):
+            yield from _own_scope(child)
+
+
+def _imported_in(func):
+    """Names a function or lambda binds by an import in its own scope."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in _own_scope(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def _eager_numpy(source):
+    """(line, what) of each numpy import that runs when the module is
+    imported, that is outside every function and outside an
+    ``if TYPE_CHECKING:`` block, and of each read of ``np``, annotations
+    aside, in code whose function, and every enclosing one, imports no
+    ``np``."""
+    tree = ast.parse(source)
+    annotations = {id(sub) for node in ast.walk(tree) for ann in (
+        getattr(node, "annotation", None), getattr(node, "returns", None))
+        if ann is not None for sub in ast.walk(ann)}
+    found = []
+
+    def visit(node, bound, guarded):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and bound is None and not guarded):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else [node.module or ""])
+            found.extend((node.lineno, "import " + module) for module in modules
+                         if module.split(".")[0] == "numpy")
+        elif (isinstance(node, ast.Name) and node.id == "np"
+              and isinstance(node.ctx, ast.Load)
+              and id(node) not in annotations and "np" not in (bound or ())):
+            found.append((node.lineno, "np"))
+        if isinstance(node, _SCOPES):
+            bound = (bound or set()) | _imported_in(node)
+        checking = isinstance(node, ast.If) and "TYPE_CHECKING" in (
+            getattr(node.test, "id", None), getattr(node.test, "attr", None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound,
+                  guarded or (checking and any(child is stmt
+                                               for stmt in node.body)))
+
+    visit(tree, None, False)
+    return sorted(found)
+
+
+def test_scan_finds_eager_numpy():
+    source = ("from typing import TYPE_CHECKING\n"
+              "import numpy as np\nfrom numpy.linalg import norm\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n"
+              "def f(a: np.ndarray) -> np.ndarray:\n"
+              "    import numpy as np\n"
+              "    def g(b: np.ndarray):\n        return np.eye(2)\n"
+              "    return g, lambda: np.zeros(1)\n"
+              "def h():\n    return np.ones(1)\n"
+              "class C:\n    import numpy\n"
+              "    def m(self):\n        return np.pi\n"
+              "x: np.ndarray = np.zeros(1)\n")
+    assert _eager_numpy(source) == [
+        (2, "import numpy"), (3, "import numpy.linalg"), (12, "np"),
+        (14, "import numpy"), (16, "np"), (17, "np")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_imported_only_where_used(path):
+    assert _eager_numpy(path.read_text(encoding="utf-8")) == []

@@ -474,14 +474,6 @@ class TestProtocolAsData:
                 for op, mono in zip(step.operators, step.exact):
                     assert np.array_equal(op, mono.matrix)
 
-    @pytest.mark.parametrize("name", ["float-2", "float-3"])
-    def test_float_filter_matches_diagonal_operators(self, name):
-        plan = self.PLANS[name]()
-        final = build_full_protocol(plan).steps[-1]
-        assert [op.tobytes() for op in final.operators] == [
-            plan.success_operator.matrix.tobytes(),
-            plan.failure_operator.matrix.tobytes()]
-
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_filter_step_holds_the_plans_monomials(self, name):
         plan = self.PLANS[name]()
@@ -492,7 +484,13 @@ class TestProtocolAsData:
 
     def test_filter_matrix_is_the_diagonal_of_square_roots(self):
         # a diagonal monomial's dense form is the square root of each
-        # square's float on the diagonal, to the byte
+        # square's float on the diagonal, to the byte: on random plans'
+        # filter pairs, and on the final step's operators built from PLANS
+        def check(got, squared):
+            want = np.diag(np.sqrt([float(s) for s in squared])).astype(complex)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
         rng = np.random.default_rng(1717)
         checked = 0
         for n in range(1, 17):
@@ -501,13 +499,16 @@ class TestProtocolAsData:
                 if not plan.is_feasible:
                     continue
                 for op in (plan.success_operator, plan.failure_operator):
-                    want = np.diag(np.sqrt(
-                        [float(s) for s in op.squared])).astype(complex)
-                    got = op.matrix
-                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                    assert got.tobytes() == want.tobytes()
+                    check(op.matrix, op.squared)
                     checked += 1
         assert checked >= 40
+        for name in sorted(self.PLANS):
+            plan = self.PLANS[name]()
+            final = build_full_protocol(plan).steps[-1]
+            pair = (plan.success_operator, plan.failure_operator)
+            assert len(final.operators) == len(pair)
+            for got, op in zip(final.operators, pair):
+                check(got, op.squared)
 
     def test_filter_squares_outside_unit_range_refused(self):
         # a float plan's filter is exact, so its squares lie in [0, 1]
