@@ -441,6 +441,12 @@ def _float_plan(alpha, beta):
                       SchmidtVector(tuple(float(p) for p in beta.probs)))
 
 
+def _assert_diagonal_of_square_roots(got, squared):
+    want = np.diag(np.sqrt([float(s) for s in squared])).astype(complex)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestProtocolAsData:
     PLANS = {
         "exact-2": lambda: build_plan(ALPHA2, BELL),
@@ -474,6 +480,18 @@ class TestProtocolAsData:
                 for op, mono in zip(step.operators, step.exact):
                     assert np.array_equal(op, mono.matrix)
 
+    @pytest.mark.parametrize("name", ["float-2", "float-3"])
+    def test_float_filter_matches_diagonal_operators(self, name):
+        # a float plan's filter is built from exact squares; the final
+        # step's dense operators are the square roots of their floats on
+        # the diagonal, to the byte
+        plan = self.PLANS[name]()
+        final = build_full_protocol(plan).steps[-1]
+        pair = (plan.success_operator, plan.failure_operator)
+        assert len(final.operators) == len(pair)
+        for got, op in zip(final.operators, pair):
+            _assert_diagonal_of_square_roots(got, op.squared)
+
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_filter_step_holds_the_plans_monomials(self, name):
         plan = self.PLANS[name]()
@@ -485,12 +503,9 @@ class TestProtocolAsData:
     def test_filter_matrix_is_the_diagonal_of_square_roots(self):
         # a diagonal monomial's dense form is the square root of each
         # square's float on the diagonal, to the byte: on random plans'
-        # filter pairs, and on the final step's operators built from PLANS
-        def check(got, squared):
-            want = np.diag(np.sqrt([float(s) for s in squared])).astype(complex)
-            assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes()
-
+        # filter pairs, and on the final step's operators built from the
+        # exact PLANS (the float ones have a test of their own)
+        check = _assert_diagonal_of_square_roots
         rng = np.random.default_rng(1717)
         checked = 0
         for n in range(1, 17):
@@ -503,6 +518,8 @@ class TestProtocolAsData:
                     checked += 1
         assert checked >= 40
         for name in sorted(self.PLANS):
+            if not name.startswith("exact-"):
+                continue
             plan = self.PLANS[name]()
             final = build_full_protocol(plan).steps[-1]
             pair = (plan.success_operator, plan.failure_operator)
