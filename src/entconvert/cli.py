@@ -175,18 +175,22 @@ def _resolve_plan(args):
 
 
 def _exhaustive_doc(plan, protocol, initial) -> dict:
-    """The exhaustive report: histories merged, never capped."""
+    """The exhaustive report: histories merged, never capped, and the
+    averages of a level, which its step boundaries share, rounded once."""
     run = merged_run_exact(protocol, initial)
     exact, decimal = _prob_pair(_typed(run.success_probability, plan.source))
+    levels = {pair: [round12(x / pair[1]) for x in pair[0]]
+              for pair in dict.fromkeys(run.audit)}
+    table = [levels[pair] for pair in run.audit]
     return {
         "mode": "exhaustive",
         "branches": run.branches,
         "success_probability": exact,
         "success_probability_decimal": decimal,
         "predicted": scalar_to_json(plan.probability),
-        "audit": [{"step": s, "k": k, "avg_E": round12(v)}
-                  for k, avgs in enumerate(run.float_table(), start=1)
-                  for s, v in enumerate(avgs)],
+        "audit": [{"step": s, "k": k + 1, "avg_E": avgs[k]}
+                  for k in range(len(table[0]))
+                  for s, avgs in enumerate(table)],
     }
 
 

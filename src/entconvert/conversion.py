@@ -257,6 +257,20 @@ class ExactMonomial:
         # not a field, so __eq__, __hash__ and repr still see the two above
         object.__setattr__(self, "_scaled", (nums, den))
 
+    @classmethod
+    def _from_scaled(cls, rows, nums, den):
+        """Squares nums[c] / den, unchecked; ``squared`` derived if read."""
+        mono = object.__new__(cls)
+        mono.__dict__.update(rows=rows, _scaled=(nums, den))
+        return mono
+
+    def __getattr__(self, name):   # only for an attribute not set
+        if name != "squared" or "_scaled" not in self.__dict__:
+            raise AttributeError(name)
+        nums, den = self._scaled
+        self.__dict__[name] = tuple(Fraction(x, den) for x in nums)
+        return self.squared
+
     @property
     def n(self) -> int:
         return len(self.rows)

@@ -27,6 +27,8 @@ __all__ = [
     "dumps",
 ]
 
+_CONTAINERS = (list, tuple, dict)
+
 
 class StateFileError(ValueError):
     """A state document is structurally invalid."""
@@ -52,8 +54,14 @@ def _loads(text: str):
     try:
         return json.loads(text, parse_float=str,
                           parse_constant=_reject_constant)
+    except StateFileError:
+        raise
     except json.JSONDecodeError as err:
         raise StateFileError(f"invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise StateFileError("invalid JSON: nested too deeply") from err
+    except ValueError as err:   # an integer past Python's digit limit
+        raise StateFileError("invalid JSON: integer too long") from err
 
 
 def parse_state_document(doc, *, mode=RATIONAL, tol=DEFAULT_TOL,
@@ -82,6 +90,11 @@ def parse_state_document(doc, *, mode=RATIONAL, tol=DEFAULT_TOL,
     rows = doc["amplitudes"]
     if not isinstance(rows, list) or not rows:
         raise StateFileError('"amplitudes" must be a non-empty array')
+    for i, row in enumerate(rows):
+        for j, pair in enumerate(row if isinstance(row, list) else [row]):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise StateFileError(f'"amplitudes" row {i}, column {j} '
+                                     'must be an [re, im] pair')
     try:
         matrix = [[complex(float(parse_scalar(re, "float")),
                            float(parse_scalar(im, "float")))
@@ -198,10 +211,60 @@ def report_to_dict(report) -> dict:
 
 
 def dumps(doc) -> str:
-    """Stable JSON rendering used by all commands.
+    """Stable JSON rendering used by all commands: ``json.dumps(doc,
+    indent=2, sort_keys=True, default=scalar_to_json)`` and a newline,
+    but made by json's C encoder, which an indent turns off."""
+    return _render(doc, "") + "\n"
 
-    Keys are sorted and stray scalar types (rationals, numpy numbers)
-    serialize through the same rule as everything else.
-    """
-    return json.dumps(doc, indent=2, sort_keys=True,
-                      default=scalar_to_json) + "\n"
+
+def _encode(sep, doc):   # unindented, so by json's C encoder
+    return json.dumps(doc, separators=(sep, ": "), sort_keys=True,
+                      default=scalar_to_json)
+
+
+def _render(doc, pad):
+    """``doc`` at indent ``pad``: one encoder call, the newline and
+    indent in its item separator (encoded strings escape newlines), for
+    a container of scalars, or per column of a table (_table)."""
+    sep = ",\n" + (inner := pad + "  ")
+    if not isinstance(doc, _CONTAINERS) or not doc:
+        return _encode(sep, doc)
+    kinds = set(map(type, doc.values() if isinstance(doc, dict) else doc))
+    if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        text = _encode(sep, doc)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if not isinstance(doc, dict):
+        body = _table(doc, inner) or sep.join(_render(v, inner) for v in doc)
+        return f"[\n{inner}{body}\n{pad}]"
+    # each container stands in as 0, then is rendered on its own
+    text = _encode(sep, {k: 0 if isinstance(v, _CONTAINERS) else v
+                         for k, v in doc.items()})
+    body = sep.join(part[:-1] + _render(v, inner)
+                    if isinstance(v, _CONTAINERS) else part
+                    for part, (_, v) in zip(text[1:-1].split(sep),
+                                            sorted(doc.items())))
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
+def _table(rows, inner):
+    """The items of a list of dicts with one set of str keys and one type
+    per column, int, float or str (the audit), or None: a row template."""
+    keys = rows[0].keys() if set(map(type, rows)) == {dict} else ()
+    if (not keys or not all(type(key) is str for key in keys)
+            or set(map(len, rows)) != {len(keys)}):
+        return None
+    cell, texts = ",\n" + inner + "  ", []
+    for key in sorted(keys):
+        column = [row.get(key) for row in rows]   # None where a key differs
+        kinds = set(map(type, column))
+        # equal values of one type have one text, but for 0.0 and -0.0
+        if len(kinds) > 1 or not kinds <= {int, float, str} or (
+                float in kinds and len({str(v) for v in column if v == 0}) > 1):
+            return None
+        values = list(dict.fromkeys(column))
+        text = dict(zip(values, _encode("\n", values)[1:-1].split("\n")))
+        texts.append(list(map(text.__getitem__, column)))
+    template = f"{{\n{inner}  " + cell.join(
+        _encode(cell, key).replace("%", "%%") + ": %s"
+        for key in sorted(keys)) + f"\n{inner}}}"
+    return (",\n" + inner).join(map(template.__mod__, zip(*texts)))

@@ -167,9 +167,9 @@ class LocalMeasurement(_DenseOnDemand):
             if len({mono.n for mono in self.exact}) != 1:
                 raise ProtocolError("measurement operators differ in shape")
             den = math.lcm(*(mono._scaled[1] for mono in self.exact))
-            columns = zip(*([x * (den // d) for x in nums]
-                            for nums, d in (m._scaled for m in self.exact)))
-            complete = all(sum(column) == den for column in columns)
+            scaled = [nums if d == den else [x * (den // d) for x in nums]
+                      for nums, d in (m._scaled for m in self.exact)]
+            complete = set(map(sum, zip(*scaled))) <= {den}
             object.__delattr__(self, "operators")
         else:
             import numpy as np
@@ -227,7 +227,7 @@ class LocalUnitary(_DenseOnDemand):
             raise ProtocolError(f"party must be 'A' or 'B', got {self.party!r}")
         if isinstance(self.matrix, ExactMonomial):
             # its rows are a permutation: unitary iff every square is 1
-            if any(sq != 1 for sq in self.matrix.squared):
+            if set(self.matrix._scaled[0]) - {self.matrix._scaled[1]}:
                 raise ProtocolError("matrix is not unitary")
             object.__setattr__(self, "exact", self.matrix)
             object.__delattr__(self, "matrix")
@@ -886,21 +886,20 @@ def _mixing_steps(records):
         n = len(x)
         spread = y[j] - y[k]
         t, u = x[j] - y[k], y[j] - x[j]   # over spread: t and 1 - t
-        sq1 = [Fraction(t, spread)] * n
-        sq1[j] = Fraction(t * y[j], spread * x[j])
-        sq1[k] = Fraction(t * y[k], spread * x[k])
-        sq2 = [Fraction(u, spread)] * n
-        sq2[j] = Fraction(u * y[k], spread * x[j])   # column j feeds row k
-        sq2[k] = Fraction(u * y[j], spread * x[k])   # column k feeds row j
-        rows2 = list(range(n))
-        rows2[j], rows2[k] = k, j
+        # every square over spread * x_j * x_k, where x_j >= x_k > 0
+        sq1, sq2 = [t * x[j] * x[k]] * n, [u * x[j] * x[k]] * n
+        sq1[j], sq1[k] = t * y[j] * x[k], t * y[k] * x[j]
+        # column j feeds row k, and column k row j
+        sq2[j], sq2[k] = u * y[k] * x[k], u * y[j] * x[j]
+        rows2 = (*range(j), k, *range(j + 1, k), j, *range(k + 1, n))
+        den, same = spread * x[j] * x[k], tuple(range(n))
         yield LocalMeasurement(
-            "A", exact=(ExactMonomial(tuple(range(n)), tuple(sq1)),
-                        ExactMonomial(rows2, tuple(sq2))),
+            "A", exact=(ExactMonomial._from_scaled(same, tuple(sq1), den),
+                        ExactMonomial._from_scaled(rows2, tuple(sq2), den)),
             label=f"balance levels {j + 1},{k + 1}")
         yield Announce(label="broadcast outcome")
         yield LocalUnitary(
-            "B", ExactMonomial(rows2, (1,) * n),
+            "B", ExactMonomial._from_scaled(rows2, (1,) * n, 1),
             condition=OutcomeIs(meas_index, 1),
             label=f"relabel levels {j + 1},{k + 1} on the swap branch")
 

@@ -7,16 +7,18 @@ entries over unrelated denominators; the loops themselves must not add
 or multiply the entries.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconvert import (InfeasibleConversionError, InvalidStateError,
-                        SchmidtVector, breakpoints, majorizes,
-                        optimal_probability, optimal_probability_detail,
-                        tensor_power)
+from entconvert import (ExactMonomial, InfeasibleConversionError,
+                        InvalidStateError, SchmidtVector, breakpoints,
+                        build_full_protocol, build_plan, conversion, locc,
+                        majorizes, optimal_probability,
+                        optimal_probability_detail, tensor_power)
 from entconvert.numeric import FLOAT, RATIONAL, parse_scalar
 from util import (ref_breakpoints, ref_majorizes, ref_nonzero_count,
                   ref_optimal_probability_detail, ref_tensor_power)
@@ -125,7 +127,7 @@ def test_parse_scalar_keeps_exponent_guard():
         parse_scalar("1e4301", RATIONAL)
 
 
-def test_exact_core_does_no_entry_arithmetic():
+def test_exact_core_does_no_entry_arithmetic(monkeypatch):
     used = []
 
     class Counted(Fraction):
@@ -157,3 +159,39 @@ def test_exact_core_does_no_entry_arithmetic():
     assert majorizes(alpha, beta) is False
     assert majorizes(wide, alpha) is True
     assert used == []
+
+    # nor does building a protocol: _mixing_steps makes its monomials
+    # from the chain's integers, with no Fraction in between
+    plan = build_plan(alpha, counted(F(1, 2), F(1, 2)))
+    made = []
+
+    class Recorded(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    used.clear()
+    for module in (locc, conversion):
+        monkeypatch.setattr(module, "Fraction", Recorded)
+    protocol = build_full_protocol(plan)
+    assert protocol.measurement_count == 2   # one T-transform, the filter
+    assert used == [] and made == []
+
+
+def test_integer_built_monomial_is_the_fraction_built_one():
+    rows, nums, den = (2, 0, 1), (3, 0, 12), 12
+    eager = ExactMonomial(rows, tuple(F(x, den) for x in nums))
+    assert eager._scaled == ((1, 0, 4), 4)
+    for read in (hash, repr, pickle.dumps):
+        lazy = ExactMonomial._from_scaled(rows, nums, den)
+        assert "squared" not in vars(lazy)
+        read(lazy)   # whatever is read first, squared is derived alike
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert repr(lazy) == repr(eager)
+        assert pickle.loads(pickle.dumps(lazy)) == eager
+    assert pickle.loads(pickle.dumps(
+        ExactMonomial._from_scaled(rows, nums, den))).squared == eager.squared
+    assert ExactMonomial._from_scaled(rows, nums, den).matrix.tolist() \
+        == eager.matrix.tolist()
+    with pytest.raises(AttributeError, match="other"):
+        ExactMonomial._from_scaled(rows, nums, den).other

@@ -10,6 +10,9 @@ module of the package reads, and a name in a literal ``__all__`` that
 its module does not bind.  A fifth scan keeps numpy off the import of
 the package: no numpy import runs when a module is imported, and code
 that reads ``np`` sits in a function, or inside one, that imports it.
+A sixth refuses an ``indent=`` keyword in any call: json renders
+indented text only in pure Python, so ``io.dumps`` lays out its indent
+itself around the C encoder.
 """
 
 import ast
@@ -263,3 +266,26 @@ def test_scan_finds_eager_numpy():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_numpy_imported_only_where_used(path):
     assert _eager_numpy(path.read_text(encoding="utf-8")) == []
+
+
+def _indent_calls(source):
+    """(line, call) of each call that passes an ``indent=`` keyword."""
+    return sorted((node.lineno, ast.unparse(node.func))
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "indent" for kw in node.keywords))
+
+
+def test_scan_finds_an_indent_keyword():
+    source = ("import json\njson.dumps({}, sort_keys=True)\n"
+              "text = json.dumps(\n    [], indent=2)\n"
+              "def f(indent=None):\n"
+              "    return json.JSONEncoder(indent=indent)\n"
+              "f(indent=4)\n")
+    assert _indent_calls(source) == [
+        (3, "json.dumps"), (6, "json.JSONEncoder"), (7, "f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_indent_keyword(path):
+    assert _indent_calls(path.read_text(encoding="utf-8")) == []

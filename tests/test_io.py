@@ -3,17 +3,22 @@
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entconvert import SchmidtVector, breakpoints, build_plan, \
     monte_carlo_run, build_full_protocol, state_from_schmidt
+from entconvert.cli import main
 from entconvert.io import (StateFileError, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
-from entconvert.numeric import MAX_DECIMAL_EXPONENT, parse_scalar
+from entconvert.numeric import (MAX_DECIMAL_EXPONENT, parse_scalar,
+                                scalar_to_json)
 from util import rand_rational_schmidt
 
 F = Fraction
@@ -60,6 +65,34 @@ class TestStateDocuments:
     def test_rejects_malformed_documents(self, doc):
         with pytest.raises(StateFileError):
             parse_state_document(doc)
+
+    @pytest.mark.parametrize("rows, where", [
+        ([[1]], "row 0, column 0 must be an [re, im] pair"),
+        ([[[1]]], "row 0, column 0 must be an [re, im] pair"),
+        ([[[1, 0], [0, 0, 0]]], "row 0, column 1 must be an [re, im] pair"),
+        ([[[1, 0]], 1], "row 1, column 0 must be an [re, im] pair"),
+    ])
+    def test_amplitude_shape_is_named(self, rows, where):
+        with pytest.raises(StateFileError) as info:
+            parse_state_document({"amplitudes": rows})
+        assert str(info.value) == f'"amplitudes" {where}'
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "nested too deeply"),
+        ('{"schmidt_sq": [' + "1" * 5000 + ", 1]}",
+         "integer too long"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["prob", "{doc}", "{ok}"], ["simulate", "--plan", "{doc}"]])
+    def test_hostile_json_ends_in_one_error_line(self, tmp_path, capsys,
+                                                 text, message, command):
+        doc, ok = tmp_path / "hostile.json", tmp_path / "ok.json"
+        doc.write_text(text)
+        ok.write_text(json.dumps({"schmidt_sq": ["1/2", "1/2"]}))
+        assert main([a.format(doc=doc, ok=ok) for a in command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid JSON: {message}\n"
 
     def test_load_state_file(self, tmp_path):
         path = tmp_path / "state.json"
@@ -232,6 +265,75 @@ class TestPlanRoundTrip:
             plan_from_dict([1, 2])
 
 
+Point = namedtuple("Point", "x y")
+
+
+class SubDict(dict):
+    pass
+
+
+class SubList(list):
+    pass
+
+
+class SubTuple(tuple):
+    pass
+
+
+# the cases a fast path of dumps could get wrong: values equal across
+# types (0.0 and -0.0; 1, 1.0 and True), non-finite floats, Fractions
+# (rendered through default), and text with %, control, non-ASCII and
+# JSON punctuation characters
+_text = st.text(st.sampled_from('ab%s"\\\n\t\x00\x1f}{,: \xe9\u2603\u2028'),
+                max_size=4)
+_scalars = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, False, None, math.nan,
+                     math.inf, -math.inf, F(1, 2), F(-3, 7), F(2)]),
+    st.integers(), st.floats(), st.fractions(), _text)
+
+
+@st.composite
+def _tables(draw, values):
+    """Rows sharing one key set, each column of one type, then one row
+    perhaps missing a key, having an extra or a renamed one, holding a
+    value of another type or a container, or empty."""
+    keys = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
+    kinds = [st.integers(), st.floats(), _text]
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {key: draw(st.sampled_from(kinds)) for key in keys}),
+        min_size=1, max_size=4))
+    row = draw(st.sampled_from(rows))
+    change = draw(st.sampled_from(["none", "missing", "extra", "renamed",
+                                   "mixed", "nested", "empty"]))
+    if change == "missing":
+        del row[keys[0]]
+    elif change == "extra":
+        row[draw(_text)] = draw(_scalars)
+    elif change == "renamed":
+        row[draw(_text)] = row.pop(keys[0])
+    elif change == "mixed":
+        row[keys[-1]] = draw(_scalars)
+    elif change == "nested":
+        row[keys[-1]] = draw(values)
+    elif change == "empty":
+        row.clear()
+    return rows
+
+
+def _containers(values):
+    lists = st.lists(values, max_size=4)
+    return st.one_of(
+        lists, lists.map(tuple), lists.map(SubList), lists.map(SubTuple),
+        st.tuples(values, values).map(lambda xy: Point(*xy)),
+        st.dictionaries(_text, values, max_size=4),
+        st.dictionaries(_text, values, max_size=4).map(SubDict),
+        st.dictionaries(st.integers(), values, max_size=3),
+        _tables(values), _tables(values).map(tuple))
+
+
+_documents = st.recursive(_scalars, _containers, max_leaves=30)
+
+
 class TestReportSerialization:
     def test_field_names_and_rounding(self):
         plan = build_plan(SchmidtVector((F(4, 5), F(1, 5))),
@@ -252,3 +354,21 @@ class TestReportSerialization:
         text = dumps({"b": 1, "a": [F(1, 2)]})
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+    @settings(max_examples=150, deadline=None)
+    @given(_documents)
+    @example({"t": [{"x": 0.0, "y": 1}, {"x": -0.0, "y": 1.0},
+                    {"x": 0.0, "y": True}]})
+    @example([{"x": -0.0}, {"x": 0.0}, {"x": math.nan}, {"x": math.nan}])
+    @example([{"x": 1, "y": 0}, {"x": 1.0, "y": 0}])
+    @example([{"a": 1}, {"a": 2, "b": 3}])
+    @example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+    def test_dumps_matches_the_stdlib_rendering(self, doc):
+        try:
+            want = json.dumps(doc, indent=2, sort_keys=True,
+                              default=scalar_to_json) + "\n"
+        except (TypeError, ValueError) as err:
+            with pytest.raises(type(err)):
+                dumps(doc)
+        else:
+            assert dumps(doc) == want
