@@ -28,13 +28,14 @@ trial's uniform) and summarize through one report (_report).  The
 amplitude-level sampler expands each history it reaches once per run,
 top-down.  The monotone audit profiles each distinct state object once.
 When success reads the last outcome alone, the merged exact engine keeps
-one entry per (state, last outcome) and level instead of one per
-history: exhaustively a weight and a history count (merged_run_exact),
-sampled the trials that reached it (merged_sample_exact).  Both refuse
-an audit of more than MAX_AUDIT_CELLS cells, as build_full_protocol does
-before it makes any step.  The CLI runs on that engine alone; the
-enumerating engines and the amplitude-level sampler stay as its
-reference.
+one entry per level and state reached instead of one per history: each
+outcome's post is carried through the unitaries that follow it before
+it joins the next level.  An entry is exhaustively a weight and a
+history count (merged_run_exact), sampled the trials that reached it
+(merged_sample_exact).  Both refuse an audit of more than
+MAX_AUDIT_CELLS cells, as build_full_protocol does before it makes any
+step.  The CLI runs on that engine alone; the enumerating engines and
+the amplitude-level sampler stay as its reference.
 numpy is imported only inside the functions that need it: dense
 operators (a step's ``operators`` or ``matrix``) and their checks, the
 amplitude-level engines, and the Philox draw and split of both
@@ -531,7 +532,7 @@ def success_probability(branches, predicate=None):
 
 @dataclass(frozen=True)
 class MergedRun:
-    """Summary of an exact run that merges histories ending alike.
+    """Summary of an exact run that merges histories reaching one state.
 
     ``branches`` counts the outcome histories of nonzero probability, an
     exact int however large.  ``audit`` holds one (numerators,
@@ -545,24 +546,18 @@ class MergedRun:
     success_probability: Fraction
     audit: tuple
 
-    def float_table(self):
-        """The averages as audit_trajectories lays them out, one list per
-        k, each value the correctly rounded quotient of its integers."""
-        return [[nums[i] / den for nums, den in self.audit]
-                for i in range(len(self.audit[0][0]))]
-
 
 def merged_run_exact(protocol: LoccProtocol,
                      initial: SchmidtVector) -> MergedRun:
     """Exact run of a protocol whose success reads the last outcome only.
 
-    Two histories whose last outcome led to the same state go on alike
-    when the unitaries after it read that outcome alone.  Each
-    measurement level is therefore one dict keyed by (post state, last
-    outcome), mapping to (exact weight, history count), and the run costs
-    one outcome per distinct state and outcome, where enumerating costs
-    one per history.  Branch count, success probability and audit equal
-    those of exhaustive_run_exact followed by audit_trajectories, and an
+    Two histories that reach the same state go on alike when the
+    unitaries read the last outcome alone.  Each measurement level is
+    therefore one dict keyed by the state its outcomes reach, mapping to
+    (exact weight, history count), and the run costs one outcome per
+    distinct state, where enumerating costs one per history.  Branch
+    count, success probability and audit equal those of
+    exhaustive_run_exact followed by audit_trajectories, and an
     increasing average raises the same MonotoneViolationError.  States
     are integer states as exhaustive_run_exact keeps them; a unitary
     given densely, or conditioned on more than the last outcome, is
@@ -571,15 +566,14 @@ def merged_run_exact(protocol: LoccProtocol,
     ValueError before any level runs.
     """
     _check_audit_size(initial.n, len(protocol.steps))
-    [(last, per_state)] = _merged_levels(
+    [(succeeded, levels)] = _merged_levels(
         protocol, initial, [((Fraction(1), 1), _every_outcome)], _add_pairs)
-    success = sum((w for w, _ in _succeeded(protocol, last)), Fraction(0))
-    weights = [{state: w for state, (w, _) in states.items()}
-               for states in per_state]
-    audit = _merged_audit(weights, _level_starts(protocol),
-                          len(protocol.steps) + 1)
-    return MergedRun(sum(count for _, count in per_state[-1].values()),
-                     success, audit)
+    audit = _merged_audit(
+        [[(state[0], w) for state, (w, _) in level.items()]
+         for level in levels],
+        _level_starts(protocol), len(protocol.steps) + 1)
+    return MergedRun(sum(count for _, count in levels[-1].values()),
+                     sum((w for w, _ in succeeded), Fraction(0)), audit)
 
 
 def _check_audit_size(n, steps):
@@ -596,17 +590,22 @@ def _merged_levels(protocol, initial, passes, add):
     """The level loop of every run on integer states, exhaustive or
     sampled, once per pass.
 
-    Each measurement level is one dict keyed by (integer state, last
-    outcome), which the unitaries after the measurement relabel.
+    Before any level runs, the steps are grouped once into stages: the
+    unitaries before the first measurement, then each measurement with
+    the unitaries up to the next one, whose conditions are read as tests
+    of the last outcome (_last_outcome_test).  Each measurement level is
+    one dict keyed by integer state.  A state's outcomes at measurement
+    i are cached per (i, state) for all passes, as (probability, next
+    state) pairs: the next state is the outcome's post moved by the
+    stage's unitaries that act on that outcome, or None for a pruned one.
     ``passes`` gives (root, split) per pass: ``root`` is the initial
     state's entry, and ``split(entry, outcomes, depth)`` yields (outcome
     index, entry) for the outcomes that the entry of one state takes at
-    the measurement after ``depth`` outcomes, given that state's
-    (probability, post) per outcome; ``add`` sums two entries.  Yields
-    per pass the last level and, per level, its entries summed per
-    squared coefficients in integer form.  The protocol is fitted to the
-    initial state once, and each (step, state) measured once, for all
-    passes.
+    the measurement after ``depth`` outcomes, given those pairs; ``add``
+    sums two entries.  Yields per pass the entries that succeed, which
+    the last measurement's split gives (the root under a None predicate
+    when there is no measurement), and every level, the initial one
+    first.
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
@@ -615,34 +614,45 @@ def _merged_levels(protocol, initial, passes, add):
             "success predicate reads more than the last outcome; "
             "use exhaustive_run_exact instead")
     _fit(protocol.steps, initial)
-    start = (initial._scaled, tuple(range(initial.n)))
-    measured = {}   # (step, integer state) -> its outcomes
+    lead, stages = [], []   # stages: (measurement, its unitaries)
+    for pos, step in enumerate(protocol.steps):
+        if isinstance(step, LocalMeasurement):
+            stages.append((step, []))
+        elif isinstance(step, LocalUnitary):
+            (stages[-1][1] if stages else lead).append(
+                (step, _last_outcome_test(step, pos, len(stages))))
+
+    def moved(state, unitaries, last):
+        for step, acts in unitaries:
+            if acts(last):
+                state = _relabeled(step.party, step.exact.rows, state)
+        return state
+
+    start = moved((initial._scaled, tuple(range(initial.n))), lead, None)
+    test = protocol.success_predicate
+    measured = {}   # (measurement index, integer state) -> its outcomes
     for root, split in passes:
-        level = {(start, None): root}
-        per_state, depth = [], 0
-        for pos, step in enumerate(protocol.steps):
-            if isinstance(step, LocalUnitary):
-                acts = _last_outcome_test(step, pos, depth)
-                # a relabel is one-to-one and keeps the outcome: no keys merge
-                level = {(_relabeled(step.party, step.exact.rows, state)
-                          if acts(idx) else state, idx): entry
-                         for (state, idx), entry in level.items()}
-            elif isinstance(step, LocalMeasurement):
-                states = _per_state(level, add)
-                per_state.append(_per_state(states, add))
-                grown = {}
-                for state, entry in states.items():
-                    if (step, state) not in measured:
-                        measured[step, state] = _exact_outcomes(step, state)
-                    outcomes = measured[step, state]
-                    for idx, part in split(entry, outcomes, depth):
-                        key = (outcomes[idx][1], idx)
-                        grown[key] = (add(grown[key], part) if key in grown
-                                      else part)
-                level = grown
-                depth += 1
-        per_state.append(_per_state(_per_state(level, add), add))
-        yield level, per_state
+        levels = [{start: root}]
+        succeeded = [root] if not stages and test is None else []
+        for i, (step, unitaries) in enumerate(stages):
+            grown = {}
+            for state, entry in levels[-1].items():
+                if (i, state) not in measured:
+                    measured[i, state] = [
+                        (p, None if post is None
+                         else moved(post, unitaries, idx))
+                        for idx, (p, post)
+                        in enumerate(_exact_outcomes(step, state))]
+                outcomes = measured[i, state]
+                for idx, part in split(entry, outcomes, i):
+                    reached = outcomes[idx][1]
+                    grown[reached] = (add(grown[reached], part)
+                                      if reached in grown else part)
+                    if i == len(stages) - 1 and (test is None
+                                                 or idx == test.value):
+                        succeeded.append(part)
+            levels.append(grown)
+        yield succeeded, levels
 
 
 def _last_outcome_test(step, pos, depth):
@@ -666,30 +676,12 @@ def _every_outcome(entry, outcomes, _depth):
     """Exhaustive split of a (weight, history count) entry: every
     outcome of nonzero probability, weighted by it."""
     w, count = entry
-    return [(idx, (w * p, count)) for idx, (p, post) in enumerate(outcomes)
-            if post is not None]
+    return [(idx, (w * p, count)) for idx, (p, reached) in enumerate(outcomes)
+            if reached is not None]
 
 
 def _add_pairs(a, b):
     return a[0] + b[0], a[1] + b[1]
-
-
-def _per_state(level, add):
-    """{first: entry} of a dict keyed by pairs, summed over the second:
-    of a level keyed by (state, last outcome), the histories that reached
-    a state, which go on alike from there; of one keyed by integer state,
-    the states with equal squared coefficients."""
-    merged = {}
-    for (state, _), entry in level.items():
-        merged[state] = add(merged[state], entry) if state in merged else entry
-    return merged
-
-
-def _succeeded(protocol, level):
-    """The entries of a last level whose outcome counts as success."""
-    test = protocol.success_predicate
-    return [entry for (_, idx), entry in level.items()
-            if test is None or idx == test.value]
 
 
 def _level_starts(protocol):
@@ -699,32 +691,33 @@ def _level_starts(protocol):
                   if isinstance(step, LocalMeasurement)]
 
 
-def _merged_audit(weights, starts, depth, check=True):
+def _merged_audit(levels, starts, depth, check=True):
     """Per-boundary (numerators, denominator) of the averaged monotones.
 
-    ``weights[i]`` maps each state of measurement level i, in integer
-    form, to its exact weight (summing to 1); the level spans boundaries
-    ``starts[i]`` up to the next start.  Each distinct state's integer
-    tails are taken once.  With ``check`` set, raises
-    MonotoneViolationError at the first k (then step) whose average
-    increases, as audit_trajectories does; levels compare by
+    ``levels[i]`` lists the (squared coefficients in integer form, exact
+    weight) pairs of measurement level i, whose weights sum to 1; a
+    coefficient tuple may recur, once per state it belongs to.  The level
+    spans boundaries ``starts[i]`` up to the next start.  Each distinct
+    coefficient tuple's integer tails are taken once.  With ``check``
+    set, raises MonotoneViolationError at the first k (then step) whose
+    average increases, as audit_trajectories does; levels compare by
     cross-multiplying.
     """
     tails, averages = {}, []
-    for level in weights:
-        den = math.lcm(*(w.denominator * state[1]
-                         for state, w in level.items()))
+    for level in levels:
+        den = math.lcm(*(w.denominator * scaled[1] for scaled, w in level))
         total = None
-        for state, w in level.items():
-            if state not in tails:
+        for scaled, w in level:
+            if scaled not in tails:
                 run, tail = 0, []
-                for x in sorted(state[0]):   # in A's level order
+                # ascending, so tail[k - 1] sums the n - k + 1 smallest
+                for x in sorted(scaled[0]):
                     run += x
                     tail.append(run)
                 tail.reverse()
-                tails[state] = tail
-            scale = w.numerator * (den // (w.denominator * state[1]))
-            terms = [scale * t for t in tails[state]]
+                tails[scaled] = tail
+            scale = w.numerator * (den // (w.denominator * scaled[1]))
+            terms = [scale * t for t in tails[scaled]]
             total = terms if total is None else [
                 a + b for a, b in zip(total, terms)]
         averages.append((tuple(total), den))
@@ -1097,10 +1090,11 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     row t of the Philox uniform matrix keyed by ``seed``, its column d at
     the measurement after d outcomes, where monte_carlo_run's split
     (_sampled_outcomes) picks its outcome.  The loop runs once per block
-    of the draw, and each level groups the block's rows by state instead
-    of by history; each (step, state) is measured once per run.  The
-    audit averages over the trials exactly, then rounds once; sampled
-    averages may rise, so it is not checked for increases.
+    of the draw, and each level groups the block's rows by the state
+    they reach instead of by history; each (measurement, state) is
+    measured once per run.  The audit averages over the trials exactly,
+    then rounds once; sampled averages may rise, so it is not checked
+    for increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
     (step, k, average) triples in the same order.  Refuses an audit past
@@ -1112,17 +1106,17 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     import numpy as np
     counts = [{} for _ in range(protocol.measurement_count + 1)]
     successes = 0
-    for last, per_state in _merged_levels(protocol, initial, (
+    for succeeded, levels in _merged_levels(protocol, initial, (
             (np.arange(len(uniforms)), _sampled_outcomes(uniforms))
             for _, uniforms in _draws(protocol, trials, seed)), _joined):
-        successes += sum(map(len, _succeeded(protocol, last)))
-        for level, states in zip(counts, per_state):
+        successes += sum(map(len, succeeded))
+        for level, states in zip(counts, levels):
             for state, rows in states.items():
                 level[state] = level.get(state, 0) + len(rows)
-    weights = [{state: Fraction(count, trials)
-                for state, count in level.items()} for level in counts]
-    audit = _merged_audit(weights, _level_starts(protocol),
-                          len(protocol.steps) + 1, check=False)
+    audit = _merged_audit(
+        [[(state[0], Fraction(count, trials))
+          for state, count in level.items()] for level in counts],
+        _level_starts(protocol), len(protocol.steps) + 1, check=False)
     return _report(trials, successes, predicted, seed, (
         (s, k, nums[k - 1] / den) for s, (nums, den) in enumerate(audit)
         for k in range(1, initial.n + 1)))

@@ -767,7 +767,33 @@ class TestMergedEngine:
         assert run.success_probability == F(5, 6)
         assert [F(nums[2], den) for nums, den in run.audit] == [
             F(1, 5), F(1, 6), F(1, 6), F(1, 6), F(1, 6)]
-        assert run.float_table()[2] == [0.2] + [1 / 6] * 4
+        assert [nums[2] / den for nums, den in run.audit] == [0.2] + [
+            1 / 6] * 4
+
+    def test_each_level_of_a_built_protocol_is_measured_once(
+            self, monkeypatch):
+        # both outcomes of a T-transform reach one state, so each level
+        # holds one state, measured once per run however many blocks of
+        # trials reach it
+        rng = np.random.default_rng(16)
+        plan = build_plan(rand_rational_schmidt(rng, 16),
+                          rand_rational_schmidt(rng, 16))
+        proto = build_full_protocol(plan)
+        assert proto.measurement_count > 1
+        measured = []
+
+        def counted(step, state):
+            measured.append(step)
+            return real(step, state)
+
+        real = locc._exact_outcomes
+        monkeypatch.setattr(locc, "_exact_outcomes", counted)
+        for run in (merged_run_exact,
+                    lambda proto, source: merged_sample_exact(
+                        proto, source, 2 * _DRAW_BLOCK + 37, 0)):
+            measured.clear()
+            run(proto, plan.source)
+            assert len(measured) == proto.measurement_count
 
     def test_branches_count_histories_beyond_sys_maxsize(self):
         mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
@@ -792,10 +818,10 @@ class TestMergedEngine:
         # in step 2, after an announcement that repeats the first level
         s0 = SchmidtVector((F(3, 4), F(1, 4)))
         s1, s2 = BELL, SchmidtVector((F(2, 3), F(1, 3)))
-        weights = [{s0._scaled: F(1)},
-                   {s1._scaled: F(1, 3), s2._scaled: F(2, 3)}]
+        levels = [[(s0._scaled, F(1))],
+                  [(s1._scaled, F(1, 3)), (s2._scaled, F(2, 3))]]
         with pytest.raises(MonotoneViolationError) as merged:
-            locc._merged_audit(weights, [0, 2], 4)
+            locc._merged_audit(levels, [0, 2], 4)
         with pytest.raises(MonotoneViolationError) as enumerated:
             audit_trajectories([(F(1, 3), (s0, s0, s1, s1)),
                                 (F(2, 3), (s0, s0, s2, s2))], (1, 2))

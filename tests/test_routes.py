@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconvert import (ExactMonomial, InfeasibleConversionError,
+from entconvert import (Announce, ExactMonomial, InfeasibleConversionError,
                         LocalMeasurement, LocalUnitary, LoccProtocol,
                         OutcomeIs, ProtocolError,
                         SchmidtVector, audit_trajectories, breakpoints,
@@ -33,6 +33,7 @@ from entconvert import (ExactMonomial, InfeasibleConversionError,
                         monte_carlo_run, optimal_probability,
                         optimal_probability_detail, state_from_schmidt,
                         success_probability)
+from entconvert import locc
 from entconvert.cli import main
 from entconvert.locc import _DRAW_BLOCK, _sample_histories
 from entconvert.numeric import round12
@@ -228,7 +229,9 @@ def test_merged_engine_equals_enumeration(pair):
                                range(1, plan.source.n + 1))
     assert [[Fraction(nums[i], den) for nums, den in merged.audit]
             for i in range(plan.source.n)] == table
-    assert merged.float_table() == [[float(v) for v in row] for row in table]
+    assert [[nums[i] / den for nums, den in merged.audit]
+            for i in range(plan.source.n)] == [[float(v) for v in row]
+                                               for row in table]
 
 
 def _assert_sampled_routes_agree(protocol, source, trials, seed):
@@ -420,7 +423,8 @@ def test_exact_routes_follow_three_cycles_on_either_party():
         proto, source, 3000, 8) == Fraction(13, 18)
 
 
-def test_merged_routes_refuse_a_relabel_reading_an_earlier_outcome():
+def test_merged_routes_refuse_a_relabel_reading_an_earlier_outcome(
+        monkeypatch):
     half = Fraction(1, 2)
     coin = LocalMeasurement("A", exact=(
         ExactMonomial((0, 1), (half, half)),) * 2)
@@ -429,11 +433,45 @@ def test_merged_routes_refuse_a_relabel_reading_an_earlier_outcome():
     proto = LoccProtocol((coin, coin, relabel, coin),
                          success_predicate=OutcomeIs(-1, 0))
     assert len(exhaustive_run_exact(proto, SchmidtVector((half, half)))) == 8
+
+    def measured(*_):
+        raise AssertionError("a coin was measured before step 2 was read")
+
+    # refused before the first measurement runs
+    monkeypatch.setattr(locc, "_exact_outcomes", measured)
     for run in (merged_run_exact, lambda proto, source: merged_sample_exact(
             proto, source, 10, 0)):
         with pytest.raises(ProtocolError, match=(
                 r"step 2 \(late\) is conditioned on more than the last")):
             run(proto, SchmidtVector((half, half)))
+
+
+@pytest.mark.parametrize("success, succeeded", [
+    (None, 1), (OutcomeIs(-1, 0), 0)])
+@pytest.mark.parametrize("steps", [
+    (),
+    (LocalUnitary("A", ExactMonomial((1, 2, 0), (1, 1, 1))), Announce(),
+     LocalUnitary("B", ExactMonomial((1, 0, 2), (1, 1, 1)),
+                  condition=OutcomeIs(-1, 0)))])
+def test_merged_routes_run_a_protocol_without_measurements(
+        steps, success, succeeded):
+    # one history, the empty one, which only a None predicate accepts
+    source = SchmidtVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    proto = LoccProtocol(steps, success_predicate=success)
+    branches = exhaustive_run_exact(proto, source)
+    assert len(branches) == 1
+    assert success_probability(branches, success) == succeeded
+    table = audit_trajectories([(b.probability, b.states) for b in branches],
+                               range(1, 4))
+    merged = merged_run_exact(proto, source)
+    assert (merged.branches, merged.success_probability) == (1, succeeded)
+    assert [[Fraction(nums[i], den) for nums, den in merged.audit]
+            for i in range(3)] == table
+    sampled = merged_sample_exact(proto, source, 10, 0)
+    assert sampled.successes == 10 * succeeded
+    assert [v for _, _, v in sampled.monotone_audit] == [
+        float(table[k - 1][s]) for s in range(len(steps) + 1)
+        for k in (1, 2, 3)]
 
 
 @st.composite
