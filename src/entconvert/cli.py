@@ -20,7 +20,8 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          tensor_conversion_probability)
 from .locc import build_full_protocol, merged_run_exact, merged_sample_exact
 from .monotones import entropy_of_entanglement, monotone_profile
-from .numeric import FLOAT, RATIONAL, round12, scalar_to_json
+from .numeric import (FLOAT, RATIONAL, round12, scalar_to_json,
+                      values_to_json)
 from .ordering import (INTRANSITIVE_TRIPLE, SUPERMULTIPLICATIVE_PAIR,
                        compare, find_cycle, nonadditivity_search)
 from .schmidt import (InvalidStateError, SchmidtVector, _lifted, _typed,
@@ -144,10 +145,8 @@ def cmd_prob(args) -> int:
         "feasible": feasible,
         "reason": (None if feasible else
                    "target has more nonzero Schmidt coefficients than source"),
-        "source_monotones": [scalar_to_json(v) for v in
-                             monotone_profile(alpha).values],
-        "target_monotones": [scalar_to_json(v) for v in
-                             monotone_profile(beta).values],
+        "source_monotones": values_to_json(monotone_profile(alpha)),
+        "target_monotones": values_to_json(monotone_profile(beta)),
     }
     _emit(eio.dumps(doc), args)
     return 0
@@ -222,12 +221,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_monotones(args) -> int:
     loaded = _load(args.state, args)
-    profile = monotone_profile(loaded.schmidt)
     doc = {
         "label": loaded.label,
         "n": loaded.schmidt.n,
-        "schmidt_sq": [scalar_to_json(v) for v in loaded.schmidt.probs],
-        "monotones": [scalar_to_json(v) for v in profile.values],
+        "schmidt_sq": values_to_json(loaded.schmidt),
+        "monotones": values_to_json(monotone_profile(loaded.schmidt)),
         "entropy_bits": round12(entropy_of_entanglement(loaded.schmidt)),
     }
     _emit(eio.dumps(doc), args)

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
+from .numeric import _Scaled
 from .schmidt import (InvalidStateError, SchmidtVector, _head, _lifted,
                       _typed, majorizes, tensor_power)
 
@@ -83,10 +85,8 @@ def _tail_sums(alpha: SchmidtVector, beta: SchmidtVector):
     xa, xb = xa + (0,) * (n - len(xa)), xb + (0,) * (n - len(xb))
     while n > 1 and not xa[n - 1] and not xb[n - 1]:
         n -= 1
-    tail_a, tail_b = [0] * (n + 2), [0] * (n + 2)
-    for l in range(n, 0, -1):
-        tail_a[l] = tail_a[l + 1] + xa[l - 1]
-        tail_b[l] = tail_b[l + 1] + xb[l - 1]
+    tail_a, tail_b = ([0, *list(accumulate(reversed(x[:n]), initial=0))[::-1]]
+                      for x in (xa, xb))
     return tail_a, tail_b, da, db, n
 
 
@@ -166,7 +166,7 @@ class Breakpoints:
     ratios: tuple
 
     def __post_init__(self):
-        bd = tuple(int(b) for b in self.boundaries)
+        bd = tuple([int(b) for b in self.boundaries])
         rt = tuple(self.ratios)
         if len(bd) != len(rt) + 1 or len(rt) < 1:
             raise InvalidStateError("boundary/ratio length mismatch")
@@ -220,7 +220,7 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector) -> SchmidtVector:
 
 
 @dataclass(frozen=True)
-class ExactMonomial:
+class ExactMonomial(_Scaled):
     """Monomial operator (one nonzero entry per column) with rational
     squared magnitudes, the one exact form of an operator: a plan's filter
     pair and every step of a built protocol are given this way.
@@ -236,11 +236,12 @@ class ExactMonomial:
 
     rows: tuple
     squared: tuple
+    _lazy = "squared"   # _from_scaled(nums, den, rows=rows) skips checks
 
     def __post_init__(self):
-        rows = tuple(map(int, self.rows))
-        squared = tuple(s if isinstance(s, Fraction) else Fraction(s)
-                        for s in self.squared)
+        rows = tuple([*map(int, self.rows)])
+        squared = tuple([s if isinstance(s, Fraction) else Fraction(s)
+                         for s in self.squared])
         if len(rows) != len(squared):
             raise ProtocolError("monomial row/entry length mismatch")
         if sorted(rows) != list(range(len(rows))):
@@ -249,27 +250,13 @@ class ExactMonomial:
                 f"0..{len(rows) - 1}")
         ratios = [s.as_integer_ratio() for s in squared]
         den = math.lcm(*{d for _, d in ratios})
-        nums = tuple(x * (den // d) for x, d in ratios)
+        nums = tuple([x * (den // d) for x, d in ratios])
         if any(x < 0 for x in nums):
             raise ProtocolError("negative squared magnitude in monomial")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "squared", squared)
         # not a field, so __eq__, __hash__ and repr still see the two above
         object.__setattr__(self, "_scaled", (nums, den))
-
-    @classmethod
-    def _from_scaled(cls, rows, nums, den):
-        """Squares nums[c] / den, unchecked; ``squared`` derived if read."""
-        mono = object.__new__(cls)
-        mono.__dict__.update(rows=rows, _scaled=(nums, den))
-        return mono
-
-    def __getattr__(self, name):   # only for an attribute not set
-        if name != "squared" or "_scaled" not in self.__dict__:
-            raise AttributeError(name)
-        nums, den = self._scaled
-        self.__dict__[name] = tuple(Fraction(x, den) for x in nums)
-        return self.squared
 
     @property
     def n(self) -> int:
@@ -294,7 +281,7 @@ def measurement_operators(bp: Breakpoints):
     """
     r1 = bp.ratios[0]
     success, failure = [], []
-    for j, lo, hi in reversed(tuple(bp.segments())):
+    for j, lo, hi in reversed([*bp.segments()]):
         s = r1 / bp.ratios[j - 1]
         success += [s] * (hi - lo + 1)
         failure += [1 - s] * (hi - lo + 1)

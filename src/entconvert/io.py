@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .conversion import ConversionPlan, build_plan
 from .numeric import (DEFAULT_TOL, RATIONAL, parse_scalar, round12,
-                      scalar_to_json)
+                      scalar_to_json, values_to_json)
 from .schmidt import BipartiteState, SchmidtVector, schmidt_decompose
 
 __all__ = [
@@ -122,8 +122,8 @@ def plan_to_dict(plan: ConversionPlan) -> dict:
         return [scalar_to_json(v if exact else float(v)) for v in values]
 
     doc = {
-        "source": out(plan.source.probs),
-        "target": out(plan.target.probs),
+        "source": values_to_json(plan.source, exact),
+        "target": values_to_json(plan.target, exact),
         "probability": out((plan.probability,))[0],
     }
     if plan.breakpoints is None:
@@ -134,9 +134,9 @@ def plan_to_dict(plan: ConversionPlan) -> dict:
             "boundaries": list(plan.breakpoints.boundaries),
             "ratios": out(plan.breakpoints.ratios),
         }
-        doc["intermediate"] = out(plan.intermediate.probs)
-        doc["success_squared"] = out(plan.success_operator.squared)
-        doc["failure_squared"] = out(plan.failure_operator.squared)
+        doc["intermediate"] = values_to_json(plan.intermediate, exact)
+        doc["success_squared"] = values_to_json(plan.success_operator, exact)
+        doc["failure_squared"] = values_to_json(plan.failure_operator, exact)
     return doc
 
 
@@ -197,6 +197,9 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
 
 
 def report_to_dict(report) -> dict:
+    # each distinct average is rounded once; a zero is its own rounding
+    audit = report.monotone_audit
+    rounded = {v: round12(v) for v in {v for _, _, v in audit if v}}
     return {
         "trials": report.trials,
         "successes": report.successes,
@@ -205,8 +208,8 @@ def report_to_dict(report) -> dict:
         "predicted": (None if report.predicted is None
                       else scalar_to_json(report.predicted)),
         "seed": report.seed,
-        "audit": [{"step": s, "k": k, "avg_E": round12(v)}
-                  for s, k, v in report.monotone_audit],
+        "audit": [{"step": s, "k": k, "avg_E": rounded[v] if v else float(v)}
+                  for s, k, v in audit],
     }
 
 

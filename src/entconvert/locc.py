@@ -887,12 +887,12 @@ def _mixing_steps(records):
         rows2 = (*range(j), k, *range(j + 1, k), j, *range(k + 1, n))
         den, same = spread * x[j] * x[k], tuple(range(n))
         yield LocalMeasurement(
-            "A", exact=(ExactMonomial._from_scaled(same, tuple(sq1), den),
-                        ExactMonomial._from_scaled(rows2, tuple(sq2), den)),
+            "A", exact=(ExactMonomial._from_scaled(tuple(sq1), den, rows=same),
+                        ExactMonomial._from_scaled(tuple(sq2), den, rows=rows2)),
             label=f"balance levels {j + 1},{k + 1}")
         yield Announce(label="broadcast outcome")
         yield LocalUnitary(
-            "B", ExactMonomial._from_scaled(rows2, (1,) * n, 1),
+            "B", ExactMonomial._from_scaled((1,) * n, 1, rows=rows2),
             condition=OutcomeIs(meas_index, 1),
             label=f"relabel levels {j + 1},{k + 1} on the swap branch")
 

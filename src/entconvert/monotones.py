@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import itertools
 import math
+import operator
 
-from .numeric import DEFAULT_TOL, all_exact
+from .numeric import DEFAULT_TOL, _Scaled, all_exact
 from .schmidt import DensityOperator, InvalidStateError, SchmidtVector
 
 __all__ = [
@@ -41,41 +43,43 @@ def entanglement_monotone(sv: SchmidtVector, k: int):
 
 
 def _tails(sv: SchmidtVector) -> list:
-    """[E_1, ..., E_n] of a state.
+    """[E_1, ..., E_n] of a state, each equal to entanglement_monotone's.
 
-    An exact vector takes one running sum from its last entry back to its
-    first: n Fraction additions, where summing each tail anew takes about
-    n**2 / 2.  Rationals add exactly in any order, so every value equals
-    entanglement_monotone's.
+    A float vector's tails are summed anew, left to right, and clamped as
+    there: a running float sum rounds differently, which would change the
+    amplitude-level audit (pinned by TestSamplerOracle) in its last bits.
     """
-    if not sv.is_exact:
-        # A running float sum rounds differently from each tail summed left
-        # to right: the amplitude-level audit would change in its last
-        # bits, which TestSamplerOracle pins to entanglement_monotone's.
-        return [entanglement_monotone(sv, k) for k in range(1, sv.n + 1)]
-    tails, run = [], Fraction(0)
-    for p in reversed(sv.probs):
-        run += p
-        tails.append(run)
-    tails.reverse()
-    return tails
+    if sv.is_exact:
+        return list(monotone_profile(sv).values)
+    probs = sv.probs
+    return [min(max(t, 0.0), 1.0) if isinstance(t, float) else t
+            for t in (sum(probs[k:]) for k in range(len(probs)))]
 
 
 def monotone_profile(sv: SchmidtVector) -> "MonotoneVector":
     """All n monotones of a state, from normalization down to the smallest tail.
 
-    An exact vector's profile takes one pass over its entries (n rational
-    additions); a float vector's tails are summed one by one, as
-    entanglement_monotone sums them.
+    An exact vector's are the suffix sums of its integer numerators over
+    D, in one pass, with Fractions made only if ``values`` is read; a
+    float vector's are summed one by one, as entanglement_monotone does.
     """
-    return MonotoneVector(tuple(_tails(sv)))
+    if not sv.is_exact:
+        return MonotoneVector(tuple(_tails(sv)))
+    nums, den = sv._scaled
+    tails = tuple([*itertools.accumulate(reversed(nums))][::-1])
+    # checked on the integers; if they fail, the Fraction check names it
+    if tails[0] != den or tails[-1] < 0 or any(map(operator.lt, tails,
+                                                   tails[1:])):
+        return MonotoneVector(tuple(Fraction(t, den) for t in tails))
+    return MonotoneVector._from_scaled(tails, den)
 
 
 @dataclass(frozen=True)
-class MonotoneVector:
+class MonotoneVector(_Scaled):
     """The monotone values (E_1, ..., E_n); non-increasing, E_1 = 1."""
 
     values: tuple
+    _lazy = "values"
 
     def __post_init__(self):
         vals = tuple(self.values)
@@ -152,9 +156,10 @@ def smallest_eigenvalue_sum(sigma: DensityOperator, k: int) -> float:
 
 def entropy_of_entanglement(sv: SchmidtVector) -> float:
     """Shannon entropy of the squared Schmidt coefficients, in bits."""
+    nums, den = sv._scaled if sv.is_exact else (sv.probs, 1)
     total = 0.0
-    for p in sv.probs:
-        p = float(p)
+    for x in nums:
+        p = float(x / den)   # for an integer x, the float of x / D exactly
         if p > 0.0:
             total -= p * math.log2(p)
     return total

@@ -8,6 +8,7 @@ one of the two modes and keep mode detection in a single place.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Integral
 
@@ -21,59 +22,66 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 
-def parse_scalar(value, mode: str = RATIONAL):
-    """Parse one numeric entry from user input (JSON payloads, CLI args).
+def parse_ratios(values, mode: str = RATIONAL) -> list:
+    """Parse numeric entries from user input (JSON payloads, CLI args).
 
     Strings may be fractions ("108/144") or decimal literals ("0.4"); in
-    rational mode both parse exactly (so "0.4" becomes 2/5).  Integers are
-    exact in either mode.  A Python float stays a float: whoever produced
-    it has already committed to the float representation.  A decimal
-    exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused before
-    parsing.
+    rational mode both parse exactly, to integers (numerator, denominator
+    > 0) not always in lowest terms ("0.4" gives (2, 5)), as integers do.
+    Float mode gives each exact value's correctly rounded float.  A Python
+    float stays a float: whoever produced it has already committed to the
+    float representation.  A decimal exponent beyond MAX_DECIMAL_EXPONENT
+    in magnitude is refused before parsing.
     """
-    if mode not in (RATIONAL, FLOAT):
-        raise ValueError(f"unknown numeric mode {mode!r}")
-    if isinstance(value, bool):
-        raise ValueError(f"boolean is not a valid scalar: {value!r}")
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Fraction):
-        exact = value
-    elif isinstance(value, str):
-        text = value.strip()
-        if "e" in text or "E" in text:
-            _check_exponent(text, value)
-        num, _, den = text.partition("/")
-        try:
-            if (num.isascii() and num.isdigit() and den.isascii()
-                    and den.isdigit()):
-                # "digits/digits" needs none of Fraction's string parsing,
-                # and a float is the correctly rounded integer quotient
-                if mode == FLOAT:
-                    return int(num) / int(den)
-                exact = Fraction(int(num), int(den))
-            else:
-                exact = Fraction(text)
-        except (ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"cannot parse scalar {value!r}") from err
-        except OverflowError as err:
-            raise ValueError(f"scalar {value!r} is too large for a float") \
-                from err
-    elif isinstance(value, Integral):
-        exact = Fraction(int(value))
-    else:
-        raise ValueError(f"cannot parse scalar of type {type(value).__name__}")
-    if mode == RATIONAL:
-        return exact
-    try:
-        return float(exact)
-    except OverflowError as err:
-        raise ValueError(f"scalar {value!r} is too large for a float") from err
+    exact = mode == RATIONAL
+    ratios = []
+    for value in values:
+        if not exact and mode != FLOAT:
+            raise ValueError(f"unknown numeric mode {mode!r}")
+        if isinstance(value, str):
+            # "digits/digits" needs none of Fraction's string parsing
+            num, _, den = value.partition("/")
+            fast = num.isdigit() and den.isdigit() and value.isascii()
+            if not fast and ("e" in value or "E" in value):
+                _check_exponent(value)
+            try:
+                ratio = ((int(num), int(den)) if fast
+                         else Fraction(value.strip()).as_integer_ratio())
+            except (ValueError, ZeroDivisionError) as err:
+                raise ValueError(f"cannot parse scalar {value!r}") from err
+            if not ratio[1]:   # "n/0", which Fraction refuses too
+                raise ValueError(f"cannot parse scalar {value!r}")
+        elif isinstance(value, bool):
+            raise ValueError(f"boolean is not a valid scalar: {value!r}")
+        elif isinstance(value, float):
+            ratio = value
+        elif isinstance(value, Fraction):
+            ratio = value.as_integer_ratio()
+        elif isinstance(value, Integral):
+            ratio = int(value), 1
+        else:
+            raise ValueError(
+                f"cannot parse scalar of type {type(value).__name__}")
+        if not exact and type(ratio) is tuple:
+            try:   # the correctly rounded quotient, as float(Fraction) is
+                ratio = ratio[0] / ratio[1]
+            except OverflowError as err:
+                raise ValueError(
+                    f"scalar {value!r} is too large for a float") from err
+        ratios.append(ratio)
+    return ratios
 
 
-def _check_exponent(text, value):
+def parse_scalar(value, mode: str = RATIONAL):
+    """One entry parsed by parse_ratios: a Fraction in rational mode (a
+    Python float stays a float), a float in float mode."""
+    ratio, = parse_ratios((value,), mode)
+    return ratio if isinstance(ratio, float) else Fraction(*ratio)
+
+
+def _check_exponent(value):
     try:
-        exponent = int(text.lower().rpartition("e")[2])
+        exponent = int(value.lower().rpartition("e")[2])
     except ValueError:
         return   # no exponent that Fraction would read
     if abs(exponent) > MAX_DECIMAL_EXPONENT:
@@ -103,3 +111,39 @@ def scalar_to_json(value):
     if is_exact_scalar(value):
         return str(Fraction(int(value)))
     return round12(value)
+
+
+def values_to_json(held, exact=True):
+    """scalar_to_json of each value of a _Scaled object, as a 12-digit
+    float unless ``exact``; made from its integers, with no Fraction, if
+    those are all it holds."""
+    values = vars(held).get(held._lazy)
+    if values is not None:
+        return [scalar_to_json(v if exact else float(v)) for v in values]
+    nums, den = held._scaled
+    if not exact:
+        return [round12(x / den) for x in nums]
+    return [str(x // g) if g == den else f"{x // g}/{den // g}"
+            for x, g in zip(nums, map(math.gcd, nums, [den] * len(nums)))]
+
+
+class _Scaled:
+    """Base of a frozen dataclass whose exact tuple field, named by
+    ``_lazy``, may be held as integers over one denominator, ``_scaled =
+    (nums, den)``, and made into Fractions only when first read."""
+
+    _lazy = None
+
+    @classmethod
+    def _from_scaled(cls, nums, den, **attrs):
+        """The field as nums[i] / den, unchecked; ``attrs`` set as is."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(attrs, _scaled=(nums, den))
+        return obj
+
+    def __getattr__(self, name):   # only for an attribute not set
+        if name != self._lazy or "_scaled" not in self.__dict__:
+            raise AttributeError(name)
+        nums, den = self.__dict__["_scaled"]
+        value = self.__dict__[name] = tuple([Fraction(x, den) for x in nums])
+        return value

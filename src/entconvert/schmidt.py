@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .numeric import DEFAULT_TOL, parse_scalar
+from .numeric import DEFAULT_TOL, RATIONAL, _Scaled, parse_ratios
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,21 +46,20 @@ class InvalidStateError(ValueError):
     """A state object violates one of its structural invariants."""
 
 
-def _zero_like(value):
-    return Fraction(0) if isinstance(value, Fraction) else 0.0
-
-
 @dataclass(frozen=True)
-class SchmidtVector:
+class SchmidtVector(_Scaled):
     """Squared Schmidt coefficients, sorted non-increasing, summing to 1.
 
     Entries are either exact rationals (``fractions.Fraction``) or floats;
     a vector is *exact* when every entry is rational, and all downstream
     arithmetic on exact vectors stays exact.  Planning reads a float
     vector through its dyadic lift (see ``_scaled``), so it is exact too.
+    An exact vector made from integers (``_of``: loaded, padded, cut or
+    a tensor power) makes its ``probs`` when they are first read.
     """
 
     probs: tuple
+    _lazy = "probs"
 
     def __post_init__(self):
         probs = tuple(self.probs)
@@ -69,9 +68,12 @@ class SchmidtVector:
         exact = all(isinstance(p, Fraction) for p in probs)
         if exact:
             # integer numerators over D = lcm(denominators): the exact
-            # form every check here and every exact loop downstream reads
-            den = math.lcm(*(p.denominator for p in probs))
-            keys = tuple(p.numerator * (den // p.denominator) for p in probs)
+            # form every check here and every exact loop downstream reads.
+            # Lists, not generators, feed tuple() and *args on the query
+            # path: a tuple grown from a generator moves between the free
+            # lists, which only a full collection (rare in a query) empties.
+            den = math.lcm(*[p.denominator for p in probs])
+            keys = tuple([p.numerator * (den // p.denominator) for p in probs])
             if min(keys) < 0:
                 bad = next(p for p, x in zip(probs, keys) if x < 0)
                 raise InvalidStateError(f"negative squared coefficient {bad}")
@@ -80,8 +82,8 @@ class SchmidtVector:
             slack = 0
         else:
             cleaned = []
-            for p in probs:
-                if isinstance(p, Fraction):
+            for p in probs:   # a float skips Fraction's costly ABC check
+                if not isinstance(p, float) and isinstance(p, Fraction):
                     if p < 0:
                         raise InvalidStateError(
                             f"negative squared coefficient {p}")
@@ -123,28 +125,63 @@ class SchmidtVector:
         """
         ratios = [p.as_integer_ratio() if p > DEFAULT_TOL else (0, 1)
                   for p in self.probs]
-        den = math.lcm(*(d for _, d in ratios))
+        den = math.lcm(*[d for _, d in ratios])
         nums = sorted((x * (den // d) for x, d in ratios), reverse=True)
         return tuple(nums), sum(nums)
 
     @classmethod
-    def from_values(cls, values, *, mode="rational", trim=False,
+    def _of(cls, nums, den):
+        """The exact vector nums[i] / den, for sorted integers >= 0 summing
+        to den, unchecked; kept over the least common denominator."""
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [x // g for x in nums], den // g
+        return cls._from_scaled(tuple(nums), den, _exact=True)
+
+    @classmethod
+    def from_values(cls, values, *, mode=RATIONAL, trim=False,
                     tol=DEFAULT_TOL):
         """Build a vector from loosely typed entries.
 
         Entries are parsed per ``mode`` ("108/144" and decimal strings are
-        exact in rational mode), stably sorted in non-increasing order and
+        exact in rational mode, and read as integers over their least
+        common denominator), stably sorted in non-increasing order and
         optionally trimmed of trailing entries below ``tol`` (with
         renormalization); the result must sum to 1.
         """
-        given = [parse_scalar(v, mode) for v in values]
+        given = parse_ratios(values, mode)
         if not given:
             raise InvalidStateError("a Schmidt vector needs at least one entry")
+        if set(map(type, given)) != {tuple}:
+            return cls._from_floats(given, trim, tol)
+        tops, bottoms = zip(*given)
+        den = math.lcm(*set(bottoms))   # few distinct ones, as a rule
+        nums = sorted(map(operator.mul, tops, map(den.__floordiv__, bottoms)),
+                      reverse=True)
+        if nums[-1] < 0:   # the first negative entry given is named
+            bad = next(Fraction(p, q) for p, q in given if p < 0)
+            raise InvalidStateError(f"negative squared coefficient {bad}")
+        if trim:
+            keep = len(nums)
+            while keep > 1 and Fraction(nums[keep - 1], den) < tol:
+                keep -= 1
+            if keep < len(nums):   # renormalized, unless all zero
+                nums = nums[:keep]
+                den = sum(nums) or den
+        if sum(nums) != den:
+            raise InvalidStateError(
+                f"exact entries sum to {Fraction(sum(nums), den)}, not 1")
+        return cls._of(nums, den)
+
+    @classmethod
+    def _from_floats(cls, given, trim, tol):
+        """from_values in float mode, or given a Python float in rational
+        mode: a float vector, whose exact entries stay Fractions."""
+        given = [p if isinstance(p, float) else Fraction(*p) for p in given]
         for p in given:
-            if not isinstance(p, Fraction) and float(p) < -tol:
+            if isinstance(p, float) and p < -tol:
                 raise InvalidStateError(f"negative squared coefficient {p}")
-        given = [p if isinstance(p, Fraction) else max(float(p), 0.0)
-                 for p in given]
+        given = [max(p, 0.0) if isinstance(p, float) else p for p in given]
         parsed = sorted(given, reverse=True)  # stable: ties keep input order
         # floats are clamped by now, so the last entry is negative only
         # when a rational is; the first such one given is named
@@ -155,15 +192,15 @@ class SchmidtVector:
             keep = len(parsed)
             while keep > 1 and parsed[keep - 1] < tol:
                 keep -= 1
-            if keep < len(parsed):
+            if keep < len(parsed):   # renormalized, unless all zero
                 parsed = parsed[:keep]
-                total = sum(parsed)
+                total = sum(parsed) or 1
                 parsed = [p / total for p in parsed]
         return cls(tuple(parsed))
 
     @property
     def n(self) -> int:
-        return len(self.probs)
+        return len(self._scaled[0]) if self._exact else len(self.probs)
 
     @property
     def is_exact(self) -> bool:
@@ -171,14 +208,17 @@ class SchmidtVector:
 
     def nonzero_count(self) -> int:
         """Number of entries that carry weight (> 0; a float > DEFAULT_TOL)."""
-        return len(self.probs) - self._scaled[0].count(0)
+        return self.n - self._scaled[0].count(0)
 
     def padded(self, n: int) -> "SchmidtVector":
         if n < self.n:
             raise ValueError(f"cannot pad length {self.n} down to {n}")
         if n == self.n:
             return self
-        return SchmidtVector(self.probs + (_zero_like(self.probs[0]),) * (n - self.n))
+        if self.is_exact:
+            return SchmidtVector._of(self._scaled[0] + (0,) * (n - self.n),
+                                     self._scaled[1])
+        return SchmidtVector(self.probs + (0.0,) * (n - self.n))
 
     def as_floats(self) -> np.ndarray:
         import numpy as np
@@ -295,11 +335,11 @@ def tensor_power(sv: SchmidtVector, copies: int) -> SchmidtVector:
     values, den = sv._scaled
     products = sorted(map(math.prod, itertools.product(values, repeat=copies)),
                       reverse=True)
-    # integer products over D**copies: each entry is made once, last, as a
-    # Fraction for exact input and as a float otherwise
-    cast = Fraction if sv.is_exact else operator.truediv
+    # integer products over D**copies: kept so for exact input, and each
+    # made into a float otherwise
     scale = den ** copies
-    return SchmidtVector(tuple(cast(x, scale) for x in products))
+    return (SchmidtVector._of(products, scale) if sv.is_exact else
+            SchmidtVector(tuple(x / scale for x in products)))
 
 
 def reduced_density(state: BipartiteState) -> DensityOperator:
@@ -333,11 +373,8 @@ def majorizes(x: SchmidtVector, y: SchmidtVector) -> bool:
 
 def _lifted(sv: SchmidtVector) -> SchmidtVector:
     """The exact vector planning reads: ``sv`` itself when exact, else
-    the Fractions of its dyadic lift."""
-    if sv.is_exact:
-        return sv
-    nums, den = sv._scaled
-    return SchmidtVector(tuple(Fraction(x, den) for x in nums))
+    its dyadic lift."""
+    return sv if sv.is_exact else SchmidtVector._of(*sv._scaled)
 
 
 def _head(sv: SchmidtVector, n: int) -> SchmidtVector:
@@ -350,8 +387,10 @@ def _head(sv: SchmidtVector, n: int) -> SchmidtVector:
     is planned on the given values and its entries are 0 where the
     lift's are.
     """
+    if sv.is_exact:
+        return SchmidtVector._of(sv._scaled[0][:n], sv._scaled[1])
     head = sv.probs[:n]
-    if sv.is_exact or abs(float(sum(head)) - 1.0) <= DEFAULT_TOL:
+    if abs(float(sum(head)) - 1.0) <= DEFAULT_TOL:
         return SchmidtVector(head)
     nums, den = sv._scaled   # den == sum(nums[:n]): the rest are 0
     cut = SchmidtVector(tuple(x / den for x in nums[:n]))

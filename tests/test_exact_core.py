@@ -7,8 +7,13 @@ entries over unrelated denominators; the loops themselves must not add
 or multiply the entries.
 """
 
+import copy
+import dataclasses
+import json
 import pickle
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
@@ -96,9 +101,6 @@ def test_exact_vector_equality_and_copies_see_entries_alone():
     again = SchmidtVector((F(3, 4), F(1, 4)))
     assert sv == again and hash(sv) == hash(again)
     assert repr(sv) == "SchmidtVector(probs=(Fraction(3, 4), Fraction(1, 4)))"
-    import copy
-    import dataclasses
-    import pickle
     for clone in (pickle.loads(pickle.dumps(sv)), copy.deepcopy(sv),
                   dataclasses.replace(sv)):
         assert clone == sv and clone.is_exact
@@ -183,15 +185,182 @@ def test_integer_built_monomial_is_the_fraction_built_one():
     eager = ExactMonomial(rows, tuple(F(x, den) for x in nums))
     assert eager._scaled == ((1, 0, 4), 4)
     for read in (hash, repr, pickle.dumps):
-        lazy = ExactMonomial._from_scaled(rows, nums, den)
+        lazy = ExactMonomial._from_scaled(nums, den, rows=rows)
         assert "squared" not in vars(lazy)
         read(lazy)   # whatever is read first, squared is derived alike
         assert lazy == eager and hash(lazy) == hash(eager)
         assert repr(lazy) == repr(eager)
         assert pickle.loads(pickle.dumps(lazy)) == eager
-    assert pickle.loads(pickle.dumps(
-        ExactMonomial._from_scaled(rows, nums, den))).squared == eager.squared
-    assert ExactMonomial._from_scaled(rows, nums, den).matrix.tolist() \
+    assert pickle.loads(pickle.dumps(ExactMonomial._from_scaled(
+        nums, den, rows=rows))).squared == eager.squared
+    assert ExactMonomial._from_scaled(nums, den, rows=rows).matrix.tolist() \
         == eager.matrix.tolist()
     with pytest.raises(AttributeError, match="other"):
-        ExactMonomial._from_scaled(rows, nums, den).other
+        ExactMonomial._from_scaled(nums, den, rows=rows).other
+
+
+def _old_parse_scalar(value, mode):
+    """The loader's former per-entry parser: one Fraction per entry."""
+    if isinstance(value, bool):
+        raise ValueError(f"boolean is not a valid scalar: {value!r}")
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            try:
+                exponent = int(text.lower().rpartition("e")[2])
+            except ValueError:
+                exponent = 0
+            if abs(exponent) > 4300:
+                raise ValueError(f"exponent of scalar {value!r} exceeds "
+                                 "4300 in magnitude")
+        num, _, den = text.partition("/")
+        try:
+            if (num.isascii() and num.isdigit() and den.isascii()
+                    and den.isdigit()):
+                if mode == FLOAT:
+                    return int(num) / int(den)
+                exact = Fraction(int(num), int(den))
+            else:
+                exact = Fraction(text)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"cannot parse scalar {value!r}") from err
+    else:
+        exact = Fraction(int(value))
+    return exact if mode == RATIONAL else float(exact)
+
+
+def _old_from_values(values, mode, trim, tol=1e-9):
+    """The former SchmidtVector.from_values: Fractions sorted, trimmed and
+    checked by the constructor."""
+    given = [_old_parse_scalar(v, mode) for v in values]
+    if not given:
+        raise InvalidStateError("a Schmidt vector needs at least one entry")
+    for p in given:
+        if not isinstance(p, Fraction) and float(p) < -tol:
+            raise InvalidStateError(f"negative squared coefficient {p}")
+    given = [p if isinstance(p, Fraction) else max(float(p), 0.0)
+             for p in given]
+    parsed = sorted(given, reverse=True)
+    if parsed[-1] < 0:
+        raise InvalidStateError("negative squared coefficient "
+                                f"{next(p for p in given if p < 0)}")
+    if trim:
+        keep = len(parsed)
+        while keep > 1 and parsed[keep - 1] < tol:
+            keep -= 1
+        if keep < len(parsed):
+            parsed = parsed[:keep]
+            total = sum(parsed)
+            parsed = [p / total for p in parsed]
+    return SchmidtVector(tuple(parsed))
+
+
+_SPELLINGS = ("108/144", " 1/2 ", "\t3/4\n", "0.25", "2.5e-1", "1e4301",
+              "1e-4301", "1E0", "٣/٤", "١/٢", "1_0/2_0", "1/0", "-1/4",
+              "-0.5", "+1/2", "0", "0/7", "0.0", "1/2/3", "abc", "",
+              "1" * 4301 + "/2", 1, 0, -1, True, 0.5, 0.25, -1e-12)
+
+
+@st.composite
+def loader_entries(draw):
+    """Entries as state files (and library callers) spell them: a
+    normalized vector written over unreduced, scaled denominators, with
+    ties, tiny entries and zeros, or a mix of odd spellings."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(
+            st.sampled_from(_SPELLINGS),
+            st.builds("{}/{}".format, st.integers(-3, 200),
+                      st.integers(0, 200)),
+            st.builds("{}e{}".format, st.integers(-50, 50),
+                      st.integers(-12, 2)),
+            st.integers(-2, 3)), max_size=6))
+    loads = draw(st.lists(st.sampled_from((0, 1, 1, 2, 7, F(1, 10 ** 12))),
+                          min_size=1, max_size=8))
+    scale = draw(st.sampled_from((1, 3, 10 ** 12)))
+    total = sum(loads) or 1
+    out = []
+    for x in loads:
+        v = F(x) / total
+        k = draw(st.integers(1, 4))
+        out.append(draw(st.sampled_from((
+            f"{v.numerator * k * scale}/{v.denominator * k * scale}",
+            f" {v.numerator}/{v.denominator} ",
+            v.numerator if v.denominator == 1 else str(v)))))
+    return out
+
+
+@given(loader_entries(), st.sampled_from((RATIONAL, FLOAT)), st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_loader_matches_per_entry_fraction_route(values, mode, trim):
+    try:
+        old = _old_from_values(values, mode, trim)
+    except ZeroDivisionError:   # an all-zero head renormalized by 0
+        with pytest.raises(InvalidStateError, match="sum to 0"):
+            SchmidtVector.from_values(values, mode=mode, trim=trim)
+        return
+    except ValueError as err:
+        with pytest.raises(ValueError) as info:
+            SchmidtVector.from_values(values, mode=mode, trim=trim)
+        assert (type(info.value), str(info.value)) == (type(err), str(err))
+        return
+    new = SchmidtVector.from_values(values, mode=mode, trim=trim)
+    assert new.is_exact == old.is_exact and new.n == old.n
+    assert list(map(repr, new.probs)) == list(map(repr, old.probs))
+    assert new._scaled == old._scaled
+
+
+def test_loaded_vector_makes_its_entries_when_read():
+    eager = SchmidtVector((F(3, 4), F(1, 4)))
+    loaded = SchmidtVector.from_values(["108/144", "1/4"])
+    assert loaded.n == 2 and loaded.nonzero_count() == 2
+    assert loaded._scaled == ((3, 1), 4) and "probs" not in vars(loaded)
+    for read in (hash, repr, pickle.dumps, copy.copy, copy.deepcopy,
+                 dataclasses.replace):
+        lazy = SchmidtVector.from_values(["108/144", "1/4"])
+        clone = read(lazy)   # whatever is read first, probs come out alike
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert repr(lazy) == repr(eager)
+        if isinstance(clone, SchmidtVector):
+            assert clone == eager and clone.is_exact
+    clone = pickle.loads(pickle.dumps(SchmidtVector.from_values(["1", "0"])))
+    assert clone.probs == (1, 0) and clone.is_exact
+
+
+def test_query_commands_make_no_fraction_per_entry(tmp_path, monkeypatch):
+    from entconvert import cli, io, monotones, schmidt
+    n = 256
+    for name, step in (("a", 1), ("b", 7)):
+        weights = sorted((1 + step * k * k % 97 for k in range(n)),
+                         reverse=True)
+        (tmp_path / f"{name}.json").write_text(json.dumps({"schmidt_sq": [
+            str(F(w, sum(weights))) for w in weights]}))
+    made = []
+
+    class Recorded(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    for module in (cli, io, monotones, schmidt):
+        # io makes none, and imports none to patch
+        monkeypatch.setattr(module, "Fraction", Recorded, raising=False)
+    # nor may the parser or a lazily held vector make one, anywhere
+    new = Fraction.__new__
+
+    def recorded_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", recorded_new)
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for argv, exact_entries in ((["prob", a, b], 2 * n - 2),
+                                (["compare", a, b], 1),
+                                (["monotones", a], 2 * n - 1)):
+        made.clear()
+        with redirect_stdout(StringIO()) as out:
+            assert cli.main(argv) == 0
+        # the probabilities alone, though every entry is rendered exactly
+        assert len(made) <= 2, (argv, made)
+        assert out.getvalue().count("/") >= exact_entries

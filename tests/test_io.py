@@ -146,6 +146,19 @@ class TestStateDocuments:
         path.write_text(json.dumps({"schmidt_sq": ["0.5", "0.5", "0"]}))
         assert load_state_file(path, trim=True).schmidt.n == 2
 
+    @pytest.mark.parametrize("mode, message", [
+        ("rational", "exact entries sum to 0, not 1"),
+        ("float", "entries sum to 0.0, not 1")])
+    def test_trim_of_all_zeros_exits_1(self, tmp_path, capsys, mode,
+                                       message):
+        # the kept head sums to 0: refused, not renormalized by 0
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"schmidt_sq": ["0", 0, "0.0"]}))
+        assert main(["monotones", str(path), "--trim-zeros", "--mode",
+                     mode]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad Schmidt vector: {message}\n"
+
 
 class TestPlanRoundTrip:
     def test_roundtrip_preserves_everything(self):
@@ -186,6 +199,29 @@ class TestPlanRoundTrip:
         tamper(doc)
         with pytest.raises(StateFileError):
             plan_from_dict(doc)
+
+    @pytest.mark.parametrize("spell", [
+        lambda v: v,
+        lambda v: f" {v.numerator * 6}/{v.denominator * 6} ",
+        lambda v: f"{v.numerator}_0/{v.denominator}_0",
+        lambda v: f"{v.numerator}/{v.denominator}".translate(
+            str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    ])
+    def test_plan_values_take_state_file_spellings(self, spell):
+        # one parser reads a plan's values and a state file's entries
+        plan = build_plan(ALPHA3, BETA3)
+        doc = plan_to_dict(plan)
+        for key in ("source", "intermediate", "success_squared"):
+            doc[key] = [spell(F(v)) for v in doc[key]]
+        doc["probability"] = spell(F(doc["probability"]))
+        assert plan_from_dict(doc).probability == F(5, 6)
+        for bad in ("1/0", "1e4301", True):
+            doc["probability"] = bad
+            with pytest.raises(ValueError) as got:
+                plan_from_dict(doc)
+            with pytest.raises(ValueError) as want:
+                SchmidtVector.from_values([bad])
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("key, values", [
         ("success_squared", ["1", "1", "1"]),

@@ -63,19 +63,26 @@ class TestEntanglementMonotone:
         assert values == tuple(sum(probs[k:], F(0)) for k in range(len(probs)))
         assert all(type(v) is Fraction for v in values)
 
-    def test_exact_profile_takes_n_additions(self):
+    def test_exact_profile_adds_no_fractions(self):
+        # integer suffix sums over D; Fractions are made only when read
         added = []
 
         class Counted(Fraction):
+            def __add__(self, other):
+                added.append(self)
+                return Fraction.__add__(self, other)
+
             def __radd__(self, other):   # tried first: a Fraction subclass
                 added.append(self)
                 return Fraction.__radd__(self, other)
 
         sv = SchmidtVector(tuple(Counted(1, 100) for _ in range(100)))
         added.clear()
-        assert monotone_profile(sv).values == tuple(
-            F(100 - i, 100) for i in range(100))
-        assert len(added) == 100
+        profile = monotone_profile(sv)
+        assert "values" not in vars(profile)
+        assert profile._scaled == (tuple(range(100, 0, -1)), 100)
+        assert profile.values == tuple(F(100 - i, 100) for i in range(100))
+        assert added == []
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
     def test_profile_matches_per_k_tails_float_bitwise(self, n):
@@ -96,6 +103,18 @@ class TestEntanglementMonotone:
         with pytest.raises(InvalidStateError):
             MonotoneVector((F(1), F(1, 4), F(1, 2)))  # must not increase
         MonotoneVector((F(1), F(1, 4), F(0)))
+
+    @pytest.mark.parametrize("nums, den", [
+        ((1, 0), 2), ((2, -1, 3), 4), ((3, 2, -1), 4)])
+    def test_integer_profile_checks_as_the_fraction_one(self, nums, den):
+        # vectors made unchecked from integers that no loader accepts
+        sv = SchmidtVector._from_scaled(nums, den, _exact=True)
+        with pytest.raises(InvalidStateError) as got:
+            monotone_profile(sv)
+        tails = [sum(nums[k:]) for k in range(len(nums))]
+        with pytest.raises(InvalidStateError) as want:
+            MonotoneVector(tuple(F(t, den) for t in tails))
+        assert str(got.value) == str(want.value)
 
 
 class TestSpectralFunctional:
