@@ -187,9 +187,9 @@ def _exhaustive_doc(plan, protocol, initial) -> dict:
         "success_probability": exact,
         "success_probability_decimal": decimal,
         "predicted": scalar_to_json(plan.probability),
-        "audit": [{"step": s, "k": k + 1, "avg_E": avgs[k]}
-                  for k in range(len(table[0]))
-                  for s, avgs in enumerate(table)],
+        "audit": eio.Table(("step", "k", "avg_E"), [
+            (s, k + 1, avgs[k]) for k in range(len(table[0]))
+            for s, avgs in enumerate(table)]),
     }
 
 
@@ -212,9 +212,9 @@ def cmd_simulate(args) -> int:
     if args.exhaustive:
         doc = _exhaustive_doc(plan, protocol, initial)
     else:
-        report = merged_sample_exact(protocol, initial, args.trials,
-                                     args.seed, predicted=plan.probability)
-        doc = {"mode": "monte_carlo", **eio.report_to_dict(report)}
+        doc = {"mode": "monte_carlo", **eio.report_to_dict(
+            merged_sample_exact(protocol, initial, args.trials, args.seed,
+                                predicted=plan.probability))}
     _emit(eio.dumps(doc), args)
     return 0
 

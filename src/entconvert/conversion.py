@@ -199,24 +199,29 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector) -> SchmidtVector:
     The result is the state the deterministic stage aims for; it
     majorizes the source and is mapped onto the target by the final
     filter with probability r_1.  It is exact, on the dyadic lift of a
-    float target.  The construction provably yields a sorted vector;
-    IntermediateOrderError flags a breach.
+    float target, as integers over one denominator.  The construction
+    provably yields a sorted vector; IntermediateOrderError flags a breach.
     """
     if beta.n != bp.n:
         raise ValueError(
             f"breakpoints describe {bp.n} dimensions, target has {beta.n}")
     nums, den = beta._scaled
-    gamma = [None] * bp.n
-    for j, lo, hi in bp.segments():   # from the last segment back
-        top, bottom = bp.ratios[j - 1].as_integer_ratio()
-        for i in range(lo, hi + 1):
-            gamma[i - 1] = Fraction(top * nums[i - 1], bottom * den)
+    ratios = [r.as_integer_ratio() for r in bp.ratios]
+    scale = math.lcm(*[bottom for _, bottom in ratios])
+    total, gamma = scale * den, [0] * bp.n   # gamma_i over scale * D_beta
+    for (_, lo, hi), (top, bottom) in zip(bp.segments(), ratios):
+        factor = top * (scale // bottom)   # from the last segment back
+        gamma[lo - 1:hi] = [factor * x for x in nums[lo - 1:hi]]
         # a segment keeps beta's order; the check is where two meet
         if hi < bp.n and gamma[hi - 1] < gamma[hi]:
             raise IntermediateOrderError(
                 f"intermediate state out of order at position {hi}: "
-                f"{gamma[hi - 1]} < {gamma[hi]}")
-    return SchmidtVector(tuple(gamma))
+                f"{Fraction(gamma[hi - 1], total)} < "
+                f"{Fraction(gamma[hi], total)}")
+    if sum(gamma) != total:
+        raise InvalidStateError(
+            f"exact entries sum to {Fraction(sum(gamma), total)}, not 1")
+    return SchmidtVector._of(gamma, total)
 
 
 @dataclass(frozen=True)
@@ -276,18 +281,22 @@ def measurement_operators(bp: Breakpoints):
 
     The success operator is block diagonal, sqrt(r_1 / r_j) on segment j
     (identity on the last segment); the failure operator completes it,
-    sqrt(1 - r_1/r_j).  Applied to the intermediate state the success
-    branch has probability r_1 and lands exactly on the target.
+    sqrt(1 - r_1/r_j), both over the least common denominator of the
+    r_1/r_j.  Applied to the intermediate state the success branch has
+    probability r_1 and lands exactly on the target.
     """
-    r1 = bp.ratios[0]
-    success, failure = [], []
+    top, bottom = bp.ratios[0].as_integer_ratio()
+    parts = []   # r_1 / r_j per entry, reduced, as (numerator, denominator)
     for j, lo, hi in reversed([*bp.segments()]):
-        s = r1 / bp.ratios[j - 1]
-        success += [s] * (hi - lo + 1)
-        failure += [1 - s] * (hi - lo + 1)
+        x, d = bp.ratios[j - 1].as_integer_ratio()
+        g = math.gcd(top * d, bottom * x)
+        parts += [(top * d // g, bottom * x // g)] * (hi - lo + 1)
+    den = math.lcm(*{d for _, d in parts})
+    success = tuple([x * (den // d) for x, d in parts])
     rows = tuple(range(bp.n))
-    return (ExactMonomial(rows, tuple(success)),
-            ExactMonomial(rows, tuple(failure)))
+    return (ExactMonomial._from_scaled(success, den, rows=rows),
+            ExactMonomial._from_scaled(tuple([den - s for s in success]),
+                                       den, rows=rows))
 
 
 @dataclass(frozen=True)
@@ -329,28 +338,30 @@ def build_plan(alpha: SchmidtVector, beta: SchmidtVector) -> ConversionPlan:
     independent code paths and cross-checked in the tests.  Float inputs
     are planned exactly on their dyadic lifts.
     """
-    n = _tail_sums(alpha, beta)[4]
+    # a and b, cut or padded to n, have alpha's and beta's tail sums
+    bp = (breakpoints(alpha, beta)
+          if alpha.nonzero_count() >= beta.nonzero_count() else None)
+    n = _tail_sums(alpha, beta)[4] if bp is None else bp.n
     a, b = (v.padded(n) if v.n <= n else _head(v, n)
             for v in (alpha, beta))
-    if a.nonzero_count() < b.nonzero_count():
+    if bp is None:
         return ConversionPlan(a, b, None, None, None, None,
                               _typed(Fraction(0), a, b))
-    bp = breakpoints(a, b)
     gamma = intermediate_state(bp, b)
     success, failure = measurement_operators(bp)
     if not majorizes(a, gamma):
         raise PlanInvariantError(
             "intermediate state fails to majorize the source")
     # filter identity gamma_i * M_ii^2 == r_1 * beta_i on integer
-    # numerators: g/D_g * s == r_1 * t/D_t, cross-multiplied
+    # numerators: g/D_g * s/D_s == r_1 * t/D_t, cross-multiplied
     r1 = bp.ratios[0]
-    (gn, dg), (tn, dt) = gamma._scaled, b._scaled
-    scale_g, scale_t = r1.denominator * dt, r1.numerator * dg
-    for g, s, t in zip(gn, success.squared, tn):
-        if g * s.numerator * scale_g != t * s.denominator * scale_t:
+    (gn, dg), (sn, ds), (tn, dt) = gamma._scaled, success._scaled, b._scaled
+    scale_g, scale_t = r1.denominator * dt, r1.numerator * dg * ds
+    for g, s, t in zip(gn, sn, tn):
+        if g * s * scale_g != t * scale_t:
             raise PlanInvariantError(
-                f"filter identity violated: {Fraction(g, dg)}*{s} != "
-                f"{r1}*{Fraction(t, dt)}")
+                f"filter identity violated: {Fraction(g, dg)}*"
+                f"{Fraction(s, ds)} != {r1}*{Fraction(t, dt)}")
     return ConversionPlan(a, b, bp, gamma, success, failure, _typed(r1, a, b))
 
 

@@ -24,14 +24,25 @@ __all__ = [
     "plan_to_dict",
     "plan_from_dict",
     "report_to_dict",
+    "Table",
     "dumps",
 ]
-
-_CONTAINERS = (list, tuple, dict)
 
 
 class StateFileError(ValueError):
     """A state document is structurally invalid."""
+
+
+class Table:
+    """A JSON array of objects with the keys ``fields`` (one or more), as
+    a tuple of JSON-ready values per row, each column of one type (int,
+    float or str); a plain class, as a dataclass slows the import."""
+
+    def __init__(self, fields, rows):
+        self.fields, self.rows = fields, rows
+
+
+_CONTAINERS = (list, tuple, dict, Table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,15 +219,16 @@ def report_to_dict(report) -> dict:
         "predicted": (None if report.predicted is None
                       else scalar_to_json(report.predicted)),
         "seed": report.seed,
-        "audit": [{"step": s, "k": k, "avg_E": rounded[v] if v else float(v)}
-                  for s, k, v in audit],
+        "audit": Table(("step", "k", "avg_E"), [
+            (s, k, rounded[v] if v else float(v)) for s, k, v in audit]),
     }
 
 
 def dumps(doc) -> str:
     """Stable JSON rendering used by all commands: ``json.dumps(doc,
     indent=2, sort_keys=True, default=scalar_to_json)`` and a newline,
-    but made by json's C encoder, which an indent turns off."""
+    made by json's C encoder; a Table renders as its rows as dicts, each
+    row one ``%`` template over its columns' encoded distinct values."""
     return _render(doc, "") + "\n"
 
 
@@ -228,8 +240,10 @@ def _encode(sep, doc):   # unindented, so by json's C encoder
 def _render(doc, pad):
     """``doc`` at indent ``pad``: one encoder call, the newline and
     indent in its item separator (encoded strings escape newlines), for
-    a container of scalars, or per column of a table (_table)."""
+    a container of scalars, or per column of a Table (_rows)."""
     sep = ",\n" + (inner := pad + "  ")
+    if isinstance(doc, Table):
+        return f"[\n{inner}{_rows(doc, inner)}\n{pad}]" if doc.rows else "[]"
     if not isinstance(doc, _CONTAINERS) or not doc:
         return _encode(sep, doc)
     kinds = set(map(type, doc.values() if isinstance(doc, dict) else doc))
@@ -237,7 +251,7 @@ def _render(doc, pad):
         text = _encode(sep, doc)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
     if not isinstance(doc, dict):
-        body = _table(doc, inner) or sep.join(_render(v, inner) for v in doc)
+        body = sep.join(_render(v, inner) for v in doc)
         return f"[\n{inner}{body}\n{pad}]"
     # each container stands in as 0, then is rendered on its own
     text = _encode(sep, {k: 0 if isinstance(v, _CONTAINERS) else v
@@ -249,25 +263,15 @@ def _render(doc, pad):
     return f"{{\n{inner}{body}\n{pad}}}"
 
 
-def _table(rows, inner):
-    """The items of a list of dicts with one set of str keys and one type
-    per column, int, float or str (the audit), or None: a row template."""
-    keys = rows[0].keys() if set(map(type, rows)) == {dict} else ()
-    if (not keys or not all(type(key) is str for key in keys)
-            or set(map(len, rows)) != {len(keys)}):
-        return None
-    cell, texts = ",\n" + inner + "  ", []
-    for key in sorted(keys):
-        column = [row.get(key) for row in rows]   # None where a key differs
-        kinds = set(map(type, column))
-        # equal values of one type have one text, but for 0.0 and -0.0
-        if len(kinds) > 1 or not kinds <= {int, float, str} or (
-                float in kinds and len({str(v) for v in column if v == 0}) > 1):
-            return None
-        values = list(dict.fromkeys(column))
-        text = dict(zip(values, _encode("\n", values)[1:-1].split("\n")))
-        texts.append(list(map(text.__getitem__, column)))
-    template = f"{{\n{inner}  " + cell.join(
-        _encode(cell, key).replace("%", "%%") + ": %s"
-        for key in sorted(keys)) + f"\n{inner}}}"
+def _rows(table, inner):   # the items of a Table; see dumps
+    cell, keys, texts = ",\n" + inner + "  ", [], []
+    for key, column in sorted(zip(table.fields, zip(*table.rows))):
+        values = dict.fromkeys(column)   # a key keeps one sign of zero
+        if 0 in values and type(column[0]) is float:
+            values = column
+        text = _encode("\n", list(values))[1:-1].split("\n")
+        keys.append(_encode(cell, key).replace("%", "%%") + ": %s")
+        texts.append(text if values is column else
+                     map(dict(zip(values, text)).__getitem__, column))
+    template = f"{{\n{inner}  {cell.join(keys)}\n{inner}}}"
     return (",\n" + inner).join(map(template.__mod__, zip(*texts)))

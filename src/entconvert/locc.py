@@ -32,7 +32,9 @@ one entry per level and state reached instead of one per history: each
 outcome's post is carried through the unitaries that follow it before
 it joins the next level.  An entry is exhaustively a weight and a
 history count (merged_run_exact), sampled the trials that reached it
-(merged_sample_exact).  Both refuse an audit of more than
+(merged_sample_exact).  Outcomes that reach one state pass an entry on
+whole where success reads no outcome, so the trials of a built protocol
+split at its final filter alone.  Both refuse an audit of more than
 MAX_AUDIT_CELLS cells, as build_full_protocol does before it makes any
 step.  The CLI runs on that engine alone; the enumerating engines and
 the amplitude-level sampler stay as its reference.
@@ -95,8 +97,8 @@ BRANCH_CAP = 100_000
 MAX_TREE_BYTES = 2 ** 30   # amplitude bytes a Monte-Carlo branch tree keeps
 PRUNE_EPS = 1e-12  # outcomes below this are never normalized into states
 # Audit cells (levels x step boundaries) a merged run may average.  A whole
-# exact CLI run peaks at 1.1-1.2 KB per cell (217-237 MB at n = 256,
-# 466-487 MB at n = 384), so a run at this limit stays under 700 MB.  A
+# exact CLI run peaks at 0.45-0.60 KB per cell (86-111 MB at n = 256,
+# 178-214 MB at n = 384), so a run at this limit stays under 350 MB.  A
 # protocol has at most 3n - 2 steps, so every pair up to n = 418 stays
 # within it.
 MAX_AUDIT_CELLS = 2 ** 19
@@ -167,7 +169,7 @@ class LocalMeasurement(_DenseOnDemand):
         if self.exact:
             if len({mono.n for mono in self.exact}) != 1:
                 raise ProtocolError("measurement operators differ in shape")
-            den = math.lcm(*(mono._scaled[1] for mono in self.exact))
+            den = math.lcm(*[mono._scaled[1] for mono in self.exact])
             scaled = [nums if d == den else [x * (den // d) for x in nums]
                       for nums, d in (m._scaled for m in self.exact)]
             complete = set(map(sum, zip(*scaled))) <= {den}
@@ -435,7 +437,7 @@ def _exact_outcomes(step, state):
             results.append((Fraction(0), None))
             continue
         g = math.gcd(*weights)
-        post = ((tuple(w // g for w in weights), total // g), partners)
+        post = ((tuple([w // g for w in weights]), total // g), partners)
         results.append((Fraction(total, scale * den),
                         _relabeled(step.party, mono.rows, post)))
     return results
@@ -483,8 +485,8 @@ def _enumerate(protocol, initial, one):
             for i, (scaled, _) in enumerate(states):
                 if scaled not in vectors:
                     nums, den = scaled
-                    vectors[scaled] = SchmidtVector(tuple(
-                        Fraction(x, den) for x in sorted(nums, reverse=True)))
+                    vectors[scaled] = SchmidtVector._of(
+                        sorted(nums, reverse=True), den)
                 states[i] = vectors[scaled]
     return [Branch(h, p, tuple(s)) for h, p, s in frontier]
 
@@ -567,7 +569,9 @@ def merged_run_exact(protocol: LoccProtocol,
     """
     _check_audit_size(initial.n, len(protocol.steps))
     [(succeeded, levels)] = _merged_levels(
-        protocol, initial, [((Fraction(1), 1), _every_outcome)], _add_pairs)
+        protocol, initial, [((Fraction(1), 1), _every_outcome)],
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        lambda entry, m: (entry[0], entry[1] * m))   # probabilities sum to 1
     audit = _merged_audit(
         [[(state[0], w) for state, (w, _) in level.items()]
          for level in levels],
@@ -586,7 +590,7 @@ def _check_audit_size(n, steps):
             f"= {cells} cells (limit {MAX_AUDIT_CELLS})")
 
 
-def _merged_levels(protocol, initial, passes, add):
+def _merged_levels(protocol, initial, passes, add, whole):
     """The level loop of every run on integer states, exhaustive or
     sampled, once per pass.
 
@@ -605,7 +609,9 @@ def _merged_levels(protocol, initial, passes, add):
     sums two entries.  Yields per pass the entries that succeed, which
     the last measurement's split gives (the root under a None predicate
     when there is no measurement), and every level, the initial one
-    first.
+    first.  Where success reads no outcome and the m unpruned outcomes of
+    an entry's state reach one state, ``whole(entry, m)`` goes on to it,
+    unsplit (the reconverge rule).
     """
     if not initial.is_exact:
         raise ProtocolError("exact run requires an exact initial vector")
@@ -630,7 +636,9 @@ def _merged_levels(protocol, initial, passes, add):
 
     start = moved((initial._scaled, tuple(range(initial.n))), lead, None)
     test = protocol.success_predicate
-    measured = {}   # (measurement index, integer state) -> its outcomes
+    final = len(stages) - 1
+    read = final if test is not None else -1   # whose outcome success reads
+    measured = {}   # (measurement index, state) -> outcomes, whole count
     for root, split in passes:
         levels = [{start: root}]
         succeeded = [root] if not stages and test is None else []
@@ -638,18 +646,21 @@ def _merged_levels(protocol, initial, passes, add):
             grown = {}
             for state, entry in levels[-1].items():
                 if (i, state) not in measured:
-                    measured[i, state] = [
-                        (p, None if post is None
-                         else moved(post, unitaries, idx))
-                        for idx, (p, post)
-                        in enumerate(_exact_outcomes(step, state))]
-                outcomes = measured[i, state]
-                for idx, part in split(entry, outcomes, i):
+                    outcomes = [(p, None if post is None
+                                 else moved(post, unitaries, idx))
+                                for idx, (p, post)
+                                in enumerate(_exact_outcomes(step, state))]
+                    reached = [post for _, post in outcomes if post]
+                    one = len(set(reached)) == 1 and i != read   # reconverge
+                    measured[i, state] = (([(1, reached[0])], len(reached))
+                                          if one else (outcomes, 0))
+                outcomes, count = measured[i, state]
+                for idx, part in ([(0, whole(entry, count))] if count
+                                  else split(entry, outcomes, i)):
                     reached = outcomes[idx][1]
                     grown[reached] = (add(grown[reached], part)
                                       if reached in grown else part)
-                    if i == len(stages) - 1 and (test is None
-                                                 or idx == test.value):
+                    if i == final and (test is None or idx == test.value):
                         succeeded.append(part)
             levels.append(grown)
         yield succeeded, levels
@@ -680,10 +691,6 @@ def _every_outcome(entry, outcomes, _depth):
             if reached is not None]
 
 
-def _add_pairs(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
 def _level_starts(protocol):
     """The step boundary each level starts at: 0 for the initial state,
     then the boundary right after each measurement."""
@@ -705,7 +712,7 @@ def _merged_audit(levels, starts, depth, check=True):
     """
     tails, averages = {}, []
     for level in levels:
-        den = math.lcm(*(w.denominator * scaled[1] for scaled, w in level))
+        den = math.lcm(*[w.denominator * scaled[1] for scaled, w in level])
         total = None
         for scaled, w in level:
             if scaled not in tails:
@@ -728,8 +735,8 @@ def _merged_audit(levels, starts, depth, check=True):
                     f"averaged monotone k={i + 1} increased at step "
                     f"{step}: {Fraction(a[i], da)} -> {Fraction(b[i], db)}")
     bounds = list(starts[1:]) + [depth]
-    return tuple(entry for entry, start, end in zip(averages, starts, bounds)
-                 for _ in range(start, end))
+    return tuple([entry for entry, start, end in zip(averages, starts, bounds)
+                  for _ in range(start, end)])
 
 
 def _state_monotones(state, ks):
@@ -1009,7 +1016,7 @@ def _sample_histories(protocol, initial, trials, seed):
                     if pos < len(steps) else None)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (
-            *snapshots, *(post for _, post in outcomes or ()))
+            *snapshots, *[post for _, post in outcomes or ()])
             if s is not None and s is not state}
         kept += sum(fresh.values())
         if kept > MAX_TREE_BYTES:
@@ -1092,9 +1099,9 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     (_sampled_outcomes) picks its outcome.  The loop runs once per block
     of the draw, and each level groups the block's rows by the state
     they reach instead of by history; each (measurement, state) is
-    measured once per run.  The audit averages over the trials exactly,
-    then rounds once; sampled averages may rise, so it is not checked
-    for increases.
+    measured once per run, and its rows split only where outcomes part.
+    The audit averages over the trials exactly, then rounds once; sampled
+    averages may rise, so it is not checked for increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
     (step, k, average) triples in the same order.  Refuses an audit past
@@ -1108,7 +1115,8 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     successes = 0
     for succeeded, levels in _merged_levels(protocol, initial, (
             (np.arange(len(uniforms)), _sampled_outcomes(uniforms))
-            for _, uniforms in _draws(protocol, trials, seed)), _joined):
+            for _, uniforms in _draws(protocol, trials, seed)),
+            lambda a, b: np.concatenate((a, b)), lambda rows, _count: rows):
         successes += sum(map(len, succeeded))
         for level, states in zip(counts, levels):
             for state, rows in states.items():
@@ -1147,7 +1155,3 @@ def _sampled_outcomes(uniforms):
                 yield took, part
     return split
 
-
-def _joined(a, b):
-    import numpy as np
-    return np.concatenate((a, b))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconvert import (Breakpoints, InfeasibleConversionError,
+from entconvert import (Breakpoints, ExactMonomial, InfeasibleConversionError,
                         InvalidStateError, MULTI_COPY_POSSIBLE,
                         SINGLE_COPY_OPTIMAL, SchmidtVector, breakpoints,
                         build_plan, intermediate_state, majorizes,
@@ -162,6 +162,27 @@ class TestIntermediateState:
         assert majorizes(a, gamma)
         assert sum(gamma.probs) == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gamma_is_made_from_integers(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        n = int(rng.integers(2, 9))
+        b = rand_rational_schmidt(rng, n)
+        bp = breakpoints(rand_rational_schmidt(rng, n), b)
+        gamma = intermediate_state(bp, b)
+        assert "probs" not in vars(gamma)
+        want = [None] * n
+        for j, lo, hi in bp.segments():
+            want[lo - 1:hi] = [bp.ratios[j - 1] * x
+                               for x in b.probs[lo - 1:hi]]
+        assert gamma._scaled == SchmidtVector(tuple(want))._scaled
+        assert gamma.probs == tuple(want)
+
+    def test_ratios_that_do_not_sum_to_one_are_refused(self):
+        # a hand-made segment ratio of 1/2 scales the target to half
+        with pytest.raises(InvalidStateError,
+                           match="exact entries sum to 1/2, not 1"):
+            intermediate_state(Breakpoints((3, 1), (F(1, 2),)), BELL)
+
 
 class TestMeasurementOperators:
     def test_two_level_filter(self):
@@ -169,6 +190,24 @@ class TestMeasurementOperators:
         success, failure = measurement_operators(bp)
         assert success.squared == (F(1, 4), F(1))
         assert failure.squared == (F(3, 4), F(0))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_filter_pair_is_made_from_integers(self, seed):
+        # over the least common denominator, as the Fraction-built pair
+        rng = np.random.default_rng(970 + seed)
+        n = int(rng.integers(2, 9))
+        bp = breakpoints(rand_rational_schmidt(rng, n),
+                         rand_rational_schmidt(rng, n))
+        success, failure = measurement_operators(bp)
+        assert "squared" not in vars(success) | vars(failure)
+        ratios = [bp.ratios[0] / bp.ratios[j - 1]
+                  for j, lo, hi in reversed([*bp.segments()])
+                  for _ in range(lo, hi + 1)]
+        rows = tuple(range(n))
+        for mono, squares in ((success, ratios),
+                              (failure, [1 - s for s in ratios])):
+            built = ExactMonomial(rows, tuple(squares))
+            assert mono._scaled == built._scaled and mono == built
 
     def test_completeness_exact(self):
         bp = breakpoints(ALPHA3, BETA3)

@@ -355,12 +355,20 @@ def test_query_commands_make_no_fraction_per_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", recorded_new)
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    for argv, exact_entries in ((["prob", a, b], 2 * n - 2),
-                                (["compare", a, b], 1),
-                                (["monotones", a], 2 * n - 1)):
+    segments = build_plan(io.load_state_file(a).schmidt,
+                          io.load_state_file(b).schmidt
+                          ).breakpoints.segment_count
+    assert segments > 2
+    # a plan's tail ratios are Fractions, one per segment; its vectors
+    # and filter pair are integers over one denominator
+    for argv, exact_entries, allowed in (
+            (["prob", a, b], 2 * n - 2, 2),
+            (["compare", a, b], 1, 2),
+            (["monotones", a], 2 * n - 1, 2),
+            (["plan", a, b], 4 * n, segments + 2)):
         made.clear()
         with redirect_stdout(StringIO()) as out:
             assert cli.main(argv) == 0
         # the probabilities alone, though every entry is rendered exactly
-        assert len(made) <= 2, (argv, made)
+        assert len(made) <= allowed, (argv, made)
         assert out.getvalue().count("/") >= exact_entries

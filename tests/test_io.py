@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from entconvert import SchmidtVector, breakpoints, build_plan, \
     monte_carlo_run, build_full_protocol, state_from_schmidt
 from entconvert.cli import main
-from entconvert.io import (StateFileError, dumps, load_state_file,
+from entconvert.io import (StateFileError, Table, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
 from entconvert.numeric import (MAX_DECIMAL_EXPONENT, parse_scalar,
@@ -369,6 +369,24 @@ def _containers(values):
 
 _documents = st.recursive(_scalars, _containers, max_leaves=30)
 
+# a column's values: equal floats of both signs, extremes and repeats
+_column_kinds = (
+    st.integers(),
+    st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e16, 0.1]), st.floats()),
+    _text)
+
+
+@st.composite
+def _row_tables(draw):
+    """A Table of 0-6 rows whose columns each draw from a pool of at most
+    three values of one kind, so values repeat."""
+    fields = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
+    pools = [draw(st.lists(draw(st.sampled_from(_column_kinds)),
+                           min_size=1, max_size=3)) for _ in fields]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                         max_size=6))
+    return Table(tuple(fields), rows)
+
 
 class TestReportSerialization:
     def test_field_names_and_rounding(self):
@@ -384,7 +402,22 @@ class TestReportSerialization:
         assert doc["seed"] == 4
         assert doc["predicted"] == "2/5"
         assert isinstance(doc["empirical"], float)
-        assert all(set(row) == {"step", "k", "avg_E"} for row in doc["audit"])
+        # the audit is a Table, whose rows render as dicts
+        audit = json.loads(dumps(doc))["audit"]
+        assert len(audit) == len(report.monotone_audit)
+        assert all(set(row) == {"step", "k", "avg_E"} for row in audit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_row_tables(), st.sampled_from(["bare", "in dict", "in list"]))
+    @example(Table(("x", "%s"), [(0.0, 1), (-0.0, 1), (0.0, 2)]), "in dict")
+    @example(Table(("a",), []), "bare")
+    def test_table_renders_as_its_rows_as_dicts(self, table, where):
+        plain = [dict(zip(table.fields, row)) for row in table.rows]
+        doc, want = {"bare": (table, plain),
+                     "in dict": ({"audit": table, "n": 1},
+                                 {"audit": plain, "n": 1}),
+                     "in list": ([table, [table]], [plain, [plain]])}[where]
+        assert dumps(doc) == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_dumps_is_stable(self):
         text = dumps({"b": 1, "a": [F(1, 2)]})

@@ -795,6 +795,108 @@ class TestMergedEngine:
             run(proto, plan.source)
             assert len(measured) == proto.measurement_count
 
+    @staticmethod
+    def _split_depths(monkeypatch):
+        """The depth of every sampled and exhaustive split of a merged
+        run, in call order."""
+        depths = []
+        real_sampled, real_every = locc._sampled_outcomes, locc._every_outcome
+
+        def sampled(uniforms):
+            split = real_sampled(uniforms)
+
+            def counted(rows, outcomes, depth):
+                depths.append(depth)
+                return split(rows, outcomes, depth)
+            return counted
+
+        def every(entry, outcomes, depth):
+            depths.append(depth)
+            return real_every(entry, outcomes, depth)
+
+        monkeypatch.setattr(locc, "_sampled_outcomes", sampled)
+        monkeypatch.setattr(locc, "_every_outcome", every)
+        return depths
+
+    @staticmethod
+    def _assert_matches_amplitude_sampler(merged, proto, source):
+        sampled = monte_carlo_run(proto, state_from_schmidt(source),
+                                  merged.trials, merged.seed)
+        assert (merged.successes, merged.empirical_probability,
+                merged.std_error) == (sampled.successes,
+                                      sampled.empirical_probability,
+                                      sampled.std_error)
+        assert [(s, k) for s, k, _ in merged.monotone_audit] == [
+            (s, k) for s, k, _ in sampled.monotone_audit]
+        for (_, _, new), (_, _, old) in zip(merged.monotone_audit,
+                                            sampled.monotone_audit):
+            assert math.isclose(new, old, rel_tol=1e-11, abs_tol=1e-15)
+
+    def test_reconverging_levels_of_a_built_protocol_are_not_split(
+            self, monkeypatch):
+        # every T-transform's outcomes reach one state, so only the
+        # filter splits: once per draw block, and once exhaustively
+        rng = np.random.default_rng(16)
+        plan = build_plan(rand_rational_schmidt(rng, 16),
+                          rand_rational_schmidt(rng, 16))
+        proto = build_full_protocol(plan)
+        last = proto.measurement_count - 1
+        assert last > 1
+        depths = self._split_depths(monkeypatch)
+        report = merged_sample_exact(proto, plan.source, 2 * _DRAW_BLOCK + 37,
+                                     0)
+        assert depths == [last] * 3
+        depths.clear()
+        run = merged_run_exact(proto, plan.source)
+        assert depths == [last]
+        assert run.branches == 2 ** proto.measurement_count
+        assert run.success_probability == plan.probability
+        assert 0 < report.successes < report.trials
+
+    def test_outcomes_reaching_two_states_are_split(self, monkeypatch):
+        # the first measurement's outcomes leave (3/5, 2/5) as (9/17, 8/17)
+        # and (9/13, 4/13), apart, so both measurements split
+        half, third = F(1, 2), F(1, 3)
+        first = LocalMeasurement("A", exact=(
+            ExactMonomial((0, 1), (half, 2 * third)),
+            ExactMonomial((0, 1), (half, third))))
+        mixer = LocalMeasurement("B", exact=(
+            ExactMonomial((0, 1), (third, 1 - third)),
+            ExactMonomial((0, 1), (1 - third, third))))
+        proto = LoccProtocol((first, Announce(), mixer),
+                             success_predicate=OutcomeIs(-1, 0))
+        source = SchmidtVector((F(3, 5), F(2, 5)))
+        depths = self._split_depths(monkeypatch)
+        report = merged_sample_exact(proto, source, 3000, 8)
+        assert depths == [0, 1, 1]   # one block, two states at depth 1
+        self._assert_matches_amplitude_sampler(report, proto, source)
+        depths.clear()
+        run = merged_run_exact(proto, source)
+        assert depths == [0, 1, 1]   # one split per state reached
+        assert run.branches == 4
+        assert run.success_probability == success_probability(
+            exhaustive_run_exact(proto, source), proto.success_predicate)
+
+    def test_last_outcome_that_success_reads_is_split(self, monkeypatch):
+        # a deterministic protocol's last measurement reconverges too, but
+        # with success on its outcome 0 it still splits, and it alone
+        gamma = SchmidtVector((F(3, 5), F(3, 10), F(1, 10)))
+        source = SchmidtVector((F(2, 5), F(7, 20), F(1, 4)))
+        steps = deterministic_protocol(source, gamma).steps
+        proto = LoccProtocol(steps, success_predicate=OutcomeIs(-1, 0))
+        last = proto.measurement_count - 1
+        assert last > 0
+        depths = self._split_depths(monkeypatch)
+        report = merged_sample_exact(proto, source, _DRAW_BLOCK + 37, 9)
+        assert depths == [last] * 2 and 0 < report.successes < report.trials
+        self._assert_matches_amplitude_sampler(report, proto, source)
+        depths.clear()
+        run = merged_run_exact(proto, source)
+        assert depths == [last]
+        assert run.branches == 2 ** proto.measurement_count
+        assert run.success_probability == success_probability(
+            exhaustive_run_exact(proto, source), proto.success_predicate)
+
     def test_branches_count_histories_beyond_sys_maxsize(self):
         mono = ExactMonomial((0, 1), (F(1, 2), F(1, 2)))
         meas = LocalMeasurement("A", exact=(mono, mono))
