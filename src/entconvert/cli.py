@@ -18,7 +18,6 @@ from .conversion import (InfeasibleConversionError, build_plan,
                          multi_copy_bound, optimal_probability,
                          optimal_probability_detail,
                          tensor_conversion_probability)
-from .locc import build_full_protocol, merged_run_exact, merged_sample_exact
 from .monotones import entropy_of_entanglement, monotone_profile
 from .numeric import (FLOAT, RATIONAL, round12, scalar_to_json,
                       values_to_json)
@@ -173,10 +172,10 @@ def _resolve_plan(args):
     return build_plan(alpha, beta)
 
 
-def _exhaustive_doc(plan, protocol, initial) -> dict:
-    """The exhaustive report: histories merged, never capped, and the
-    averages of a level, which its step boundaries share, rounded once."""
-    run = merged_run_exact(protocol, initial)
+def _exhaustive_doc(plan, run) -> dict:
+    """The exhaustive report of a merged run: histories merged, never
+    capped, and the averages of a level, which its step boundaries share,
+    rounded once."""
     exact, decimal = _prob_pair(_typed(run.success_probability, plan.source))
     levels = {pair: [round12(x / pair[1]) for x in pair[0]]
               for pair in dict.fromkeys(run.audit)}
@@ -194,6 +193,9 @@ def _exhaustive_doc(plan, protocol, initial) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    # the protocol engine loads only for the one command that runs it
+    from .locc import (build_full_protocol, merged_run_exact,
+                       merged_sample_exact)
     plan = _resolve_plan(args)
     if not plan.is_feasible:
         raise InfeasibleConversionError(
@@ -210,7 +212,7 @@ def cmd_simulate(args) -> int:
     # every run is exact: a float plan's on the dyadic lift it was planned on
     initial = _lifted(plan.source)
     if args.exhaustive:
-        doc = _exhaustive_doc(plan, protocol, initial)
+        doc = _exhaustive_doc(plan, merged_run_exact(protocol, initial))
     else:
         doc = {"mode": "monte_carlo", **eio.report_to_dict(
             merged_sample_exact(protocol, initial, args.trials, args.seed,

@@ -228,8 +228,12 @@ def dumps(doc) -> str:
     """Stable JSON rendering used by all commands: ``json.dumps(doc,
     indent=2, sort_keys=True, default=scalar_to_json)`` and a newline,
     made by json's C encoder; a Table renders as its rows as dicts, each
-    row one ``%`` template over its columns' encoded distinct values."""
-    return _render(doc, "") + "\n"
+    row one ``%`` template over its columns' encoded distinct values.
+    The pieces go into one list, joined once."""
+    out = []
+    _render(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _encode(sep, doc):   # unindented, so by json's C encoder
@@ -237,33 +241,53 @@ def _encode(sep, doc):   # unindented, so by json's C encoder
                       default=scalar_to_json)
 
 
-def _render(doc, pad):
-    """``doc`` at indent ``pad``: one encoder call, the newline and
-    indent in its item separator (encoded strings escape newlines), for
-    a container of scalars, or per column of a Table (_rows)."""
+def _render(doc, pad, out):
+    """Appends the pieces of ``doc`` at indent ``pad`` to ``out``: one
+    encoder call, the newline and indent in its item separator (encoded
+    strings escape newlines), for a container of scalars, or per column
+    of a Table (_rows)."""
     sep = ",\n" + (inner := pad + "  ")
     if isinstance(doc, Table):
-        return f"[\n{inner}{_rows(doc, inner)}\n{pad}]" if doc.rows else "[]"
+        if not doc.rows:
+            out.append("[]")
+            return
+        out += ("[\n", inner)
+        _rows(doc, inner, out)
+        out += ("\n", pad, "]")
+        return
     if not isinstance(doc, _CONTAINERS) or not doc:
-        return _encode(sep, doc)
+        out.append(_encode(sep, doc))
+        return
     kinds = set(map(type, doc.values() if isinstance(doc, dict) else doc))
     if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
         text = _encode(sep, doc)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+        out += (text[0], "\n", inner, text[1:-1], "\n", pad, text[-1])
+        return
     if not isinstance(doc, dict):
-        body = sep.join(_render(v, inner) for v in doc)
-        return f"[\n{inner}{body}\n{pad}]"
+        out += ("[\n", inner)
+        for i, v in enumerate(doc):
+            if i:
+                out.append(sep)
+            _render(v, inner, out)
+        out += ("\n", pad, "]")
+        return
     # each container stands in as 0, then is rendered on its own
     text = _encode(sep, {k: 0 if isinstance(v, _CONTAINERS) else v
                          for k, v in doc.items()})
-    body = sep.join(part[:-1] + _render(v, inner)
-                    if isinstance(v, _CONTAINERS) else part
-                    for part, (_, v) in zip(text[1:-1].split(sep),
-                                            sorted(doc.items())))
-    return f"{{\n{inner}{body}\n{pad}}}"
+    out += ("{\n", inner)
+    for i, (part, (_, v)) in enumerate(zip(text[1:-1].split(sep),
+                                           sorted(doc.items()))):
+        if i:
+            out.append(sep)
+        if isinstance(v, _CONTAINERS):
+            out.append(part[:-1])
+            _render(v, inner, out)
+        else:
+            out.append(part)
+    out += ("\n", pad, "}")
 
 
-def _rows(table, inner):   # the items of a Table; see dumps
+def _rows(table, inner, out):   # the items of a Table; see dumps
     cell, keys, texts = ",\n" + inner + "  ", [], []
     for key, column in sorted(zip(table.fields, zip(*table.rows))):
         values = dict.fromkeys(column)   # a key keeps one sign of zero
@@ -274,4 +298,7 @@ def _rows(table, inner):   # the items of a Table; see dumps
         texts.append(text if values is column else
                      map(dict(zip(values, text)).__getitem__, column))
     template = f"{{\n{inner}  {cell.join(keys)}\n{inner}}}"
-    return (",\n" + inner).join(map(template.__mod__, zip(*texts)))
+    rows = zip(*texts)
+    out.append(template % next(rows))
+    # every later row carries the separator before it
+    out += map((",\n" + inner + template).__mod__, rows)

@@ -42,7 +42,12 @@ numpy is imported only inside the functions that need it: dense
 operators (a step's ``operators`` or ``matrix``) and their checks, the
 amplitude-level engines, and the Philox draw and split of both
 samplers.  Building a protocol and running it exhaustively on a
-SchmidtVector, audit included, never load it.
+SchmidtVector, audit included, never load it.  This module itself loads
+on first use: the CLI imports it inside ``simulate`` alone, and the
+package serves it, and the 23 of its names that the package exports
+(``_LOCC`` in ``entconvert/__init__.py``: the protocol types, the
+engines, the builders and the audits), through its module
+``__getattr__``.
 """
 
 from __future__ import annotations
@@ -868,6 +873,16 @@ def _t_transform_chain(alpha, gamma):
     return records
 
 
+def _times(num, den, f, x):
+    """(num/den) * (f/x) in lowest terms, for num/den in lowest terms, as
+    integers (numerator, denominator).  Like Fraction's product it takes
+    gcds of the factors, never one of the products."""
+    g = math.gcd(f, x)
+    f, x = f // g, x // g
+    c, d = math.gcd(num, x), math.gcd(f, den)
+    return (num // c) * (f // d), (den // d) * (x // c)
+
+
 def _mixing_steps(records):
     """The steps undoing a T-transform chain, whose records run from
     gamma toward alpha, in reverse: per record, a two-outcome measurement
@@ -880,23 +895,31 @@ def _mixing_steps(records):
     Outcome probabilities are exactly t and 1 - t with
     t = (x_j - y_k)/(y_j - y_k); both branches land exactly on ``y``.
     Each operator has three distinct squares: its outcome's probability
-    and the two it puts at positions j and k.
+    and the two it puts at positions j and k.  Those three are reduced on
+    their own and put over their least common denominator, so every
+    operator is in lowest terms and numerator sizes do not compound down
+    the chain.
     """
     for meas_index, (y, x, j, k) in enumerate(reversed(records)):
         n = len(x)
-        spread = y[j] - y[k]
-        t, u = x[j] - y[k], y[j] - x[j]   # over spread: t and 1 - t
-        # every square over spread * x_j * x_k, where x_j >= x_k > 0
-        sq1, sq2 = [t * x[j] * x[k]] * n, [u * x[j] * x[k]] * n
-        sq1[j], sq1[k] = t * y[j] * x[k], t * y[k] * x[j]
-        # column j feeds row k, and column k row j
-        sq2[j], sq2[k] = u * y[k] * x[k], u * y[j] * x[j]
+        spread, same = y[j] - y[k], tuple(range(n))
         rows2 = (*range(j), k, *range(j + 1, k), j, *range(k + 1, n))
-        den, same = spread * x[j] * x[k], tuple(range(n))
-        yield LocalMeasurement(
-            "A", exact=(ExactMonomial._from_scaled(tuple(sq1), den, rows=same),
-                        ExactMonomial._from_scaled(tuple(sq2), den, rows=rows2)),
-            label=f"balance levels {j + 1},{k + 1}")
+        ops = []
+        # per outcome: its probability (t or 1 - t) times spread, the
+        # factors y/x it puts at j and k, and its rows; column j feeds row
+        # k on the swap outcome
+        for w, at_j, at_k, rows in ((x[j] - y[k], y[j], y[k], same),
+                                    (y[j] - x[j], y[k], y[j], rows2)):
+            pn, pd = _times(1, 1, w, spread)
+            jn, jd = _times(pn, pd, at_j, x[j])
+            kn, kd = _times(pn, pd, at_k, x[k])
+            # the other levels keep p, and count only when there are any
+            den = math.lcm(jd, kd, pd if n > 2 else 1)
+            sq = [pn * (den // pd)] * n
+            sq[j], sq[k] = jn * (den // jd), kn * (den // kd)
+            ops.append(ExactMonomial._from_scaled(tuple(sq), den, rows=rows))
+        yield LocalMeasurement("A", exact=tuple(ops),
+                               label=f"balance levels {j + 1},{k + 1}")
         yield Announce(label="broadcast outcome")
         yield LocalUnitary(
             "B", ExactMonomial._from_scaled((1,) * n, 1, rows=rows2),

@@ -724,17 +724,30 @@ def test_query_stdout_is_pinned(capsys, tmp_path, name):
 
 
 # Runs cli.main on each argv of a JSON list in one fresh interpreter and
-# prints, as JSON, whether numpy is loaded after `import entconvert` and
-# after each call, with the package's __all__.
+# prints, as JSON, which modules of a second JSON list are loaded after
+# `import entconvert`, after `import entconvert.cli` and after each call,
+# with the package's __all__.  At the end it reads the lazy names: what
+# `from entconvert import *` binds, `dir(entconvert)`, and whether a name
+# served by the package is the one locc defines.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
+argvs, watched = map(json.loads, sys.argv[1:])
+def loaded():
+    return [name in sys.modules for name in watched]
 import entconvert
-report = {"import": "numpy" in sys.modules, "all": entconvert.__all__}
+report = {"import": loaded(), "all": entconvert.__all__}
 from entconvert.cli import main
-for argv in json.loads(sys.argv[1]):
+report["import cli"] = loaded()
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    report[" ".join(argv)] = (code, "numpy" in sys.modules)
+    report[" ".join(argv)] = [code, *loaded()]
+star = {}
+exec("from entconvert import *", star)
+report["star"] = sorted(set(star) - {"__builtins__"})
+report["dir"] = dir(entconvert)
+report["same"] = (entconvert.merged_run_exact
+                  is entconvert.locc.merged_run_exact)
 print(json.dumps(report))
 """
 
@@ -760,12 +773,13 @@ PACKAGE_ALL = (
     "success_probability tensor_conversion_probability tensor_power").split()
 
 
-def _numpy_probe(argvs):
+def _numpy_probe(argvs, watched=("numpy",)):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs),
+         json.dumps(watched)], env=env,
         capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -773,28 +787,41 @@ def _numpy_probe(argvs):
 class TestNumpyOnlyOnAmplitudePaths:
     def test_schmidt_vector_commands_leave_numpy_unloaded(self, states,
                                                           tmp_path):
+        # and only simulate loads locc
         a, b = states["three_a"], states["three_b"]
         plan = str(tmp_path / "plan.json")
-        free = [["prob", a, b], ["compare", a, b],
-                ["plan", a, b, "--out", plan], ["monotones", a],
-                ["tensor", a, b, "--copies", "2"],
-                *(["demo", name] for name in DEMO_NAMES),
-                ["simulate", a, b, "--exhaustive"],
-                ["simulate", a, b, "--exhaustive", "--mode", "float"],
-                ["simulate", "--plan", plan, "--exhaustive"]]
+        closed = [["prob", a, b], ["compare", a, b],
+                  ["plan", a, b, "--out", plan], ["monotones", a],
+                  ["tensor", a, b, "--copies", "2"],
+                  *(["demo", name] for name in DEMO_NAMES)]
+        exact = [["simulate", a, b, "--exhaustive"],
+                 ["simulate", a, b, "--exhaustive", "--mode", "float"],
+                 ["simulate", "--plan", plan, "--exhaustive"]]
         sampled = ["simulate", a, b, "--trials", "100", "--seed", "1"]
-        report = _numpy_probe([*free, sampled])
-        assert report["import"] is False
+        report = _numpy_probe([*closed, *exact, sampled],
+                              ["numpy", "entconvert.locc"])
+        assert report["import"] == report["import cli"] == [False, False]
         assert report["all"] == PACKAGE_ALL
-        for argv in free:
-            assert report[" ".join(argv)] == [0, False], argv
+        for argv in closed:
+            assert report[" ".join(argv)] == [0, False, False], argv
+        for argv in exact:
+            assert report[" ".join(argv)] == [0, False, True], argv
         # the sampled run draws with numpy, so the checks above can fail
-        assert report[" ".join(sampled)] == [0, True]
+        assert report[" ".join(sampled)] == [0, True, True]
 
     def test_amplitude_state_file_loads_numpy(self, tmp_path):
         amps = tmp_path / "amps.json"
         amps.write_text(json.dumps(
             {"amplitudes": [[[0.6, 0], [0, 0]], [[0, 0], [0.8, 0]]]}))
         report = _numpy_probe([["monotones", str(amps)]])
-        assert report["import"] is False
+        assert report["import"] == [False]
         assert report[f"monotones {amps}"] == [0, True]
+
+
+def test_locc_names_are_served_lazily():
+    report = _numpy_probe([], ["entconvert.locc"])
+    assert report["import"] == report["import cli"] == [False]
+    assert report["all"] == PACKAGE_ALL and len(PACKAGE_ALL) == 74
+    assert report["star"] == sorted(PACKAGE_ALL)
+    assert set(PACKAGE_ALL) <= set(report["dir"])
+    assert report["same"] is True

@@ -527,6 +527,34 @@ class TestProtocolAsData:
             for got, op in zip(final.operators, pair):
                 check(got, op.squared)
 
+    @pytest.mark.parametrize("name", [*sorted(PLANS), "exact-random",
+                                      "float-random"])
+    def test_every_monomial_is_in_lowest_terms(self, name):
+        # unreduced monomials grow their integers down the chain: on
+        # 400-digit denominators they made exact runs 4x slower
+        if name in self.PLANS:
+            plans = [self.PLANS[name]()]
+        else:
+            rng = np.random.default_rng(2024)
+            draw = (rand_rational_schmidt if name.startswith("exact")
+                    else rand_float_schmidt)
+            plans = [build_plan(draw(rng, n), draw(rng, n))
+                     for n in range(2, 13) for _ in range(3)]
+        checked = 0
+        for plan in plans:
+            if not plan.is_feasible:
+                continue
+            for step in build_full_protocol(plan).steps:
+                if isinstance(step, Announce):
+                    continue
+                monos = (step.exact if isinstance(step, LocalMeasurement)
+                         else (step.exact,))
+                for mono in monos:
+                    nums, den = mono._scaled
+                    assert math.gcd(den, *nums) == 1, step.label
+                    checked += 1
+        assert checked >= 2
+
     def test_filter_squares_outside_unit_range_refused(self):
         # a float plan's filter is exact, so its squares lie in [0, 1]
         # with no clipping
