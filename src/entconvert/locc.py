@@ -8,36 +8,39 @@ conversion defines; the final filter holds the plan's own pair), a
 relabel its permutation (an ExactMonomial whose squares are all 1), each
 with its dense form derived only when first asked for, and an outcome
 condition is an ``OutcomeIs``.  A step is checked when it is made (a
-measurement must resolve the identity, exactly on monomials), and each
-engine fits the whole protocol to its initial state once per run, before
-any step runs (_fit).
-Exhaustive enumeration and seeded sampling (per-trial randomness a
-function of (seed, trial index) alone) share one step interpreter, and
-the state's type picks the level: a BipartiteState runs in floating
-point on amplitudes with arbitrary operators, a SchmidtVector exactly on
-the monomials' integer numerators.  Either way a measurement gives one
-(probability, post) pair per outcome, post None if pruned; only
-apply_measurement wraps them as MeasurementOutcome.  An integer state
-keeps its squared coefficients in A's level order with the level of B
-each pairs with, and one move of a party's levels (_relabeled) serves
-measurements and relabels on either party.  Both samplers take one draw
-(_draws: trial t reads row t of one Philox uniform matrix keyed by the
-seed), split trials among outcomes by one rule (_sampled_outcomes: the
-first outcome whose running sum of float probabilities exceeds the
-trial's uniform) and summarize through one report (_report).  The
-amplitude-level sampler expands each history it reaches once per run,
-top-down.  The monotone audit profiles each distinct state object once.
-When success reads the last outcome alone, the merged exact engine keeps
-one entry per level and state reached instead of one per history: each
-outcome's post is carried through the unitaries that follow it before
-it joins the next level.  An entry is exhaustively a weight and a
-history count (merged_run_exact), sampled the trials that reached it
-(merged_sample_exact).  Outcomes that reach one state pass an entry on
-whole where success reads no outcome, so the trials of a built protocol
-split at its final filter alone.  Both refuse an audit of more than
-MAX_AUDIT_CELLS cells, as build_full_protocol does before it makes any
-step.  The CLI runs on that engine alone; the enumerating engines and
-the amplitude-level sampler stay as its reference.
+measurement must resolve the identity, exactly on monomials).  Every
+engine groups a protocol's steps once per run (_stages): the steps
+before the first measurement, then each measurement with the steps up
+to the next one.  The same pass fits each step to the initial state,
+before any step runs.  One interpreter (_interpret) applies a group's
+announcements and unitaries in every engine, and the state's type picks
+the level: a BipartiteState runs in floating point on amplitudes with
+arbitrary operators, a SchmidtVector exactly on the monomials' integer
+numerators.  Either way a measurement gives one (probability, post) pair
+per outcome, post None if pruned; only apply_measurement wraps them as
+MeasurementOutcome.  An integer state keeps its squared coefficients in
+A's level order with the level of B each pairs with, and one move of a
+party's levels (_relabeled) serves measurements and relabels on either
+party.  Both samplers take one draw (_draws: trial t reads row t of one
+Philox uniform matrix keyed by the seed), split trials among outcomes by
+one rule (_sampled_outcomes: the first outcome whose running sum of
+float probabilities exceeds the trial's uniform) and summarize through
+one report (_report).  The amplitude-level sampler expands each history
+it reaches once per run, top-down.  The monotone audit profiles each
+distinct state object once.
+When success reads the last outcome alone, the merged exact engines
+walk (measurement, state) nodes instead of histories (_MergedWalk):
+each node is measured once per run, when first reached, and lists its
+unpruned outcomes with the state each reaches through the unitaries
+that follow.  A level maps each state reached to a weight and a history
+count (merged_run_exact) or to the trials of one draw block that reached
+it (merged_sample_exact).  Where success reads no outcome, a node whose
+outcomes reach one state is one outcome that passes its entry on whole,
+so the trials of a built protocol split at its final filter alone.  Both
+refuse an audit of more than MAX_AUDIT_CELLS cells, as
+build_full_protocol does before it makes any step.  The CLI runs on
+those engines alone; the enumerating engines and the amplitude-level
+sampler stay as their reference.
 numpy is imported only inside the functions that need it: dense
 operators (a step's ``operators`` or ``matrix``) and their checks, the
 amplitude-level engines, and the Philox draw and split of both
@@ -60,7 +63,7 @@ from typing import TYPE_CHECKING
 from .conversion import (ConversionPlan, ExactMonomial,
                          InfeasibleConversionError, ProtocolError)
 from .monotones import _tails, entanglement_monotone
-from .numeric import DEFAULT_TOL
+from .numeric import DEFAULT_TOL, _Lazy
 from .schmidt import (BipartiteState, SchmidtVector, majorizes,
                       schmidt_decompose)
 
@@ -134,23 +137,8 @@ class OutcomeIs:
                 and history[self.index] == self.value)
 
 
-class _DenseOnDemand:
-    """A step given by ``exact`` alone leaves its dense form, the
-    attribute ``_DENSE``, unset until first asked for; ``_dense()`` then
-    derives it once, so runs on the monomials never build it."""
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set
-        if name != self._DENSE or "exact" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self._dense()
-        object.__setattr__(self, name, value)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
-class LocalMeasurement(_DenseOnDemand):
+class LocalMeasurement(_Lazy):
     """Generalized measurement on one party; operators must satisfy
     sum K^dag K = identity, checked here: within DEFAULT_TOL on dense
     operators, exactly on monomials, whose squares must sum to 1 in every
@@ -163,7 +151,7 @@ class LocalMeasurement(_DenseOnDemand):
     exact: tuple | None = None
     label: str = ""
 
-    _DENSE = "operators"
+    _lazy, _source = "operators", "exact"
 
     def __post_init__(self):
         if self.party not in ("A", "B"):
@@ -199,7 +187,7 @@ class LocalMeasurement(_DenseOnDemand):
             raise ProtocolError(
                 "measurement operators do not resolve the identity")
 
-    def _dense(self):
+    def _derive(self):
         ops = tuple(mono.matrix for mono in self.exact)
         for op in ops:
             op.setflags(write=False)
@@ -213,7 +201,7 @@ class LocalMeasurement(_DenseOnDemand):
 
 
 @dataclass(frozen=True, eq=False)
-class LocalUnitary(_DenseOnDemand):
+class LocalUnitary(_Lazy):
     """Local basis change on one party, optionally applied only when the
     outcome history so far satisfies ``condition`` (say an OutcomeIs).
 
@@ -228,7 +216,7 @@ class LocalUnitary(_DenseOnDemand):
     condition: object = None
     label: str = ""
 
-    _DENSE = "matrix"
+    _lazy, _source = "matrix", "exact"
 
     def __post_init__(self):
         if self.party not in ("A", "B"):
@@ -250,7 +238,7 @@ class LocalUnitary(_DenseOnDemand):
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def _dense(self):
+    def _derive(self):
         mat = self.exact.matrix
         mat.setflags(write=False)
         return mat
@@ -327,32 +315,59 @@ def apply_measurement(state: BipartiteState, party: str, operators):
         pruning threshold carry ``post_state=None``.
     """
     step = LocalMeasurement(party, operators)
-    _fit((step,), state)
+    _stages((step,), state)
     return [MeasurementOutcome(idx, p, post)
             for idx, (p, post) in enumerate(_outcomes(step, state))]
 
 
-def _fit(steps, initial):
-    """Refuse steps that do not fit ``initial``, once per run, before any
-    step runs: each must act on its party's dimension, and on a
-    SchmidtVector, run as integers, each must carry its monomials."""
+def _stages(steps, initial):
+    """A run's steps, grouped once: the steps before the first
+    measurement, then each measurement with the steps up to the next one,
+    as (start, measurement, tail) per group, ``start`` the step boundary
+    the group's tail starts at (0, with measurement None, for the first).
+    The same pass fits each step to ``initial``, before any step runs: it
+    must act on its party's dimension, and on a SchmidtVector, run as
+    integers, it must carry its monomials."""
     exact = isinstance(initial, SchmidtVector)
     dims = (initial.n,) * 2 if exact else (initial.n_a, initial.n_b)
+    stages = [(0, None, [])]
     for pos, step in enumerate(steps):
-        if isinstance(step, Announce):
-            continue
         measured = isinstance(step, LocalMeasurement)
-        if exact and getattr(step, "exact", None) is None:
-            raise ProtocolError(
-                ("measurement lacks exact monomial data" if measured else
-                 f"step {pos} ({step.label or 'unitary'}) is a dense unitary")
-                + "; use the amplitude-level exhaustive_run instead")
-        dim = dims[step.party == "B"]
-        if step.n != dim:
-            raise ProtocolError(
-                ("operator shape mismatch" if measured else
-                 f"step {pos}: unitary shape mismatch")
-                + f": party {step.party} has dimension {dim}")
+        if not isinstance(step, Announce):
+            if exact and getattr(step, "exact", None) is None:
+                raise ProtocolError(
+                    ("measurement lacks exact monomial data" if measured
+                     else f"step {pos} ({step.label or 'unitary'}) is a "
+                     "dense unitary")
+                    + "; use the amplitude-level exhaustive_run instead")
+            dim = dims[step.party == "B"]
+            if step.n != dim:
+                raise ProtocolError(
+                    ("operator shape mismatch" if measured else
+                     f"step {pos}: unitary shape mismatch")
+                    + f": party {step.party} has dimension {dim}")
+        if measured:
+            stages.append((pos + 1, step, []))
+        else:
+            stages[-1][2].append(step)
+    return stages
+
+
+def _interpret(steps, state, history):
+    """The state at each boundary of ``steps``, announcements and
+    unitaries, from ``state`` on.  An announcement repeats the state; a
+    unitary whose condition holds on ``history`` acts on it, on an
+    integer state as the permutation it is."""
+    states = [state]
+    for step in steps:
+        if isinstance(step, LocalUnitary) and (
+                step.condition is None or step.condition(history)):
+            state = (BipartiteState(_apply_operator(
+                state.amplitudes, step.party, step.matrix))
+                if isinstance(state, BipartiteState)
+                else _relabeled(step.party, step.exact.rows, state))
+        states.append(state)
+    return states
 
 
 def _outcomes(step, state):
@@ -385,26 +400,6 @@ class Branch:
     @property
     def final_state(self):
         return self.states[-1]
-
-
-def _advance(protocol, pos, state, history):
-    """Snapshots after each step from ``pos`` up to the next measurement,
-    and its position.  An announcement repeats the state; a unitary whose
-    condition holds on ``history`` acts on it, on an integer state as the
-    permutation it is."""
-    steps = protocol.steps
-    snapshots = []
-    while pos < len(steps) and not isinstance(steps[pos], LocalMeasurement):
-        step = steps[pos]
-        if isinstance(step, LocalUnitary):
-            if step.condition is None or step.condition(history):
-                state = (BipartiteState(_apply_operator(
-                    state.amplitudes, step.party, step.matrix))
-                    if isinstance(state, BipartiteState)
-                    else _relabeled(step.party, step.exact.rows, state))
-        snapshots.append(state)
-        pos += 1
-    return snapshots, pos
 
 
 # An integer state is (scaled, partners): ``scaled`` its squared
@@ -455,31 +450,24 @@ def _enumerate(protocol, initial, one):
     equal integer states are measured once per level, however many
     branches reach them.  Their snapshots are SchmidtVectors, one object
     per distinct state."""
-    steps = protocol.steps
-    _fit(steps, initial)
+    stages = _stages(protocol.steps, initial)
     exact = isinstance(initial, SchmidtVector)
     measure = _exact_outcomes if exact else _outcomes
     start = (initial._scaled, tuple(range(initial.n))) if exact else initial
-    frontier, pos = [((), one, [start])], 0
-    while frontier and pos < len(steps):
+    frontier = [((), one, _interpret(stages[0][2], start, ()))]
+    for _, step, tail in stages[1:]:
         grown, shared = [], {}   # shared: integer state -> its outcomes
-        if isinstance(steps[pos], LocalMeasurement):
-            for history, prob, states in frontier:
-                outcomes = shared.get(states[-1]) if exact else None
-                if outcomes is None:
-                    outcomes = measure(steps[pos], states[-1])
-                    if exact:
-                        shared[states[-1]] = outcomes
-                for idx, (p, post) in enumerate(outcomes):
-                    if post is not None:
-                        grown.append((history + (idx,), prob * p,
-                                      states + [post]))
-            pos += 1
-        else:
-            for history, prob, states in frontier:
-                snapshots, end = _advance(protocol, pos, states[-1], history)
-                grown.append((history, prob, states + snapshots))
-            pos = end
+        for history, prob, states in frontier:
+            outcomes = shared.get(states[-1]) if exact else None
+            if outcomes is None:
+                outcomes = measure(step, states[-1])
+                if exact:
+                    shared[states[-1]] = outcomes
+            for idx, (p, post) in enumerate(outcomes):
+                if post is not None:
+                    reached = history + (idx,)
+                    grown.append((reached, prob * p,
+                                  states + _interpret(tail, post, reached)))
         if len(grown) > BRANCH_CAP:
             raise BranchLimitError(
                 f"branch count {len(grown)} exceeds cap {BRANCH_CAP}")
@@ -573,16 +561,31 @@ def merged_run_exact(protocol: LoccProtocol,
     ValueError before any level runs.
     """
     _check_audit_size(initial.n, len(protocol.steps))
-    [(succeeded, levels)] = _merged_levels(
-        protocol, initial, [((Fraction(1), 1), _every_outcome)],
-        lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        lambda entry, m: (entry[0], entry[1] * m))   # probabilities sum to 1
-    audit = _merged_audit(
+    walk = _MergedWalk(protocol, initial)
+    nodes, wins, final = walk.nodes, walk.wins, walk.final
+    levels, won = [{walk.root: (Fraction(1), 1)}], Fraction(0)
+    for g in range(1, final + 1):
+        grown = {}
+        for state, (w, count) in levels[-1].items():
+            node = nodes.get((g, state)) or walk.measure(g, state)
+            for idx, p, m, reached in node:
+                # one outcome, of probability 1, passes the weight on whole
+                part = w * p if len(node) > 1 else w
+                if g == final and idx == wins:
+                    won += part
+                if reached in grown:
+                    total, histories = grown[reached]
+                    grown[reached] = total + part, histories + count * m
+                else:
+                    grown[reached] = part, count * m
+        levels.append(grown)
+    averages = _merged_audit(
         [[(state[0], w) for state, (w, _) in level.items()]
-         for level in levels],
-        _level_starts(protocol), len(protocol.steps) + 1)
+         for level in levels], walk.starts)
+    # where every history succeeds, the probabilities sum to 1
     return MergedRun(sum(count for _, count in levels[-1].values()),
-                     sum((w for w, _ in succeeded), Fraction(0)), audit)
+                     Fraction(1) if wins is None else won,
+                     tuple(walk.spread(averages)))
 
 
 def _check_audit_size(n, steps):
@@ -595,121 +598,82 @@ def _check_audit_size(n, steps):
             f"= {cells} cells (limit {MAX_AUDIT_CELLS})")
 
 
-def _merged_levels(protocol, initial, passes, add, whole):
-    """The level loop of every run on integer states, exhaustive or
-    sampled, once per pass.
+class _MergedWalk:
+    """The (measurement, state) nodes of a merged run on integer states,
+    each measured once per run, when first reached.
 
-    Before any level runs, the steps are grouped once into stages: the
-    unitaries before the first measurement, then each measurement with
-    the unitaries up to the next one, whose conditions are read as tests
-    of the last outcome (_last_outcome_test).  Each measurement level is
-    one dict keyed by integer state.  A state's outcomes at measurement
-    i are cached per (i, state) for all passes, as (probability, next
-    state) pairs: the next state is the outcome's post moved by the
-    stage's unitaries that act on that outcome, or None for a pruned one.
-    ``passes`` gives (root, split) per pass: ``root`` is the initial
-    state's entry, and ``split(entry, outcomes, depth)`` yields (outcome
-    index, entry) for the outcomes that the entry of one state takes at
-    the measurement after ``depth`` outcomes, given those pairs; ``add``
-    sums two entries.  Yields per pass the entries that succeed, which
-    the last measurement's split gives (the root under a None predicate
-    when there is no measurement), and every level, the initial one
-    first.  Where success reads no outcome and the m unpruned outcomes of
-    an entry's state reach one state, ``whole(entry, m)`` goes on to it,
-    unsplit (the reconverge rule).
+    The steps are grouped and fitted once (_stages), and a unitary
+    conditioned on more than the last outcome is then refused.  Level 0
+    holds ``root``, the initial state moved by the steps before the
+    first measurement; level g the states reached through group g of
+    ``stages``, whose boundaries start at ``starts[g]``.
+    ``nodes[g, state]``, made by ``measure(g, state)``, lists the
+    unpruned outcomes of group g's measurement on a state of level g - 1
+    as (index, probability, history multiplicity, next state): the next
+    state is the outcome's post moved by the group's unitaries that act
+    on it.  Where success reads no outcome of that measurement and its m
+    outcomes reach one state, the node is the one outcome (first index,
+    1, m, that state), which passes its entry on whole: the reconverge
+    rule.  ``wins`` is the final outcome that succeeds, None where every
+    history does.
     """
-    if not initial.is_exact:
-        raise ProtocolError("exact run requires an exact initial vector")
-    if not protocol.mergeable:
-        raise ProtocolError(
-            "success predicate reads more than the last outcome; "
-            "use exhaustive_run_exact instead")
-    _fit(protocol.steps, initial)
-    lead, stages = [], []   # stages: (measurement, its unitaries)
-    for pos, step in enumerate(protocol.steps):
-        if isinstance(step, LocalMeasurement):
-            stages.append((step, []))
-        elif isinstance(step, LocalUnitary):
-            (stages[-1][1] if stages else lead).append(
-                (step, _last_outcome_test(step, pos, len(stages))))
 
-    def moved(state, unitaries, last):
-        for step, acts in unitaries:
-            if acts(last):
-                state = _relabeled(step.party, step.exact.rows, state)
-        return state
+    def __init__(self, protocol, initial):
+        if not initial.is_exact:
+            raise ProtocolError("exact run requires an exact initial vector")
+        if not protocol.mergeable:
+            raise ProtocolError(
+                "success predicate reads more than the last outcome; "
+                "use exhaustive_run_exact instead")
+        self.stages = _stages(protocol.steps, initial)
+        for depth, (start, _, tail) in enumerate(self.stages):
+            # every history here holds ``depth`` outcomes
+            for pos, step in enumerate(tail, start):
+                test = getattr(step, "condition", None)
+                if not (test is None or isinstance(test, OutcomeIs) and (
+                        test.index in (-1, depth - 1)
+                        or not -depth <= test.index < depth)):
+                    raise ProtocolError(
+                        f"step {pos} ({step.label or 'unitary'}) is "
+                        "conditioned on more than the last outcome; "
+                        "use exhaustive_run_exact instead")
+        test = protocol.success_predicate
+        self.wins = None if test is None else test.value
+        self.final = len(self.stages) - 1
+        self.starts = [start for start, _, _ in self.stages]
+        self.root = _interpret(self.stages[0][2], (
+            initial._scaled, tuple(range(initial.n))), ())[-1]
+        self.nodes = {}
 
-    start = moved((initial._scaled, tuple(range(initial.n))), lead, None)
-    test = protocol.success_predicate
-    final = len(stages) - 1
-    read = final if test is not None else -1   # whose outcome success reads
-    measured = {}   # (measurement index, state) -> outcomes, whole count
-    for root, split in passes:
-        levels = [{start: root}]
-        succeeded = [root] if not stages and test is None else []
-        for i, (step, unitaries) in enumerate(stages):
-            grown = {}
-            for state, entry in levels[-1].items():
-                if (i, state) not in measured:
-                    outcomes = [(p, None if post is None
-                                 else moved(post, unitaries, idx))
-                                for idx, (p, post)
-                                in enumerate(_exact_outcomes(step, state))]
-                    reached = [post for _, post in outcomes if post]
-                    one = len(set(reached)) == 1 and i != read   # reconverge
-                    measured[i, state] = (([(1, reached[0])], len(reached))
-                                          if one else (outcomes, 0))
-                outcomes, count = measured[i, state]
-                for idx, part in ([(0, whole(entry, count))] if count
-                                  else split(entry, outcomes, i)):
-                    reached = outcomes[idx][1]
-                    grown[reached] = (add(grown[reached], part)
-                                      if reached in grown else part)
-                    if i == final and (test is None or idx == test.value):
-                        succeeded.append(part)
-            levels.append(grown)
-        yield succeeded, levels
+    def measure(self, g, state):
+        _, step, tail = self.stages[g]
+        # the conditions left read the last outcome alone, so a history
+        # holding only that one stands for every history reaching it
+        outcomes = [(idx, p, 1, _interpret(
+            tail, post, (None,) * (g - 1) + (idx,))[-1])
+            for idx, (p, post) in enumerate(_exact_outcomes(step, state))
+            if post is not None]
+        reached = {outcome[3] for outcome in outcomes}
+        if len(reached) == 1 and (g < self.final or self.wins is None):
+            outcomes = [(outcomes[0][0], 1, len(outcomes), *reached)]
+        self.nodes[g, state] = outcomes
+        return outcomes
+
+    def spread(self, levels):
+        """One item per level as one per step boundary: level g spans the
+        boundary after its measurement and one after each of its tail's
+        steps."""
+        return [item for item, (_, _, tail) in zip(levels, self.stages)
+                for _ in range(len(tail) + 1)]
 
 
-def _last_outcome_test(step, pos, depth):
-    """Whether unitary ``step``, at ``pos``, acts on a merged level, as a
-    test of the last outcome: every history there holds ``depth``
-    outcomes, so an OutcomeIs reads the last of them or none."""
-    test = step.condition
-    if test is None:
-        return lambda _last: True
-    if isinstance(test, OutcomeIs):
-        if not -depth <= test.index < depth:
-            return lambda _last: False
-        if test.index in (-1, depth - 1):
-            return lambda last: last == test.value
-    raise ProtocolError(
-        f"step {pos} ({step.label or 'unitary'}) is conditioned on more "
-        "than the last outcome; use exhaustive_run_exact instead")
-
-
-def _every_outcome(entry, outcomes, _depth):
-    """Exhaustive split of a (weight, history count) entry: every
-    outcome of nonzero probability, weighted by it."""
-    w, count = entry
-    return [(idx, (w * p, count)) for idx, (p, reached) in enumerate(outcomes)
-            if reached is not None]
-
-
-def _level_starts(protocol):
-    """The step boundary each level starts at: 0 for the initial state,
-    then the boundary right after each measurement."""
-    return [0] + [pos + 1 for pos, step in enumerate(protocol.steps)
-                  if isinstance(step, LocalMeasurement)]
-
-
-def _merged_audit(levels, starts, depth, check=True):
-    """Per-boundary (numerators, denominator) of the averaged monotones.
+def _merged_audit(levels, starts, check=True):
+    """Per-level (numerators, denominator) of the averaged monotones.
 
     ``levels[i]`` lists the (squared coefficients in integer form, exact
     weight) pairs of measurement level i, whose weights sum to 1; a
     coefficient tuple may recur, once per state it belongs to.  The level
-    spans boundaries ``starts[i]`` up to the next start.  Each distinct
+    starts at step boundary ``starts[i]``.  Each distinct
     coefficient tuple's integer tails are taken once.  With ``check``
     set, raises MonotoneViolationError at the first k (then step) whose
     average increases, as audit_trajectories does; levels compare by
@@ -739,9 +703,7 @@ def _merged_audit(levels, starts, depth, check=True):
                 raise MonotoneViolationError(
                     f"averaged monotone k={i + 1} increased at step "
                     f"{step}: {Fraction(a[i], da)} -> {Fraction(b[i], db)}")
-    bounds = list(starts[1:]) + [depth]
-    return tuple([entry for entry, start, end in zip(averages, starts, bounds)
-                  for _ in range(start, end)])
+    return averages
 
 
 def _state_monotones(state, ks):
@@ -1018,37 +980,35 @@ def _sample_histories(protocol, initial, trials, seed):
     Within each block of _draws, the rows are grouped per history and
     split among its outcomes by _sampled_outcomes, the split of
     merged_sample_exact.  One dict for the run maps each history reached
-    to its states since the measurement before it, the (probability,
+    to its states since the measurement before it and the (probability,
     post) pairs of the measurement after it (None once the protocol
-    ends) and that measurement's position plus one.  A history is
-    expanded once, when first reached from its parent's post, and later
-    blocks reuse it.  The distinct amplitude matrices kept are counted:
-    a history that would take them past MAX_TREE_BYTES bytes raises
-    ValueError instead.
+    ends).  A history is expanded once, when first reached from its
+    parent's post, and later blocks reuse it.  The distinct amplitude
+    matrices kept are counted: a history that would take them past
+    MAX_TREE_BYTES bytes raises ValueError instead.
     """
     import numpy as np
-    steps = protocol.steps
-    _fit(steps, initial)
+    stages = _stages(protocol.steps, initial)
     tree, kept = {}, initial.amplitudes.nbytes
 
-    def expand(history, pos, state):
+    def expand(history, state):
         nonlocal kept
-        snapshots, pos = _advance(protocol, pos, state, history)
-        states = (state, *snapshots)
-        outcomes = (_outcomes(steps[pos], states[-1])
-                    if pos < len(steps) else None)
+        depth = len(history)
+        states = _interpret(stages[depth][2], state, history)
+        outcomes = (_outcomes(stages[depth + 1][1], states[-1])
+                    if depth + 1 < len(stages) else None)
         # ``state`` is already counted, and an announcement repeats a state
         fresh = {id(s): s.amplitudes.nbytes for s in (
-            *snapshots, *[post for _, post in outcomes or ()])
+            *states, *[post for _, post in outcomes or ()])
             if s is not None and s is not state}
         kept += sum(fresh.values())
         if kept > MAX_TREE_BYTES:
             raise ValueError(
                 f"sampled branch tree would keep more than {MAX_TREE_BYTES} "
                 "bytes of amplitude matrices; use fewer trials (--trials)")
-        tree[history] = states, outcomes, pos + 1
+        tree[history] = states, outcomes
 
-    expand((), 0, initial)
+    expand((), initial)
     first, counts = {}, {}
     for lo, uniforms in _draws(protocol, trials, seed):
         split = _sampled_outcomes(uniforms)
@@ -1056,9 +1016,8 @@ def _sample_histories(protocol, initial, trials, seed):
         while pending:
             history, rows = pending.pop()
             if history not in tree:
-                _, outcomes, pos = tree[history[:-1]]
-                expand(history, pos, outcomes[history[-1]][1])
-            _, outcomes, _ = tree[history]
+                expand(history, tree[history[:-1]][1][history[-1]][1])
+            _, outcomes = tree[history]
             if outcomes is None:
                 t = lo + int(rows[0])
                 if t < first.get(history, trials):
@@ -1114,17 +1073,18 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
                         predicted=None) -> SimulationReport:
     """Sample a protocol ``trials`` times on integer states.
 
-    The merged level loop of merged_run_exact in its sampled mode, for a
+    The merged walk of merged_run_exact in its sampled mode, for a
     protocol whose success reads the last outcome only, from an exact
     initial vector.  Trials take monte_carlo_run's draw: trial t consumes
     row t of the Philox uniform matrix keyed by ``seed``, its column d at
     the measurement after d outcomes, where monte_carlo_run's split
-    (_sampled_outcomes) picks its outcome.  The loop runs once per block
-    of the draw, and each level groups the block's rows by the state
-    they reach instead of by history; each (measurement, state) is
-    measured once per run, and its rows split only where outcomes part.
-    The audit averages over the trials exactly, then rounds once; sampled
-    averages may rise, so it is not checked for increases.
+    (_sampled_outcomes) picks its outcome.  The levels run once per block
+    of the draw, which bounds the uniforms held, and each level groups
+    the block's rows by the state they reach instead of by history; each
+    (measurement, state) is measured once per run, and its rows split
+    only where outcomes part.  The audit averages over the trials
+    exactly, then rounds once per level; sampled averages may rise, so it
+    is not checked for increases.
 
     Returns the SimulationReport monte_carlo_run gives, with the audit's
     (step, k, average) triples in the same order.  Refuses an audit past
@@ -1134,23 +1094,35 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
         raise ValueError("trials must be positive")
     _check_audit_size(initial.n, len(protocol.steps))
     import numpy as np
-    counts = [{} for _ in range(protocol.measurement_count + 1)]
-    successes = 0
-    for succeeded, levels in _merged_levels(protocol, initial, (
-            (np.arange(len(uniforms)), _sampled_outcomes(uniforms))
-            for _, uniforms in _draws(protocol, trials, seed)),
-            lambda a, b: np.concatenate((a, b)), lambda rows, _count: rows):
-        successes += sum(map(len, succeeded))
-        for level, states in zip(counts, levels):
-            for state, rows in states.items():
-                level[state] = level.get(state, 0) + len(rows)
-    audit = _merged_audit(
+    walk = _MergedWalk(protocol, initial)
+    nodes, wins, final = walk.nodes, walk.wins, walk.final
+    counts, successes = [{} for _ in walk.stages], 0
+    for _, uniforms in _draws(protocol, trials, seed):
+        split = _sampled_outcomes(uniforms)
+        levels = [{walk.root: np.arange(len(uniforms))}]
+        for g in range(1, final + 1):
+            grown = {}
+            for state, rows in levels[-1].items():
+                node = nodes.get((g, state)) or walk.measure(g, state)
+                for pos, part in ([(0, rows)] if len(node) == 1 else split(
+                        rows, [(p, post) for _, p, _, post in node], g - 1)):
+                    idx, _, _, reached = node[pos]
+                    if g == final and idx == wins:
+                        successes += len(part)
+                    grown[reached] = (np.concatenate((grown[reached], part))
+                                      if reached in grown else part)
+            levels.append(grown)
+        for tally, level in zip(counts, levels):
+            for state, rows in level.items():
+                tally[state] = tally.get(state, 0) + len(rows)
+    averages = _merged_audit(
         [[(state[0], Fraction(count, trials))
-          for state, count in level.items()] for level in counts],
-        _level_starts(protocol), len(protocol.steps) + 1, check=False)
-    return _report(trials, successes, predicted, seed, (
-        (s, k, nums[k - 1] / den) for s, (nums, den) in enumerate(audit)
-        for k in range(1, initial.n + 1)))
+          for state, count in tally.items()] for tally in counts],
+        walk.starts, check=False)
+    values = walk.spread([[x / den for x in nums] for nums, den in averages])
+    return _report(trials, trials if wins is None else successes, predicted,
+                   seed, ((s, k, x) for s, row in enumerate(values)
+                          for k, x in enumerate(row, 1)))
 
 
 def _sampled_outcomes(uniforms):

@@ -127,12 +127,27 @@ def values_to_json(held, exact=True):
             for x, g in zip(nums, map(math.gcd, nums, [den] * len(nums)))]
 
 
-class _Scaled:
-    """Base of a frozen dataclass whose exact tuple field, named by
-    ``_lazy``, may be held as integers over one denominator, ``_scaled =
-    (nums, den)``, and made into Fractions only when first read."""
+class _Lazy:
+    """Base of a frozen dataclass whose field named by ``_lazy`` may be
+    left unset where the attribute named by ``_source`` is set: the field
+    is then made by ``_derive()`` on first read, and kept."""
 
-    _lazy = None
+    _lazy = _source = None
+
+    def __getattr__(self, name):   # only for an attribute not set
+        if name != self._lazy or self._source not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = self._derive()
+        return value
+
+
+class _Scaled(_Lazy):
+    """A _Lazy whose exact tuple field may be held as integers over one
+    denominator, ``_scaled = (nums, den)``, and made into Fractions only
+    when first read."""
+
+    _source = "_scaled"
 
     @classmethod
     def _from_scaled(cls, nums, den, **attrs):
@@ -141,9 +156,8 @@ class _Scaled:
         obj.__dict__.update(attrs, _scaled=(nums, den))
         return obj
 
-    def __getattr__(self, name):   # only for an attribute not set
-        if name != self._lazy or "_scaled" not in self.__dict__:
-            raise AttributeError(name)
-        nums, den = self.__dict__["_scaled"]
-        value = self.__dict__[name] = tuple([Fraction(x, den) for x in nums])
-        return value
+    def _derive(self):
+        nums, den = self._scaled
+        # list-fed: a tuple grown from an iterator lands on another size's
+        # free list, which raises peak RSS
+        return tuple(list(map(Fraction, nums, [den] * len(nums))))

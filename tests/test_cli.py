@@ -547,7 +547,7 @@ def test_simulate_runs_on_integer_states_alone(capsys, tmp_path,
 
     for name in ("locc.exhaustive_run", "locc.monte_carlo_run",
                  "locc.schmidt_decompose", "schmidt.schmidt_decompose",
-                 "locc.LocalUnitary._dense"):
+                 "locc.LocalUnitary._derive"):
         monkeypatch.setattr(f"entconvert.{name}", refuse)
     monkeypatch.setattr(locc.ExactMonomial, "matrix", property(refuse))
     paths = []

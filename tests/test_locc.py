@@ -99,8 +99,9 @@ class TestApplyMeasurement:
 
 
 def _counting_checks(monkeypatch):
-    """Counts of the calls, from now on, to the fit of a protocol to its
-    initial state and to the check a measurement gets when it is made."""
+    """Counts of the calls, from now on, to the grouping of a protocol's
+    steps, which fits them to its initial state, and to the check a
+    measurement gets when it is made."""
     calls = Counter()
 
     def counted(name, real):
@@ -109,7 +110,7 @@ def _counting_checks(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(locc, "_fit", counted("fit", locc._fit))
+    monkeypatch.setattr(locc, "_stages", counted("fit", locc._stages))
     monkeypatch.setattr(LocalMeasurement, "__post_init__", counted(
         "made", LocalMeasurement.__post_init__))
     return calls
@@ -156,6 +157,32 @@ class TestMeasurementCheckPerStep:
         calls.clear()
         apply_measurement(initial, "A", (np.eye(6),))
         assert calls == {"fit": 1, "made": 1}
+
+
+def test_every_engine_applies_unitaries_through_one_interpreter(
+        monkeypatch):
+    plan = build_plan(ALPHA3, BETA3)
+    proto = build_full_protocol(plan)
+    relabels = {id(s) for s in proto.steps if isinstance(s, LocalUnitary)}
+    assert relabels
+    interpreted = set()
+    real = locc._interpret
+
+    def counted(steps, state, history):
+        interpreted.update(map(id, steps))
+        return real(steps, state, history)
+
+    monkeypatch.setattr(locc, "_interpret", counted)
+    initial = state_from_schmidt(plan.source)
+    for run, start in [
+            (exhaustive_run, initial),
+            (exhaustive_run_exact, plan.source),
+            (lambda p, s: monte_carlo_run(p, s, 100, 0), initial),
+            (merged_run_exact, plan.source),
+            (lambda p, s: merged_sample_exact(p, s, 100, 0), plan.source)]:
+        interpreted.clear()
+        run(proto, start)
+        assert relabels <= interpreted
 
 
 def _outcome(mono, sv, party="A", partners=None):
@@ -825,26 +852,30 @@ class TestMergedEngine:
 
     @staticmethod
     def _split_depths(monkeypatch):
-        """The depth of every sampled and exhaustive split of a merged
-        run, in call order."""
-        depths = []
-        real_sampled, real_every = locc._sampled_outcomes, locc._every_outcome
+        """The depths at which merged runs split, in call order: of each
+        node measured with more than one outcome, which the exhaustive
+        run splits, and of each sampled split of a draw block's rows."""
+        nodes, sampled = [], []
+        real_sampled, real_measure = (locc._sampled_outcomes,
+                                      locc._MergedWalk.measure)
 
-        def sampled(uniforms):
+        def sampled_outcomes(uniforms):
             split = real_sampled(uniforms)
 
             def counted(rows, outcomes, depth):
-                depths.append(depth)
+                sampled.append(depth)
                 return split(rows, outcomes, depth)
             return counted
 
-        def every(entry, outcomes, depth):
-            depths.append(depth)
-            return real_every(entry, outcomes, depth)
+        def measure(walk, g, state):
+            outcomes = real_measure(walk, g, state)
+            if len(outcomes) > 1:
+                nodes.append(g - 1)   # outcomes before this measurement
+            return outcomes
 
-        monkeypatch.setattr(locc, "_sampled_outcomes", sampled)
-        monkeypatch.setattr(locc, "_every_outcome", every)
-        return depths
+        monkeypatch.setattr(locc, "_sampled_outcomes", sampled_outcomes)
+        monkeypatch.setattr(locc._MergedWalk, "measure", measure)
+        return nodes, sampled
 
     @staticmethod
     def _assert_matches_amplitude_sampler(merged, proto, source):
@@ -870,38 +901,42 @@ class TestMergedEngine:
         proto = build_full_protocol(plan)
         last = proto.measurement_count - 1
         assert last > 1
-        depths = self._split_depths(monkeypatch)
+        nodes, sampled = self._split_depths(monkeypatch)
         report = merged_sample_exact(proto, plan.source, 2 * _DRAW_BLOCK + 37,
                                      0)
-        assert depths == [last] * 3
-        depths.clear()
+        assert (nodes, sampled) == ([last], [last] * 3)
+        nodes.clear()
         run = merged_run_exact(proto, plan.source)
-        assert depths == [last]
+        assert nodes == [last]
         assert run.branches == 2 ** proto.measurement_count
         assert run.success_probability == plan.probability
         assert 0 < report.successes < report.trials
 
     def test_outcomes_reaching_two_states_are_split(self, monkeypatch):
-        # the first measurement's outcomes leave (3/5, 2/5) as (9/17, 8/17)
-        # and (9/13, 4/13), apart, so both measurements split
+        # a coin leaves the state as it is, so it passes on whole; the
+        # next measurement's outcomes leave (3/5, 2/5) as (9/17, 8/17)
+        # and (9/13, 4/13), apart, so it and the last measurement split
         half, third = F(1, 2), F(1, 3)
+        coin = LocalMeasurement("A", exact=(
+            ExactMonomial((0, 1), (half, half)),) * 2)
         first = LocalMeasurement("A", exact=(
             ExactMonomial((0, 1), (half, 2 * third)),
             ExactMonomial((0, 1), (half, third))))
         mixer = LocalMeasurement("B", exact=(
             ExactMonomial((0, 1), (third, 1 - third)),
             ExactMonomial((0, 1), (1 - third, third))))
-        proto = LoccProtocol((first, Announce(), mixer),
+        proto = LoccProtocol((coin, first, Announce(), mixer),
                              success_predicate=OutcomeIs(-1, 0))
         source = SchmidtVector((F(3, 5), F(2, 5)))
-        depths = self._split_depths(monkeypatch)
+        nodes, sampled = self._split_depths(monkeypatch)
         report = merged_sample_exact(proto, source, 3000, 8)
-        assert depths == [0, 1, 1]   # one block, two states at depth 1
+        # one block, two states at depth 2
+        assert nodes == sampled == [1, 2, 2]
         self._assert_matches_amplitude_sampler(report, proto, source)
-        depths.clear()
+        nodes.clear()
         run = merged_run_exact(proto, source)
-        assert depths == [0, 1, 1]   # one split per state reached
-        assert run.branches == 4
+        assert nodes == [1, 2, 2]   # one split per state reached
+        assert run.branches == 8
         assert run.success_probability == success_probability(
             exhaustive_run_exact(proto, source), proto.success_predicate)
 
@@ -914,13 +949,14 @@ class TestMergedEngine:
         proto = LoccProtocol(steps, success_predicate=OutcomeIs(-1, 0))
         last = proto.measurement_count - 1
         assert last > 0
-        depths = self._split_depths(monkeypatch)
+        nodes, sampled = self._split_depths(monkeypatch)
         report = merged_sample_exact(proto, source, _DRAW_BLOCK + 37, 9)
-        assert depths == [last] * 2 and 0 < report.successes < report.trials
+        assert (nodes, sampled) == ([last], [last] * 2)
+        assert 0 < report.successes < report.trials
         self._assert_matches_amplitude_sampler(report, proto, source)
-        depths.clear()
+        nodes.clear()
         run = merged_run_exact(proto, source)
-        assert depths == [last]
+        assert nodes == [last]
         assert run.branches == 2 ** proto.measurement_count
         assert run.success_probability == success_probability(
             exhaustive_run_exact(proto, source), proto.success_predicate)
@@ -951,7 +987,7 @@ class TestMergedEngine:
         levels = [[(s0._scaled, F(1))],
                   [(s1._scaled, F(1, 3)), (s2._scaled, F(2, 3))]]
         with pytest.raises(MonotoneViolationError) as merged:
-            locc._merged_audit(levels, [0, 2], 4)
+            locc._merged_audit(levels, [0, 2])
         with pytest.raises(MonotoneViolationError) as enumerated:
             audit_trajectories([(F(1, 3), (s0, s0, s1, s1)),
                                 (F(2, 3), (s0, s0, s2, s2))], (1, 2))
@@ -981,7 +1017,7 @@ class TestMergedEngine:
 
 class TestAuditSizeLimit:
     """Merged runs refuse an audit of more than MAX_AUDIT_CELLS cells
-    (levels x step boundaries) before any level runs."""
+    (levels x step boundaries) before their walk starts."""
 
     def _protocol(self):
         plan = build_plan(ALPHA3, BETA3)
@@ -1000,7 +1036,7 @@ class TestAuditSizeLimit:
     def test_over_limit_is_refused_before_any_level(self, monkeypatch, run):
         proto, source, cells = self._protocol()
         monkeypatch.setattr(locc, "MAX_AUDIT_CELLS", cells - 1)
-        monkeypatch.setattr(locc, "_merged_levels", None)
+        monkeypatch.setattr(locc, "_MergedWalk", None)
         with pytest.raises(ValueError, match=(
                 f"audit too large: 3 levels x {cells // 3} step boundaries "
                 f"= {cells} cells \\(limit {cells - 1}\\)")):
