@@ -172,26 +172,6 @@ def _resolve_plan(args):
     return build_plan(alpha, beta)
 
 
-def _exhaustive_doc(plan, run) -> dict:
-    """The exhaustive report of a merged run: histories merged, never
-    capped, and the averages of a level, which its step boundaries share,
-    rounded once."""
-    exact, decimal = _prob_pair(_typed(run.success_probability, plan.source))
-    levels = {pair: [round12(x / pair[1]) for x in pair[0]]
-              for pair in dict.fromkeys(run.audit)}
-    table = [levels[pair] for pair in run.audit]
-    return {
-        "mode": "exhaustive",
-        "branches": run.branches,
-        "success_probability": exact,
-        "success_probability_decimal": decimal,
-        "predicted": scalar_to_json(plan.probability),
-        "audit": eio.Table(("step", "k", "avg_E"), [
-            (s, k + 1, avgs[k]) for k in range(len(table[0]))
-            for s, avgs in enumerate(table)]),
-    }
-
-
 def cmd_simulate(args) -> int:
     # the protocol engine loads only for the one command that runs it
     from .locc import (build_full_protocol, merged_run_exact,
@@ -212,7 +192,15 @@ def cmd_simulate(args) -> int:
     # every run is exact: a float plan's on the dyadic lift it was planned on
     initial = _lifted(plan.source)
     if args.exhaustive:
-        doc = _exhaustive_doc(plan, merged_run_exact(protocol, initial))
+        # histories merged, never capped, and the audit k-major
+        run = merged_run_exact(protocol, initial)
+        exact, decimal = _prob_pair(_typed(run.success_probability,
+                                           plan.source))
+        doc = {"mode": "exhaustive", "branches": run.branches,
+               "success_probability": exact,
+               "success_probability_decimal": decimal,
+               "predicted": scalar_to_json(plan.probability),
+               "audit": eio.Audit(run.levels, False)}
     else:
         doc = {"mode": "monte_carlo", **eio.report_to_dict(
             merged_sample_exact(protocol, initial, args.trials, args.seed,
@@ -384,11 +372,25 @@ _HANDLERS = {
     "demo": cmd_demo,
 }
 _PARSER = build_parser()   # parse_args leaves it unchanged, so build once
+_COMMANDS = next(action.choices for action in _PARSER._actions
+                 if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv):
+    # _PARSER.parse_args(argv) at half the cost: a subcommand's arguments
+    # go to its own parser alone, with the same namespace and messages
+    if not argv or argv[0] not in _COMMANDS:
+        return _PARSER.parse_args(argv)
+    args, rest = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+    if rest:
+        _PARSER.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on unparsable arguments; that code is reserved
         # for infeasible requests here, so bad arguments report as 1

@@ -24,7 +24,7 @@ __all__ = [
     "plan_to_dict",
     "plan_from_dict",
     "report_to_dict",
-    "Table",
+    "Audit",
     "dumps",
 ]
 
@@ -33,16 +33,17 @@ class StateFileError(ValueError):
     """A state document is structurally invalid."""
 
 
-class Table:
-    """A JSON array of objects with the keys ``fields`` (one or more), as
-    a tuple of JSON-ready values per row, each column of one type (int,
-    float or str); a plain class, as a dataclass slows the import."""
+class Audit:
+    """A run's audit as the engines' ``levels``, rendered as a JSON array
+    of {"step", "k", "avg_E"} objects, avg_E = round12(numerator k - 1 /
+    denominator), step-major if ``step_major``, else k-major; a plain
+    class, as a dataclass slows the import."""
 
-    def __init__(self, fields, rows):
-        self.fields, self.rows = fields, rows
+    def __init__(self, levels, step_major):
+        self.levels, self.step_major = levels, step_major
 
 
-_CONTAINERS = (list, tuple, dict, Table)
+_CONTAINERS = (list, tuple, dict, Audit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +60,17 @@ def _reject_constant(name):
     raise StateFileError(f"non-finite number {name} is not allowed")
 
 
+# floats arrive as strings so rational mode can parse them exactly; the
+# non-standard literals NaN and (-)Infinity are refused
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
+
+
 def _loads(text: str):
-    # floats arrive as strings so rational mode can parse them exactly;
-    # the non-standard literals NaN and (-)Infinity are refused
     try:
-        return json.loads(text, parse_float=str,
-                          parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):   # as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except StateFileError:
         raise
     except json.JSONDecodeError as err:
@@ -208,9 +214,6 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
 
 
 def report_to_dict(report) -> dict:
-    # each distinct average is rounded once; a zero is its own rounding
-    audit = report.monotone_audit
-    rounded = {v: round12(v) for v in {v for _, _, v in audit if v}}
     return {
         "trials": report.trials,
         "successes": report.successes,
@@ -219,42 +222,40 @@ def report_to_dict(report) -> dict:
         "predicted": (None if report.predicted is None
                       else scalar_to_json(report.predicted)),
         "seed": report.seed,
-        "audit": Table(("step", "k", "avg_E"), [
-            (s, k, rounded[v] if v else float(v)) for s, k, v in audit]),
+        "audit": Audit(report.levels, True),
     }
 
 
 def dumps(doc) -> str:
     """Stable JSON rendering used by all commands: ``json.dumps(doc,
     indent=2, sort_keys=True, default=scalar_to_json)`` and a newline,
-    made by json's C encoder; a Table renders as its rows as dicts, each
-    row one ``%`` template over its columns' encoded distinct values.
-    The pieces go into one list, joined once."""
+    made by json's C encoder; an Audit renders as its rows as dicts, a
+    level at a time (_audit).  The pieces go into one list, joined
+    once."""
     out = []
     _render(doc, "", out)
     out.append("\n")
     return "".join(out)
 
 
+_ENCODERS = {}   # item separator -> encoder; one per indent depth
+
+
 def _encode(sep, doc):   # unindented, so by json's C encoder
-    return json.dumps(doc, separators=(sep, ": "), sort_keys=True,
-                      default=scalar_to_json)
+    if sep not in _ENCODERS:
+        _ENCODERS[sep] = json.JSONEncoder(
+            separators=(sep, ": "), sort_keys=True, default=scalar_to_json)
+    return _ENCODERS[sep].encode(doc)
 
 
 def _render(doc, pad, out):
     """Appends the pieces of ``doc`` at indent ``pad`` to ``out``: one
     encoder call, the newline and indent in its item separator (encoded
-    strings escape newlines), for a container of scalars, or per column
-    of a Table (_rows)."""
+    strings escape newlines), for a container of scalars, or per level
+    of an Audit (_audit)."""
     sep = ",\n" + (inner := pad + "  ")
-    if isinstance(doc, Table):
-        if not doc.rows:
-            out.append("[]")
-            return
-        out += ("[\n", inner)
-        _rows(doc, inner, out)
-        out += ("\n", pad, "]")
-        return
+    if isinstance(doc, Audit):
+        return _audit(doc, pad, out)
     if not isinstance(doc, _CONTAINERS) or not doc:
         out.append(_encode(sep, doc))
         return
@@ -263,20 +264,16 @@ def _render(doc, pad, out):
         text = _encode(sep, doc)
         out += (text[0], "\n", inner, text[1:-1], "\n", pad, text[-1])
         return
-    if not isinstance(doc, dict):
-        out += ("[\n", inner)
-        for i, v in enumerate(doc):
-            if i:
-                out.append(sep)
-            _render(v, inner, out)
-        out += ("\n", pad, "]")
-        return
     # each container stands in as 0, then is rendered on its own
-    text = _encode(sep, {k: 0 if isinstance(v, _CONTAINERS) else v
-                         for k, v in doc.items()})
-    out += ("{\n", inner)
-    for i, (part, (_, v)) in enumerate(zip(text[1:-1].split(sep),
-                                           sorted(doc.items()))):
+    if isinstance(doc, dict):
+        text = _encode(sep, {k: 0 if isinstance(v, _CONTAINERS) else v
+                             for k, v in doc.items()})
+        doc = [v for _, v in sorted(doc.items())]
+    else:
+        text = _encode(sep, [0 if isinstance(v, _CONTAINERS) else v
+                             for v in doc])
+    out += (text[0], "\n", inner)
+    for i, (part, v) in enumerate(zip(text[1:-1].split(sep), doc)):
         if i:
             out.append(sep)
         if isinstance(v, _CONTAINERS):
@@ -284,21 +281,36 @@ def _render(doc, pad, out):
             _render(v, inner, out)
         else:
             out.append(part)
-    out += ("\n", pad, "}")
+    out += ("\n", pad, text[-1])
 
 
-def _rows(table, inner, out):   # the items of a Table; see dumps
-    cell, keys, texts = ",\n" + inner + "  ", [], []
-    for key, column in sorted(zip(table.fields, zip(*table.rows))):
-        values = dict.fromkeys(column)   # a key keeps one sign of zero
-        if 0 in values and type(column[0]) is float:
-            values = column
-        text = _encode("\n", list(values))[1:-1].split("\n")
-        keys.append(_encode(cell, key).replace("%", "%%") + ": %s")
-        texts.append(text if values is column else
-                     map(dict(zip(values, text)).__getitem__, column))
-    template = f"{{\n{inner}  {cell.join(keys)}\n{inner}}}"
-    rows = zip(*texts)
-    out.append(template % next(rows))
-    # every later row carries the separator before it
-    out += map((",\n" + inner + template).__mod__, rows)
+def _audit(audit, pad, out):   # the array of an Audit; see dumps
+    levels = audit.levels
+    if not levels or not (n := len(levels[0][0][0])):
+        out.append("[]")
+        return
+    # each level's averages rounded once, and all encoded in one call
+    texts = _encode("\n", [round12(x / den) for (nums, den), _ in levels
+                           for x in nums])[1:-1].split("\n")
+    sep, key = ",\n" + (inner := pad + "  "), ",\n" + inner + "  "
+    # the row of one (level, k), its step a NUL, which no encoded text has
+    row = f'{{{key[1:]}"avg_E": %s{key}"k": %d{key}"step": \0\n{inner}}}'
+    # per level, its step boundaries as text
+    count = map(str, range(sum(span for _, span in levels)))
+    steps = [[next(count) for _ in range(span)] for _, span in levels]
+    out.append("[\n" + inner)
+    if audit.step_major:
+        # a level's steps differ in the step alone: its rows, once, in
+        # pieces joined by each step in turn
+        for i, level in enumerate(steps):
+            pieces = sep.join([row % (text, k) for k, text in enumerate(
+                texts[i * n:i * n + n], 1)]).split("\0")
+            for step in level:
+                out += (step.join(pieces), sep)
+    else:
+        # the rows of one (level, k) differ in the step alone
+        for k in range(n):
+            for i, level in enumerate(steps):
+                head, tail = (row % (texts[i * n + k], k + 1)).split("\0")
+                out += (head + (tail + sep + head).join(level) + tail, sep)
+    out[-1] = "\n" + pad + "]"

@@ -37,10 +37,11 @@ count (merged_run_exact) or to the trials of one draw block that reached
 it (merged_sample_exact).  Where success reads no outcome, a node whose
 outcomes reach one state is one outcome that passes its entry on whole,
 so the trials of a built protocol split at its final filter alone.  Both
-refuse an audit of more than MAX_AUDIT_CELLS cells, as
-build_full_protocol does before it makes any step.  The CLI runs on
-those engines alone; the enumerating engines and the amplitude-level
-sampler stay as their reference.
+give the audit as one (numerators, denominator) per level, with the
+number of step boundaries it spans, and refuse an audit of more than
+MAX_AUDIT_CELLS cells, as build_full_protocol does before it makes any
+step.  The CLI runs on those engines alone; the enumerating engines and
+the amplitude-level sampler stay as their reference.
 numpy is imported only inside the functions that need it: dense
 operators (a step's ``operators`` or ``matrix``) and their checks, the
 amplitude-level engines, and the Philox draw and split of both
@@ -105,8 +106,8 @@ BRANCH_CAP = 100_000
 MAX_TREE_BYTES = 2 ** 30   # amplitude bytes a Monte-Carlo branch tree keeps
 PRUNE_EPS = 1e-12  # outcomes below this are never normalized into states
 # Audit cells (levels x step boundaries) a merged run may average.  A whole
-# exact CLI run peaks at 0.45-0.60 KB per cell (86-111 MB at n = 256,
-# 178-214 MB at n = 384), so a run at this limit stays under 350 MB.  A
+# exact CLI run peaks at 0.30-0.50 KB per cell (64-92 MB at n = 256,
+# 119-159 MB at n = 384), so a run at this limit stays under 350 MB.  A
 # protocol has at most 3n - 2 steps, so every pair up to n = 418 stays
 # within it.
 MAX_AUDIT_CELLS = 2 ** 19
@@ -423,9 +424,10 @@ def _relabeled(party, rows, state):
 def _exact_outcomes(step, state):
     """(probability, post) per monomial of measurement ``step`` on an
     integer state: A's level a meets the measured party's level a on A,
-    its partner on B.  The probability is a Fraction; post, reduced over
-    the sum of its numerators, has the party's levels moved by the
-    monomial's rows, or is None for an outcome of probability 0."""
+    its partner on B.  The probability is an integer ratio (numerator,
+    denominator); post, reduced over the sum of its numerators, has the
+    party's levels moved by the monomial's rows, or is None for an
+    outcome of probability 0."""
     (nums, den), partners = state
     meets = range(len(nums)) if step.party == "A" else partners
     results = []
@@ -434,12 +436,12 @@ def _exact_outcomes(step, state):
         weights = [squares[c] * x for c, x in zip(meets, nums)]
         total = sum(weights)
         if total == 0:
-            results.append((Fraction(0), None))
+            results.append(((0, 1), None))
             continue
         g = math.gcd(*weights)
         post = ((tuple([w // g for w in weights]), total // g), partners)
-        results.append((Fraction(total, scale * den),
-                        _relabeled(step.party, mono.rows, post)))
+        results.append(((total, scale * den),
+                         _relabeled(step.party, mono.rows, post)))
     return results
 
 
@@ -461,8 +463,9 @@ def _enumerate(protocol, initial, one):
             outcomes = shared.get(states[-1]) if exact else None
             if outcomes is None:
                 outcomes = measure(step, states[-1])
-                if exact:
-                    shared[states[-1]] = outcomes
+                if exact:   # probabilities as Fractions
+                    shared[states[-1]] = outcomes = [
+                        (Fraction(*p), post) for p, post in outcomes]
             for idx, (p, post) in enumerate(outcomes):
                 if post is not None:
                     reached = history + (idx,)
@@ -530,16 +533,22 @@ class MergedRun:
     """Summary of an exact run that merges histories reaching one state.
 
     ``branches`` counts the outcome histories of nonzero probability, an
-    exact int however large.  ``audit`` holds one (numerators,
-    denominator) pair per step boundary (index 0 = initial state):
-    numerator k - 1 over the denominator is the probability-weighted
-    average of E_k there.  The boundaries after an announcement or a
-    unitary share the pair of the measurement before them.
+    exact int however large.  ``levels`` is the audit, one
+    ((numerators, denominator), span) per measurement level, the first
+    for the initial state: numerator k - 1 over the denominator is the
+    probability-weighted average of E_k at each of the level's ``span``
+    step boundaries.
     """
 
     branches: int
     success_probability: Fraction
-    audit: tuple
+    levels: tuple
+
+    @property
+    def audit(self):
+        """The levels' pairs, one per step boundary, made when read."""
+        return tuple(pair for pair, span in self.levels
+                     for _ in range(span))
 
 
 def merged_run_exact(protocol: LoccProtocol,
@@ -568,9 +577,10 @@ def merged_run_exact(protocol: LoccProtocol,
         grown = {}
         for state, (w, count) in levels[-1].items():
             node = nodes.get((g, state)) or walk.measure(g, state)
-            for idx, p, m, reached in node:
+            for idx, (a, b), m, reached in node:
                 # one outcome, of probability 1, passes the weight on whole
-                part = w * p if len(node) > 1 else w
+                part = (Fraction(w.numerator * a, w.denominator * b)
+                        if len(node) > 1 else w)
                 if g == final and idx == wins:
                     won += part
                 if reached in grown:
@@ -585,7 +595,7 @@ def merged_run_exact(protocol: LoccProtocol,
     # where every history succeeds, the probabilities sum to 1
     return MergedRun(sum(count for _, count in levels[-1].values()),
                      Fraction(1) if wins is None else won,
-                     tuple(walk.spread(averages)))
+                     tuple(zip(averages, walk.spans)))
 
 
 def _check_audit_size(n, steps):
@@ -606,16 +616,17 @@ class _MergedWalk:
     conditioned on more than the last outcome is then refused.  Level 0
     holds ``root``, the initial state moved by the steps before the
     first measurement; level g the states reached through group g of
-    ``stages``, whose boundaries start at ``starts[g]``.
+    ``stages``, whose ``spans[g]`` step boundaries start at ``starts[g]``.
     ``nodes[g, state]``, made by ``measure(g, state)``, lists the
     unpruned outcomes of group g's measurement on a state of level g - 1
-    as (index, probability, history multiplicity, next state): the next
-    state is the outcome's post moved by the group's unitaries that act
-    on it.  Where success reads no outcome of that measurement and its m
-    outcomes reach one state, the node is the one outcome (first index,
-    1, m, that state), which passes its entry on whole: the reconverge
-    rule.  ``wins`` is the final outcome that succeeds, None where every
-    history does.
+    as (index, probability, history multiplicity, next state), the
+    probability as _exact_outcomes gives it: the next state is the
+    outcome's post moved by the group's unitaries that act on it.  Where
+    success reads no outcome of that measurement and its m outcomes reach
+    one state, the node is the one outcome (first index, (1, 1), m, that
+    state), which passes its entry on whole: the reconverge rule.
+    ``wins`` is the final outcome that succeeds, None where every history
+    does.
     """
 
     def __init__(self, protocol, initial):
@@ -641,6 +652,7 @@ class _MergedWalk:
         self.wins = None if test is None else test.value
         self.final = len(self.stages) - 1
         self.starts = [start for start, _, _ in self.stages]
+        self.spans = [len(tail) + 1 for _, _, tail in self.stages]
         self.root = _interpret(self.stages[0][2], (
             initial._scaled, tuple(range(initial.n))), ())[-1]
         self.nodes = {}
@@ -655,16 +667,9 @@ class _MergedWalk:
             if post is not None]
         reached = {outcome[3] for outcome in outcomes}
         if len(reached) == 1 and (g < self.final or self.wins is None):
-            outcomes = [(outcomes[0][0], 1, len(outcomes), *reached)]
+            outcomes = [(outcomes[0][0], (1, 1), len(outcomes), *reached)]
         self.nodes[g, state] = outcomes
         return outcomes
-
-    def spread(self, levels):
-        """One item per level as one per step boundary: level g spans the
-        boundary after its measurement and one after each of its tail's
-        steps."""
-        return [item for item, (_, _, tail) in zip(levels, self.stages)
-                for _ in range(len(tail) + 1)]
 
 
 def _merged_audit(levels, starts, check=True):
@@ -679,19 +684,15 @@ def _merged_audit(levels, starts, check=True):
     average increases, as audit_trajectories does; levels compare by
     cross-multiplying.
     """
+    from itertools import accumulate
     tails, averages = {}, []
     for level in levels:
         den = math.lcm(*[w.denominator * scaled[1] for scaled, w in level])
         total = None
         for scaled, w in level:
             if scaled not in tails:
-                run, tail = 0, []
                 # ascending, so tail[k - 1] sums the n - k + 1 smallest
-                for x in sorted(scaled[0]):
-                    run += x
-                    tail.append(run)
-                tail.reverse()
-                tails[scaled] = tail
+                tails[scaled] = [*accumulate(sorted(scaled[0]))][::-1]
             scale = w.numerator * (den // (w.denominator * scaled[1]))
             terms = [scale * t for t in tails[scaled]]
             total = terms if total is None else [
@@ -934,8 +935,13 @@ def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
 
 
 @dataclass(frozen=True)
-class SimulationReport:
-    """Outcome summary of a sampled protocol run."""
+class SimulationReport(_Lazy):
+    """Outcome summary of a sampled protocol run, whose ``levels`` hold
+    the audit as MergedRun's levels.  The samplers set those alone (the
+    amplitude sampler's as floats over 1, a level per step boundary) and
+    leave ``monotone_audit`` to be made from them when first read; a
+    report made with its triples, step-major from k = 1, gets a level of
+    floats per step boundary."""
 
     trials: int
     successes: int
@@ -944,6 +950,21 @@ class SimulationReport:
     predicted: object
     monotone_audit: tuple  # of (step, k, average) triples
     seed: int
+
+    _lazy, _source = "monotone_audit", "levels"
+
+    def __post_init__(self):
+        rows = {}
+        for step, _, x in self.monotone_audit:
+            rows.setdefault(step, []).append(x)
+        object.__setattr__(self, "levels", tuple(
+            ((tuple(row), 1), 1) for row in rows.values()))
+
+    def _derive(self):   # a level's boundaries share its floats
+        rows = [row for (nums, den), span in self.levels
+                for row in [[x / den for x in nums]] * span]
+        return tuple((step, k, x) for step, row in enumerate(rows)
+                     for k, x in enumerate(row, 1))
 
 
 _DRAW_BLOCK = 8192  # trials whose uniforms are drawn at once
@@ -962,14 +983,16 @@ def _draws(protocol, trials, seed):
         yield lo, rng.random((min(_DRAW_BLOCK, trials - lo), columns))
 
 
-def _report(trials, successes, predicted, seed, audit):
+def _report(trials, successes, predicted, seed, levels):
     """The SimulationReport of both samplers, with the empirical
-    probability and its standard error sqrt(p(1-p)/trials)."""
+    probability, its standard error sqrt(p(1-p)/trials) and ``levels``."""
     empirical = successes / trials
-    return SimulationReport(
+    report = object.__new__(SimulationReport)
+    report.__dict__.update(
         trials=trials, successes=successes, empirical_probability=empirical,
         std_error=math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials),
-        predicted=predicted, monotone_audit=tuple(audit), seed=seed)
+        predicted=predicted, seed=seed, levels=tuple(levels))
+    return report
 
 
 def _sample_histories(protocol, initial, trials, seed):
@@ -1060,12 +1083,13 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
     predicate = protocol.success_predicate
     successes = sum(count for history, (count, _) in histories.items()
                     if predicate is None or predicate(history))
-    # audit from the visited trajectories, weighted by visit counts
+    # audit from the visited trajectories, weighted by visit counts, as
+    # one level per step boundary
     ks = range(1, min(initial.n_a, initial.n_b) + 1)
     table = audit_trajectories(list(histories.values()), ks, check=False)
     return _report(trials, successes, predicted, seed, (
-        (s, k, float(averages[s])) for s in range(len(protocol.steps) + 1)
-        for k, averages in zip(ks, table)))
+        ((tuple(float(averages[s]) for averages in table), 1), 1)
+        for s in range(len(protocol.steps) + 1)))
 
 
 def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
@@ -1083,12 +1107,11 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     the block's rows by the state they reach instead of by history; each
     (measurement, state) is measured once per run, and its rows split
     only where outcomes part.  The audit averages over the trials
-    exactly, then rounds once per level; sampled averages may rise, so it
-    is not checked for increases.
+    exactly, as merged_run_exact's levels; sampled averages may rise, so
+    it is not checked for increases.
 
-    Returns the SimulationReport monte_carlo_run gives, with the audit's
-    (step, k, average) triples in the same order.  Refuses an audit past
-    MAX_AUDIT_CELLS cells as merged_run_exact does.
+    Returns the SimulationReport monte_carlo_run gives.  Refuses an audit
+    past MAX_AUDIT_CELLS cells as merged_run_exact does.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -1105,7 +1128,8 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
             for state, rows in levels[-1].items():
                 node = nodes.get((g, state)) or walk.measure(g, state)
                 for pos, part in ([(0, rows)] if len(node) == 1 else split(
-                        rows, [(p, post) for _, p, _, post in node], g - 1)):
+                        rows, [(a / b, post) for _, (a, b), _, post in node],
+                        g - 1)):
                     idx, _, _, reached = node[pos]
                     if g == final and idx == wins:
                         successes += len(part)
@@ -1119,10 +1143,8 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
         [[(state[0], Fraction(count, trials))
           for state, count in tally.items()] for tally in counts],
         walk.starts, check=False)
-    values = walk.spread([[x / den for x in nums] for nums, den in averages])
     return _report(trials, trials if wins is None else successes, predicted,
-                   seed, ((s, k, x) for s, row in enumerate(values)
-                          for k, x in enumerate(row, 1)))
+                   seed, zip(averages, walk.spans))
 
 
 def _sampled_outcomes(uniforms):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entconvert import (build_full_protocol, build_plan, locc,
+from entconvert import (build_full_protocol, build_plan, cli, locc,
                         optimal_probability)
 from entconvert.cli import DEMO_NAMES, main
 from util import rand_float_schmidt, rand_rational_schmidt
@@ -288,6 +288,39 @@ class TestDemos:
         _, out, _ = run(capsys, ["demo", "multi-copy"])
         assert "= 0 " in out
         assert "2/5" in out
+
+
+class TestArgumentParsing:
+    """A subcommand's arguments are parsed by its own parser alone; the
+    results, messages and exit codes are those of the whole parser."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["--bogus"], ["sim"], ["--mode=float"],
+        ["simulate", "--trials", "x"], ["simulate", "a", "b", "--bogus"],
+        ["simulate", "--help"], ["prob", "a"], ["prob", "a", "b", "c"],
+        ["prob", "a", "b", "--bogus", "-x"], ["demo", "nope"],
+        ["tensor", "a", "b", "--copies", "--", "2"]])
+    def test_refusals_and_help_match_the_whole_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as whole:
+            cli.build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        code = 0 if whole.value.code == 0 else 1
+        assert run(capsys, argv) == (code, want.out, want.err)
+
+    def test_unrecognized_arguments_keep_the_top_level_usage(self, capsys):
+        code, out, err = run(capsys, ["simulate", "a", "b", "--bogus"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: entconvert [-h]")
+        assert err.endswith(
+            "entconvert: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["prob", "a", "b", "--mode=float", "--tolerance", "0"],
+        ["simulate", "--plan", "p", "--exhaustive", "--seed", "3"],
+        ["simulate", "a", "b", "--trials=5", "--out", "o.json"],
+        ["demo", "paper-cycle"], ["tensor", "--", "a", "b"]])
+    def test_namespace_matches_the_whole_parser(self, argv):
+        assert cli._parse(argv) == cli.build_parser().parse_args(argv)
 
 
 class TestFailureModes:

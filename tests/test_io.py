@@ -1,5 +1,6 @@
 """State documents, plan round-trips, report serialization."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 from entconvert import SchmidtVector, breakpoints, build_plan, \
     monte_carlo_run, build_full_protocol, state_from_schmidt
 from entconvert.cli import main
-from entconvert.io import (StateFileError, Table, dumps, load_state_file,
+from entconvert.io import (Audit, StateFileError, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
-from entconvert.numeric import (MAX_DECIMAL_EXPONENT, parse_scalar,
+from entconvert.numeric import (MAX_DECIMAL_EXPONENT, parse_scalar, round12,
                                 scalar_to_json)
 from util import rand_rational_schmidt
 
@@ -81,13 +82,17 @@ class TestStateDocuments:
         ("[" * 100_000, "nested too deeply"),
         ('{"schmidt_sq": [' + "1" * 5000 + ", 1]}",
          "integer too long"),
+        # json.loads refuses a byte order mark, and so does the loader
+        ('\ufeff{"schmidt_sq": ["1/2", "1/2"]}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+         "(char 0)"),
     ])
     @pytest.mark.parametrize("command", [
         ["prob", "{doc}", "{ok}"], ["simulate", "--plan", "{doc}"]])
     def test_hostile_json_ends_in_one_error_line(self, tmp_path, capsys,
                                                  text, message, command):
         doc, ok = tmp_path / "hostile.json", tmp_path / "ok.json"
-        doc.write_text(text)
+        doc.write_text(text, encoding="utf-8")
         ok.write_text(json.dumps({"schmidt_sq": ["1/2", "1/2"]}))
         assert main([a.format(doc=doc, ok=ok) for a in command]) == 1
         captured = capsys.readouterr()
@@ -369,23 +374,39 @@ def _containers(values):
 
 _documents = st.recursive(_scalars, _containers, max_leaves=30)
 
-# a column's values: equal floats of both signs, extremes and repeats
-_column_kinds = (
-    st.integers(),
-    st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e16, 0.1]), st.floats()),
-    _text)
+# an audit's averages: zeros of both signs and ones, tiny values, values
+# that round at the 12th digit, and repeats, as floats over 1 or integers
+_float_averages = st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, 1e-300, 2.5e-13, 0.1, 1 / 3, 0.123456789012345])
 
 
 @st.composite
-def _row_tables(draw):
-    """A Table of 0-6 rows whose columns each draw from a pool of at most
-    three values of one kind, so values repeat."""
-    fields = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
-    pools = [draw(st.lists(draw(st.sampled_from(_column_kinds)),
-                           min_size=1, max_size=3)) for _ in fields]
-    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
-                         max_size=6))
-    return Table(tuple(fields), rows)
+def _audits(draw):
+    """An Audit of 0-4 levels of 0-4 averages each, a level spanning 1-3
+    step boundaries, in either order."""
+    n = draw(st.integers(0, 4))
+    levels = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            den = draw(st.sampled_from([1, 3, 7, 10 ** 30 + 1]))
+            values = st.integers(0, den)
+        else:
+            den, values = 1, _float_averages
+        nums = draw(st.lists(values, min_size=n, max_size=n))
+        levels.append(((tuple(nums), den), draw(st.integers(1, 3))))
+    return Audit(tuple(levels), draw(st.booleans()))
+
+
+def _audit_rows(audit):
+    """The rows an Audit stands for, as the stdlib would render them."""
+    boundaries = [[round12(x / den) for x in nums]
+                  for (nums, den), span in audit.levels for _ in range(span)]
+    ks = range(len(boundaries[0]) if boundaries else 0)
+    cells = ([(s, k) for s in range(len(boundaries)) for k in ks]
+             if audit.step_major else
+             [(s, k) for k in ks for s in range(len(boundaries))])
+    return [{"step": s, "k": k + 1, "avg_E": boundaries[s][k]}
+            for s, k in cells]
 
 
 class TestReportSerialization:
@@ -402,21 +423,30 @@ class TestReportSerialization:
         assert doc["seed"] == 4
         assert doc["predicted"] == "2/5"
         assert isinstance(doc["empirical"], float)
-        # the audit is a Table, whose rows render as dicts
-        audit = json.loads(dumps(doc))["audit"]
-        assert len(audit) == len(report.monotone_audit)
-        assert all(set(row) == {"step", "k", "avg_E"} for row in audit)
+        # the audit is an Audit, one level per step boundary, whose rows
+        # render as dicts step-major, each average rounded
+        assert len(doc["audit"].levels) == len(protocol.steps) + 1
+        plain = dict(doc, audit=[
+            {"step": s, "k": k, "avg_E": round12(v) if v else float(v)}
+            for s, k, v in report.monotone_audit])
+        assert dumps(doc) == json.dumps(plain, indent=2,
+                                        sort_keys=True) + "\n"
+        # a report made through the constructor, with its triples, alike
+        made = dataclasses.replace(report)
+        assert dumps(report_to_dict(made)) == dumps(doc)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_row_tables(), st.sampled_from(["bare", "in dict", "in list"]))
-    @example(Table(("x", "%s"), [(0.0, 1), (-0.0, 1), (0.0, 2)]), "in dict")
-    @example(Table(("a",), []), "bare")
-    def test_table_renders_as_its_rows_as_dicts(self, table, where):
-        plain = [dict(zip(table.fields, row)) for row in table.rows]
-        doc, want = {"bare": (table, plain),
-                     "in dict": ({"audit": table, "n": 1},
+    @settings(max_examples=300, deadline=None)
+    @given(_audits(), st.sampled_from(["bare", "in dict", "in list"]))
+    @example(Audit(((((0.0, 1.0), 1), 2), (((1, 2), 3), 1)), False),
+             "in dict")
+    @example(Audit(((((1, 0, 5e-324), 1), 1),), True), "bare")
+    @example(Audit((), True), "bare")
+    def test_audit_renders_as_its_rows_as_dicts(self, audit, where):
+        plain = _audit_rows(audit)
+        doc, want = {"bare": (audit, plain),
+                     "in dict": ({"audit": audit, "n": 1},
                                  {"audit": plain, "n": 1}),
-                     "in list": ([table, [table]], [plain, [plain]])}[where]
+                     "in list": ([audit, [audit]], [plain, [plain]])}[where]
         assert dumps(doc) == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_dumps_is_stable(self):

@@ -187,14 +187,15 @@ def test_every_engine_applies_unitaries_through_one_interpreter(
 
 def _outcome(mono, sv, party="A", partners=None):
     """(probability, post) of ``mono`` alone, measured on ``party`` of the
-    integer state of ``sv`` whose A level a pairs with B's partners[a].
-    One monomial seldom resolves the identity, so it is handed over as a
-    stand-in for a measurement."""
+    integer state of ``sv`` whose A level a pairs with B's partners[a],
+    the probability's integer ratio made a Fraction.  One monomial seldom
+    resolves the identity, so it is handed over as a stand-in for a
+    measurement."""
     if partners is None:
         partners = tuple(range(sv.n))
     step = SimpleNamespace(party=party, exact=(mono,))
-    [outcome] = _exact_outcomes(step, (sv._scaled, partners))
-    return outcome
+    [(p, post)] = _exact_outcomes(step, (sv._scaled, partners))
+    return F(*p), post
 
 
 class TestExactMonomial:
@@ -820,6 +821,9 @@ class TestMergedEngine:
         run = merged_run_exact(build_full_protocol(plan), plan.source)
         assert run.branches == 4
         assert run.success_probability == F(5, 6)
+        # the initial level, the T-transform's with its announcement and
+        # relabel, and the filter's
+        assert [span for _, span in run.levels] == [1, 3, 1]
         assert [F(nums[2], den) for nums, den in run.audit] == [
             F(1, 5), F(1, 6), F(1, 6), F(1, 6), F(1, 6)]
         assert [nums[2] / den for nums, den in run.audit] == [0.2] + [
