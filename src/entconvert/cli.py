@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     except InfeasibleConversionError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 2
-    except (eio.StateFileError, InvalidStateError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:   # the input errors are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 1
 

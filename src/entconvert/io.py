@@ -176,7 +176,13 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
         target = SchmidtVector.from_values(doc["target"], mode=mode, tol=tol)
         got, bp_doc = {}, doc.get("breakpoints")
         if bp_doc is not None:
-            got["boundaries"] = tuple(int(b) for b in bp_doc["boundaries"])
+            bounds = bp_doc["boundaries"]
+            if not (isinstance(bounds, list)
+                    and all(type(b) is int for b in bounds)):
+                raise StateFileError(
+                    "malformed plan document: breakpoints.boundaries must "
+                    "be an array of integers")
+            got["boundaries"] = tuple(bounds)
             got["ratios"] = scalars(bp_doc["ratios"])
             for key in ("intermediate", "success_squared", "failure_squared"):
                 got[key] = scalars(doc[key])

@@ -23,11 +23,11 @@ A's level order with the level of B each pairs with, and one move of a
 party's levels (_relabeled) serves measurements and relabels on either
 party.  Both samplers take one draw (_draws: trial t reads row t of one
 Philox uniform matrix keyed by the seed), split trials among outcomes by
-one rule (_sampled_outcomes: the first outcome whose running sum of
-float probabilities exceeds the trial's uniform) and summarize through
-one report (_report).  The amplitude-level sampler expands each history
-it reaches once per run, top-down.  The monotone audit profiles each
-distinct state object once.
+one rule (_split: the first outcome whose running sum of float
+probabilities exceeds the trial's uniform) and give one plain record,
+SimulationReport, of what they counted.  The amplitude-level sampler
+expands each history it reaches once per run, top-down.  The monotone
+audit profiles each distinct state object once.
 When success reads the last outcome alone, the merged exact engines
 walk (measurement, state) nodes instead of histories (_MergedWalk):
 each node is measured once per run, when first reached, and lists its
@@ -547,8 +547,12 @@ class MergedRun:
     @property
     def audit(self):
         """The levels' pairs, one per step boundary, made when read."""
-        return tuple(pair for pair, span in self.levels
-                     for _ in range(span))
+        return tuple(_boundaries(self.levels))
+
+
+def _boundaries(levels):
+    """Each level's pair, once per step boundary it spans."""
+    return (pair for pair, span in levels for _ in range(span))
 
 
 def merged_run_exact(protocol: LoccProtocol,
@@ -935,36 +939,33 @@ def build_full_protocol(plan: ConversionPlan) -> LoccProtocol:
 
 
 @dataclass(frozen=True)
-class SimulationReport(_Lazy):
-    """Outcome summary of a sampled protocol run, whose ``levels`` hold
-    the audit as MergedRun's levels.  The samplers set those alone (the
-    amplitude sampler's as floats over 1, a level per step boundary) and
-    leave ``monotone_audit`` to be made from them when first read; a
-    report made with its triples, step-major from k = 1, gets a level of
-    floats per step boundary."""
+class SimulationReport:
+    """Outcome summary of a sampled protocol run: ``successes`` of
+    ``trials``, the ``predicted`` probability and the ``seed`` it was
+    given, and ``levels``, the audit as MergedRun's levels (the amplitude
+    sampler's as floats over 1, a level per step boundary)."""
 
     trials: int
     successes: int
-    empirical_probability: float
-    std_error: float
     predicted: object
-    monotone_audit: tuple  # of (step, k, average) triples
     seed: int
+    levels: tuple
 
-    _lazy, _source = "monotone_audit", "levels"
+    @property
+    def empirical_probability(self):
+        return self.successes / self.trials
 
-    def __post_init__(self):
-        rows = {}
-        for step, _, x in self.monotone_audit:
-            rows.setdefault(step, []).append(x)
-        object.__setattr__(self, "levels", tuple(
-            ((tuple(row), 1), 1) for row in rows.values()))
+    @property
+    def std_error(self):
+        """sqrt(p(1-p)/trials), p the empirical probability."""
+        p = self.empirical_probability
+        return math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
 
-    def _derive(self):   # a level's boundaries share its floats
-        rows = [row for (nums, den), span in self.levels
-                for row in [[x / den for x in nums]] * span]
-        return tuple((step, k, x) for step, row in enumerate(rows)
-                     for k, x in enumerate(row, 1))
+    @property
+    def monotone_audit(self):
+        """(step, k, average) triples, step-major from k = 1."""
+        return tuple((step, k, x / den) for step, (nums, den) in enumerate(
+            _boundaries(self.levels)) for k, x in enumerate(nums, 1))
 
 
 _DRAW_BLOCK = 8192  # trials whose uniforms are drawn at once
@@ -983,32 +984,20 @@ def _draws(protocol, trials, seed):
         yield lo, rng.random((min(_DRAW_BLOCK, trials - lo), columns))
 
 
-def _report(trials, successes, predicted, seed, levels):
-    """The SimulationReport of both samplers, with the empirical
-    probability, its standard error sqrt(p(1-p)/trials) and ``levels``."""
-    empirical = successes / trials
-    report = object.__new__(SimulationReport)
-    report.__dict__.update(
-        trials=trials, successes=successes, empirical_probability=empirical,
-        std_error=math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials),
-        predicted=predicted, seed=seed, levels=tuple(levels))
-    return report
-
-
 def _sample_histories(protocol, initial, trials, seed):
     """{history: (trial count, trajectory)} for ``trials`` sampled trials
     from an amplitude state, ordered by the first trial that took each
     history; a trajectory holds a state per step boundary.
 
     Within each block of _draws, the rows are grouped per history and
-    split among its outcomes by _sampled_outcomes, the split of
-    merged_sample_exact.  One dict for the run maps each history reached
-    to its states since the measurement before it and the (probability,
-    post) pairs of the measurement after it (None once the protocol
-    ends).  A history is expanded once, when first reached from its
-    parent's post, and later blocks reuse it.  The distinct amplitude
-    matrices kept are counted: a history that would take them past
-    MAX_TREE_BYTES bytes raises ValueError instead.
+    split among its outcomes by _split, as merged_sample_exact splits
+    them.  One dict for the run maps each history reached to its states
+    since the measurement before it and the (probability, post) pairs of
+    the measurement after it (None once the protocol ends).  A history is
+    expanded once, when first reached from its parent's post, and later
+    blocks reuse it.  The distinct amplitude matrices kept are counted: a
+    history that would take them past MAX_TREE_BYTES bytes raises
+    ValueError instead.
     """
     import numpy as np
     stages = _stages(protocol.steps, initial)
@@ -1034,7 +1023,6 @@ def _sample_histories(protocol, initial, trials, seed):
     expand((), initial)
     first, counts = {}, {}
     for lo, uniforms in _draws(protocol, trials, seed):
-        split = _sampled_outcomes(uniforms)
         pending = [((), np.arange(len(uniforms)))]
         while pending:
             history, rows = pending.pop()
@@ -1047,7 +1035,7 @@ def _sample_histories(protocol, initial, trials, seed):
                     first[history] = t
                 counts[history] = counts.get(history, 0) + len(rows)
                 continue
-            for idx, part in split(rows, outcomes, len(history)):
+            for idx, part in _split(uniforms, rows, outcomes, len(history)):
                 pending.append((history + (idx,), part))
     return {history: (counts[history],
                       [state for cut in range(len(history) + 1)
@@ -1087,7 +1075,7 @@ def monte_carlo_run(protocol: LoccProtocol, initial: BipartiteState,
     # one level per step boundary
     ks = range(1, min(initial.n_a, initial.n_b) + 1)
     table = audit_trajectories(list(histories.values()), ks, check=False)
-    return _report(trials, successes, predicted, seed, (
+    return SimulationReport(trials, successes, predicted, seed, tuple(
         ((tuple(float(averages[s]) for averages in table), 1), 1)
         for s in range(len(protocol.steps) + 1)))
 
@@ -1102,7 +1090,7 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     initial vector.  Trials take monte_carlo_run's draw: trial t consumes
     row t of the Philox uniform matrix keyed by ``seed``, its column d at
     the measurement after d outcomes, where monte_carlo_run's split
-    (_sampled_outcomes) picks its outcome.  The levels run once per block
+    (_split) picks its outcome.  The levels run once per block
     of the draw, which bounds the uniforms held, and each level groups
     the block's rows by the state they reach instead of by history; each
     (measurement, state) is measured once per run, and its rows split
@@ -1121,15 +1109,14 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     nodes, wins, final = walk.nodes, walk.wins, walk.final
     counts, successes = [{} for _ in walk.stages], 0
     for _, uniforms in _draws(protocol, trials, seed):
-        split = _sampled_outcomes(uniforms)
         levels = [{walk.root: np.arange(len(uniforms))}]
         for g in range(1, final + 1):
             grown = {}
             for state, rows in levels[-1].items():
                 node = nodes.get((g, state)) or walk.measure(g, state)
-                for pos, part in ([(0, rows)] if len(node) == 1 else split(
-                        rows, [(a / b, post) for _, (a, b), _, post in node],
-                        g - 1)):
+                for pos, part in ([(0, rows)] if len(node) == 1 else _split(
+                        uniforms, rows, [(a / b, post) for _, (a, b), _, post
+                                         in node], g - 1)):
                     idx, _, _, reached = node[pos]
                     if g == final and idx == wins:
                         successes += len(part)
@@ -1143,32 +1130,28 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
         [[(state[0], Fraction(count, trials))
           for state, count in tally.items()] for tally in counts],
         walk.starts, check=False)
-    return _report(trials, trials if wins is None else successes, predicted,
-                   seed, zip(averages, walk.spans))
+    return SimulationReport(trials, trials if wins is None else successes,
+                            predicted, seed, tuple(zip(averages, walk.spans)))
 
 
-def _sampled_outcomes(uniforms):
-    """The one sampling split, of both samplers: ``split(rows, outcomes,
-    depth)`` yields (outcome index, rows) for an array of a block's rows,
-    given the (probability, post) pairs of the measurement after
-    ``depth`` outcomes.  A row picks the first outcome whose running sum
-    of float probabilities exceeds its uniform in column ``depth``, the
-    last if none does, and takes the nearest unpruned outcome (post not
-    None) at or below its pick, or if there is none the first above it;
-    so an outcome may be yielded twice, and a pruned one never is."""
+def _split(uniforms, rows, outcomes, depth):
+    """The one sampling split, of both samplers: yields (outcome index,
+    rows) for an array of rows of a draw block whose uniforms are
+    ``uniforms``, given the (probability, post) pairs of the measurement
+    after ``depth`` outcomes.  A row picks the first outcome whose running
+    sum of float probabilities exceeds its uniform in column ``depth``,
+    the last if none does, and takes the nearest unpruned outcome (post
+    not None) at or below its pick, or if there is none the first above
+    it; so an outcome may be yielded twice, and a pruned one never is."""
     import numpy as np
-
-    def split(rows, outcomes, depth):
-        sums = np.array([float(p) for p, _ in outcomes]).cumsum()
-        sums[-1] = np.inf   # the last outcome if no sum exceeds u
-        picks = np.searchsorted(sums, uniforms[rows, depth], side="right")
-        for idx in range(len(outcomes)):
-            part = rows[picks == idx]
-            if len(part):
-                took = idx
-                while outcomes[took][1] is None:
-                    # down from the pick, then up from it once 0 is passed
-                    took = took - 1 if 0 < took <= idx else max(took, idx) + 1
-                yield took, part
-    return split
-
+    sums = np.array([float(p) for p, _ in outcomes]).cumsum()
+    sums[-1] = np.inf   # the last outcome if no sum exceeds u
+    picks = np.searchsorted(sums, uniforms[rows, depth], side="right")
+    for idx in range(len(outcomes)):
+        part = rows[picks == idx]
+        if len(part):
+            took = idx
+            while outcomes[took][1] is None:
+                # down from the pick, then up from it once 0 is passed
+                took = took - 1 if 0 < took <= idx else max(took, idx) + 1
+            yield took, part

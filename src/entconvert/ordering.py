@@ -70,47 +70,31 @@ def find_cycle(states):
     """Directed cycle in the strictly-less-entangled relation, if any.
 
     An edge a -> b exists when b converts to a with strictly higher
-    probability than a converts to b.  Returns the cycle as a list of
-    indices with the first repeated at the end (e.g. [0, 1, 2, 0]), or
-    None when the relation is acyclic.
+    probability than a converts to b (compare's SECOND_GREATER); each
+    ordered pair's probability is computed once.  Returns the cycle as a
+    list of indices with the first repeated at the end (e.g. [0, 1, 2,
+    0]), or None when the relation is acyclic.  graphlib searches the
+    graph, depth first without recursion, from the lowest index not yet
+    seen and along each state's edges in index order, and returns the
+    first cycle it closes.
     """
+    from graphlib import CycleError, TopologicalSorter
     states = [_lifted(s) for s in states]   # the verdicts read these alone
     if len(states) < 3:
         raise ValueError("cycle search needs at least 3 states")
     m = len(states)
-    edges = {a: [] for a in range(m)}
-    for a in range(m):
-        for b in range(m):
-            if a != b and compare(states[a],
-                                  states[b]).verdict == SECOND_GREATER:
-                edges[a].append(b)
-    color = [0] * m  # 0 unseen, 1 on stack, 2 done
-    parent = [None] * m
-
-    def visit(v):
-        color[v] = 1
-        for w in edges[v]:
-            if color[w] == 1:
-                cycle = [w, v]
-                node = v
-                while node != w:
-                    node = parent[node]
-                    cycle.append(node)
-                cycle.reverse()  # now starts and ends at w
-                return cycle
-            if color[w] == 0:
-                parent[w] = v
-                found = visit(w)
-                if found is not None:
-                    return found
-        color[v] = 2
-        return None
-
-    for start in range(m):
-        if color[start] == 0:
-            found = visit(start)
-            if found is not None:
-                return found
+    p = {(a, b): optimal_probability(states[a], states[b])
+         for a in range(m) for b in range(m) if a != b}
+    graph = TopologicalSorter()
+    for a in range(m):   # first: the search starts from nodes in this order
+        graph.add(a)
+    for a, b in p:
+        if p[a, b] < p[b, a]:
+            graph.add(b, a)
+    try:
+        graph.prepare()
+    except CycleError as err:
+        return err.args[1]
     return None
 
 

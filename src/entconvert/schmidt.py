@@ -236,7 +236,8 @@ class BipartiteState:
         arr = np.array(self.amplitudes, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidStateError("amplitudes must form a 2-d matrix")
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):   # a norm past the float range: inf
+            norm = float(np.linalg.norm(arr))
         if not abs(norm - 1.0) <= DEFAULT_TOL:   # a NaN norm fails too
             raise InvalidStateError(f"state norm {norm} deviates from 1")
         arr.setflags(write=False)

@@ -1,15 +1,19 @@
 """State documents, plan round-trips, report serialization."""
 
+import copy
 import dataclasses
+import io
 import json
 import math
 import sys
 from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entconvert import SchmidtVector, breakpoints, build_plan, \
@@ -204,6 +208,21 @@ class TestPlanRoundTrip:
         tamper(doc)
         with pytest.raises(StateFileError):
             plan_from_dict(doc)
+
+    @pytest.mark.parametrize("boundaries", [
+        "x", 4, {"4": 2}, [4, 2, 1, 1.5], [4, None, 1], [4, 2, True],
+        ["4", 2, 1]])
+    def test_boundaries_must_be_an_array_of_integers(self, tmp_path, capsys,
+                                                     boundaries):
+        # the last two would pass as the plan's own [4, 2, 1] through int()
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        doc["breakpoints"]["boundaries"] = boundaries
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed plan document: breakpoints.boundaries must be "
+            "an array of integers\n")
 
     @pytest.mark.parametrize("spell", [
         lambda v: v,
@@ -431,7 +450,7 @@ class TestReportSerialization:
             for s, k, v in report.monotone_audit])
         assert dumps(doc) == json.dumps(plain, indent=2,
                                         sort_keys=True) + "\n"
-        # a report made through the constructor, with its triples, alike
+        # a report copied through the constructor, from its fields, alike
         made = dataclasses.replace(report)
         assert dumps(report_to_dict(made)) == dumps(doc)
 
@@ -471,3 +490,106 @@ class TestReportSerialization:
                 dumps(doc)
         else:
             assert dumps(doc) == want
+
+
+# A place in a document that _hostile_text fills with nested empty arrays
+_DEEP = "\x00deep"
+_HOSTILE_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.integers(-10 ** 300, 10 ** 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["0", "-1", "1/2", "0.5", "1/0", "2/-3", "1e300",
+                     "1e-300", "1.8e308", "5e-324", "-1e-999", "1e999",
+                     "1e4301", "0x10", " 1 ", "1/2/3"]),
+    st.just(_DEEP))
+_HOSTILE_VALUES = st.recursive(
+    _HOSTILE_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+_STATE_DOCS = (
+    {"label": "s", "schmidt_sq": ["1/2", "1/3", "1/6"]},
+    {"schmidt_sq": [0.5, 0.25, 0.25]},
+    {"schmidt_sq": [1]},
+    {"amplitudes": [[[0.6, 0], [0, 0]], [[0, 0], [0, 0.8]]]},
+)
+_PLAN_DOCS = tuple(plan_to_dict(build_plan(a, b)) for a, b in (
+    (ALPHA3, BETA3),
+    (SchmidtVector((0.5, 0.3, 0.2)), SchmidtVector((0.4, 0.4, 0.2))),
+    (SchmidtVector((F(1, 2), F(1, 2))), SchmidtVector((F(1, 3),) * 3))))
+
+
+def _places(doc, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key in (doc if isinstance(doc, dict) else range(len(doc))):
+            yield from _places(doc[key], path + (key,))
+
+
+@st.composite
+def _hostile_text(draw, docs):
+    """The text of a valid document with one value replaced by a JSON
+    value of any type, or a key dropped, at any depth."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    path = draw(st.sampled_from([*_places(doc)]))
+    value = draw(_HOSTILE_VALUES)
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    depth = draw(st.sampled_from([1, 40, 5000, 100_000]))
+    return json.dumps(doc).replace(json.dumps(_DEEP),
+                                   "[" * depth + "]" * depth)
+
+
+class TestHostileDocuments:
+    """Every state or plan document, run through every subcommand that
+    reads it in both numeric modes, ends in exit 0, 1 or 2 with no
+    traceback and no advice to call a Python function."""
+
+    OK = {"schmidt_sq": ["2/5", "2/5", "1/5"]}
+
+    @staticmethod
+    def _assert_ends_plainly(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        errors = err.getvalue()
+        assert code in (0, 1, 2), (argv, errors)
+        assert "Traceback" not in errors
+        assert "()" not in errors and "sys." not in errors, errors
+
+    @settings(max_examples=60, deadline=timedelta(seconds=2),
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_hostile_text(_STATE_DOCS), st.booleans())
+    # finite amplitudes whose norm overflows printed a numpy warning
+    @example('{"amplitudes": [[[1e300, 0]], [[1e300, 0]]]}', False)
+    def test_state_documents(self, tmp_path, text, as_second):
+        doc, ok = tmp_path / "doc.json", tmp_path / "ok.json"
+        doc.write_text(text, encoding="utf-8")
+        ok.write_text(json.dumps(self.OK))
+        pair = [str(ok), str(doc)] if as_second else [str(doc), str(ok)]
+        for mode in ("rational", "float"):
+            for argv in (["prob", *pair], ["plan", *pair],
+                         ["simulate", *pair, "--trials", "50"],
+                         ["compare", *pair], ["tensor", *pair],
+                         ["monotones", str(doc)]):
+                self._assert_ends_plainly([*argv, "--mode", mode])
+
+    @settings(max_examples=60, deadline=timedelta(seconds=2),
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_hostile_text(_PLAN_DOCS))
+    def test_plan_documents(self, tmp_path, text):
+        doc = tmp_path / "plan.json"
+        doc.write_text(text, encoding="utf-8")
+        for mode in ("rational", "float"):
+            for run in (["--trials", "50"], ["--exhaustive"]):
+                self._assert_ends_plainly(
+                    ["simulate", "--plan", str(doc), *run, "--mode", mode])

@@ -860,16 +860,11 @@ class TestMergedEngine:
         node measured with more than one outcome, which the exhaustive
         run splits, and of each sampled split of a draw block's rows."""
         nodes, sampled = [], []
-        real_sampled, real_measure = (locc._sampled_outcomes,
-                                      locc._MergedWalk.measure)
+        real_split, real_measure = locc._split, locc._MergedWalk.measure
 
-        def sampled_outcomes(uniforms):
-            split = real_sampled(uniforms)
-
-            def counted(rows, outcomes, depth):
-                sampled.append(depth)
-                return split(rows, outcomes, depth)
-            return counted
+        def split(uniforms, rows, outcomes, depth):
+            sampled.append(depth)
+            return real_split(uniforms, rows, outcomes, depth)
 
         def measure(walk, g, state):
             outcomes = real_measure(walk, g, state)
@@ -877,7 +872,7 @@ class TestMergedEngine:
                 nodes.append(g - 1)   # outcomes before this measurement
             return outcomes
 
-        monkeypatch.setattr(locc, "_sampled_outcomes", sampled_outcomes)
+        monkeypatch.setattr(locc, "_split", split)
         monkeypatch.setattr(locc._MergedWalk, "measure", measure)
         return nodes, sampled
 
@@ -1213,18 +1208,17 @@ def _reference_monte_carlo(protocol, initial, trials, seed):
     predicate = protocol.success_predicate
     successes = sum(c for h, c in counts.items()
                     if predicate is None or predicate(h))
-    empirical = successes / trials
-    audit = []
+    levels = []
     for s in range(len(protocol.steps) + 1):
+        row = []
         for k in range(1, min(initial.n_a, initial.n_b) + 1):
             avg = sum(c * entanglement_monotone(
                 schmidt_decompose(paths[h][s]), k)
                 for h, c in counts.items()) / trials
-            audit.append((s, k, float(avg)))
-    return SimulationReport(
-        trials=trials, successes=successes, empirical_probability=empirical,
-        std_error=math.sqrt(max(empirical * (1.0 - empirical), 0.0) / trials),
-        predicted=None, monotone_audit=tuple(audit), seed=seed)
+            row.append(float(avg))
+        levels.append(((tuple(row), 1), 1))   # floats over 1, per boundary
+    return SimulationReport(trials=trials, successes=successes,
+                            predicted=None, seed=seed, levels=tuple(levels))
 
 
 def _assert_same_report(report, reference):
@@ -1269,9 +1263,8 @@ class TestSamplerOracle:
         # a pick of pruned outcome 2 falls back to 0, yielded again
         outcomes = [(0.5, "a"), (0.0, None), (0.3, None), (0.2, "d")]
         uniforms = np.array([[0.1], [0.6], [0.9], [0.99], [0.3]])
-        split = locc._sampled_outcomes(uniforms)
         parts = [(idx, rows.tolist()) for idx, rows in
-                 split(np.arange(5), outcomes, 0)]
+                 locc._split(uniforms, np.arange(5), outcomes, 0)]
         assert parts == [(0, [0, 4]), (0, [1]), (3, [2, 3])]
 
     def test_split_never_yields_a_negative_or_pruned_outcome(self):
@@ -1279,9 +1272,8 @@ class TestSamplerOracle:
         # outcome below it: the first unpruned outcome above it takes the
         # row, not index -1 (the last outcome under a second index)
         outcomes = [(1e-13, None), (1 - 1e-13, "b")]
-        split = locc._sampled_outcomes(np.array([[0.0], [0.5]]))
-        parts = [(idx, rows.tolist()) for idx, rows in
-                 split(np.arange(2), outcomes, 0)]
+        parts = [(idx, rows.tolist()) for idx, rows in locc._split(
+            np.array([[0.0], [0.5]]), np.arange(2), outcomes, 0)]
         assert parts == [(1, [0]), (1, [1])]
 
     def test_trials_cross_the_draw_block(self):

@@ -1,5 +1,6 @@
 """Pairwise comparison verdicts, intransitive cycles, non-additivity."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,55 @@ import pytest
 from entconvert import (BOTH_UNIT, EQUAL, FIRST_GREATER, INTRANSITIVE_TRIPLE,
                         SECOND_GREATER, SUPERMULTIPLICATIVE_PAIR,
                         SchmidtVector, compare, find_cycle,
-                        nonadditivity_search, optimal_probability)
+                        nonadditivity_search, optimal_probability,
+                        ordering)
 from util import rand_rational_schmidt
 
 F = Fraction
+
+
+def _recursive_find_cycle(states):
+    """find_cycle as a recursive depth-first search over compare's
+    verdicts, from the lowest unseen index and along each state's edges
+    in index order: the reference the library's search must agree with."""
+    m = len(states)
+    edges = [[b for b in range(m) if a != b and compare(
+        states[a], states[b]).verdict == SECOND_GREATER] for a in range(m)]
+    color = [0] * m  # 0 unseen, 1 on stack, 2 done
+    parent = [None] * m
+
+    def visit(v):
+        color[v] = 1
+        for w in edges[v]:
+            if color[w] == 1:
+                cycle = [w, v]
+                node = v
+                while node != w:
+                    node = parent[node]
+                    cycle.append(node)
+                cycle.reverse()  # now starts and ends at w
+                return cycle
+            if color[w] == 0:
+                parent[w] = v
+                found = visit(w)
+                if found is not None:
+                    return found
+        color[v] = 2
+        return None
+
+    for start in range(m):
+        if color[start] == 0:
+            found = visit(start)
+            if found is not None:
+                return found
+    return None
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestCompare:
@@ -80,6 +126,40 @@ class TestIntransitiveTriple:
                  SchmidtVector((F(7, 10), F(3, 10))),
                  SchmidtVector((F(1, 2), F(1, 2))))
         assert find_cycle(chain) is None
+
+    def test_find_cycle_computes_each_ordered_pair_once(self, monkeypatch):
+        calls = []
+
+        def counted(first, second):
+            calls.append((first, second))
+            return optimal_probability(first, second)
+
+        monkeypatch.setattr(ordering, "optimal_probability", counted)
+        assert find_cycle(INTRANSITIVE_TRIPLE) == [0, 1, 2, 0]
+        assert len(calls) == len(set(calls)) == 3 * 2
+
+    def test_find_cycle_walks_a_long_chain_without_recursing(self):
+        # alpha_min increasing: every state converts to each later one less
+        # readily than back, so the search walks one path through all 150
+        chain = [SchmidtVector((1 - F(i, 400), F(i, 400)))
+                 for i in range(1, 151)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            assert find_cycle(chain) is None
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_find_cycle_agrees_with_the_recursive_search(self):
+        # the triple at random positions among random 3- and 4-level
+        # states, which may close cycles of their own first
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            states = [rand_rational_schmidt(rng, int(rng.integers(3, 5)))
+                      for _ in range(int(rng.integers(0, 5)))]
+            for state in INTRANSITIVE_TRIPLE:
+                states.insert(int(rng.integers(0, len(states) + 1)), state)
+            assert find_cycle(states) == _recursive_find_cycle(states)
 
     def test_find_cycle_needs_three_states(self):
         with pytest.raises(ValueError):
