@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: prob, plan, simulate, monotones, compare, tensor, demo.
-Machine-readable JSON goes to stdout (demos print aligned text tables);
---out writes the same document to a file.  Exit codes: 0 success,
-1 invalid input, 2 infeasible request.
+Each handler returns its JSON document (a demo's its text table), and
+main renders it to stdout and, with --out, to a file as well.  Exit
+codes: 0 success, 1 invalid input, 2 infeasible request.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ def _tolerance(text):
     return value
 
 
-def _common_flags(parser):
+def _common_flags(parser, handler):
+    parser.set_defaults(handler=handler)   # the cmd_* function main calls
     parser.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL,
                         help="numeric mode for parsing inputs "
                              "(default: rational, exact where possible)")
@@ -66,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prob", help="optimal conversion probability")
     p.add_argument("source")
     p.add_argument("target")
-    _common_flags(p)
+    _common_flags(p, cmd_prob)
 
     p = sub.add_parser("plan", help="full conversion plan as JSON")
     p.add_argument("source")
     p.add_argument("target")
-    _common_flags(p)
+    _common_flags(p, cmd_plan)
 
     p = sub.add_parser("simulate", help="run the optimal protocol")
     p.add_argument("source", nargs="?")
@@ -90,35 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-fallback", action="store_true",
                    help="accepted for compatibility; no effect, since "
                         "--exhaustive is never capped")
-    _common_flags(p)
+    _common_flags(p, cmd_simulate)
 
     p = sub.add_parser("monotones", help="monotone profile and entropy")
     p.add_argument("state")
-    _common_flags(p)
+    _common_flags(p, cmd_monotones)
 
     p = sub.add_parser("compare", help="two-way conversion comparison")
     p.add_argument("first")
     p.add_argument("second")
-    _common_flags(p)
+    _common_flags(p, cmd_compare)
 
     p = sub.add_parser("tensor", help="joint many-copy conversion probability")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--copies", type=int, default=2)
-    _common_flags(p)
+    _common_flags(p, cmd_tensor)
 
     p = sub.add_parser("demo", help="built-in worked examples")
     p.add_argument("name", choices=DEMO_NAMES)
-    _common_flags(p)
+    _common_flags(p, cmd_demo)
 
     return parser
-
-
-def _emit(text: str, args) -> None:
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _load(path, args) -> eio.LoadedState:
@@ -131,13 +125,13 @@ def _prob_pair(value):
     return scalar_to_json(value), round12(float(value))
 
 
-def cmd_prob(args) -> int:
+def cmd_prob(args) -> dict:
     alpha = _load(args.source, args).schmidt
     beta = _load(args.target, args).schmidt
     p, minimizer = optimal_probability_detail(alpha, beta)
     exact, decimal = _prob_pair(p)
     feasible = decimal > 0.0
-    doc = {
+    return {
         "probability": exact,
         "probability_decimal": decimal,
         "minimizer": minimizer,
@@ -147,16 +141,12 @@ def cmd_prob(args) -> int:
         "source_monotones": values_to_json(monotone_profile(alpha)),
         "target_monotones": values_to_json(monotone_profile(beta)),
     }
-    _emit(eio.dumps(doc), args)
-    return 0
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> dict:
     alpha = _load(args.source, args).schmidt
     beta = _load(args.target, args).schmidt
-    plan = build_plan(alpha, beta)
-    _emit(eio.dumps(eio.plan_to_dict(plan)), args)
-    return 0
+    return eio.plan_to_dict(build_plan(alpha, beta))
 
 
 def _resolve_plan(args):
@@ -172,7 +162,7 @@ def _resolve_plan(args):
     return build_plan(alpha, beta)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     # the protocol engine loads only for the one command that runs it
     from .locc import (build_full_protocol, merged_run_exact,
                        merged_sample_exact)
@@ -196,46 +186,39 @@ def cmd_simulate(args) -> int:
         run = merged_run_exact(protocol, initial)
         exact, decimal = _prob_pair(_typed(run.success_probability,
                                            plan.source))
-        doc = {"mode": "exhaustive", "branches": run.branches,
-               "success_probability": exact,
-               "success_probability_decimal": decimal,
-               "predicted": scalar_to_json(plan.probability),
-               "audit": eio.Audit(run.levels, False)}
-    else:
-        doc = {"mode": "monte_carlo", **eio.report_to_dict(
-            merged_sample_exact(protocol, initial, args.trials, args.seed,
-                                predicted=plan.probability))}
-    _emit(eio.dumps(doc), args)
-    return 0
+        return {"mode": "exhaustive", "branches": run.branches,
+                "success_probability": exact,
+                "success_probability_decimal": decimal,
+                "predicted": scalar_to_json(plan.probability),
+                "audit": eio.Audit(run.levels, False)}
+    return {"mode": "monte_carlo", **eio.report_to_dict(
+        merged_sample_exact(protocol, initial, args.trials, args.seed,
+                            predicted=plan.probability))}
 
 
-def cmd_monotones(args) -> int:
+def cmd_monotones(args) -> dict:
     loaded = _load(args.state, args)
-    doc = {
+    return {
         "label": loaded.label,
         "n": loaded.schmidt.n,
         "schmidt_sq": values_to_json(loaded.schmidt),
         "monotones": values_to_json(monotone_profile(loaded.schmidt)),
         "entropy_bits": round12(entropy_of_entanglement(loaded.schmidt)),
     }
-    _emit(eio.dumps(doc), args)
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict:
     first = _load(args.first, args).schmidt
     second = _load(args.second, args).schmidt
     result = compare(first, second)
-    doc = {
+    return {
         "p_forward": scalar_to_json(result.p_forward),
         "p_backward": scalar_to_json(result.p_backward),
         "verdict": result.verdict,
     }
-    _emit(eio.dumps(doc), args)
-    return 0
 
 
-def cmd_tensor(args) -> int:
+def cmd_tensor(args) -> dict:
     alpha = _load(args.source, args).schmidt
     beta = _load(args.target, args).schmidt
     if args.copies < 1:
@@ -246,15 +229,13 @@ def cmd_tensor(args) -> int:
     pn = tensor_conversion_probability(a, b, args.copies)
     power = p1 ** args.copies
     shown = [scalar_to_json(_typed(p, alpha, beta)) for p in (p1, power, pn)]
-    doc = {
+    return {
         "copies": args.copies,
         "single_copy": shown[0],
         "single_copy_power": shown[1],
         "joint": shown[2],
         "joint_beats_power": pn > power,
     }
-    _emit(eio.dumps(doc), args)
-    return 0
 
 
 def _fmt_prob(p) -> str:
@@ -351,26 +332,15 @@ def _demo_multi_copy() -> str:
     return "\n".join(lines)
 
 
-def cmd_demo(args) -> int:
-    text = {
+def cmd_demo(args) -> str:
+    return {
         "paper-cycle": _demo_cycle,
         "non-additivity": _demo_nonadditivity,
         "lo-popescu": _demo_lo_popescu,
         "multi-copy": _demo_multi_copy,
     }[args.name]()
-    _emit(text, args)
-    return 0
 
 
-_HANDLERS = {
-    "prob": cmd_prob,
-    "plan": cmd_plan,
-    "simulate": cmd_simulate,
-    "monotones": cmd_monotones,
-    "compare": cmd_compare,
-    "tensor": cmd_tensor,
-    "demo": cmd_demo,
-}
 _PARSER = build_parser()   # parse_args leaves it unchanged, so build once
 _COMMANDS = next(action.choices for action in _PARSER._actions
                  if isinstance(action, argparse._SubParsersAction))
@@ -397,13 +367,19 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return _HANDLERS[args.command](args)
+        doc = args.handler(args)
+        text = doc if isinstance(doc, str) else eio.dumps(doc)
+        sys.stdout.write(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except InfeasibleConversionError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:   # the input errors are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .numeric import _Scaled
-from .schmidt import (InvalidStateError, SchmidtVector, _head, _lifted,
-                      _typed, majorizes, tensor_power)
+from .schmidt import (InvalidStateError, SchmidtVector, _check_sum, _head,
+                      _lifted, _typed, majorizes, tensor_power)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -218,9 +218,7 @@ def intermediate_state(bp: Breakpoints, beta: SchmidtVector) -> SchmidtVector:
                 f"intermediate state out of order at position {hi}: "
                 f"{Fraction(gamma[hi - 1], total)} < "
                 f"{Fraction(gamma[hi], total)}")
-    if sum(gamma) != total:
-        raise InvalidStateError(
-            f"exact entries sum to {Fraction(sum(gamma), total)}, not 1")
+    _check_sum(gamma, total)
     return SchmidtVector._of(gamma, total)
 
 

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING
 
 from .conversion import (ConversionPlan, ExactMonomial,
                          InfeasibleConversionError, ProtocolError)
-from .monotones import _tails, entanglement_monotone
+from .monotones import entanglement_monotone, monotone_profile
 from .numeric import DEFAULT_TOL, _Lazy
 from .schmidt import (BipartiteState, SchmidtVector, majorizes,
                       schmidt_decompose)
@@ -713,7 +713,7 @@ def _merged_audit(levels, starts, check=True):
 
 def _state_monotones(state, ks):
     sv = state if isinstance(state, SchmidtVector) else schmidt_decompose(state)
-    tails = _tails(sv)
+    tails = monotone_profile(sv).values
     # entanglement_monotone raises the ValueError for a k outside 1..n
     return [tails[k - 1] if isinstance(k, int) and 1 <= k <= sv.n
             else entanglement_monotone(sv, k) for k in ks]
@@ -1090,13 +1090,13 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     initial vector.  Trials take monte_carlo_run's draw: trial t consumes
     row t of the Philox uniform matrix keyed by ``seed``, its column d at
     the measurement after d outcomes, where monte_carlo_run's split
-    (_split) picks its outcome.  The levels run once per block
-    of the draw, which bounds the uniforms held, and each level groups
-    the block's rows by the state they reach instead of by history; each
-    (measurement, state) is measured once per run, and its rows split
-    only where outcomes part.  The audit averages over the trials
-    exactly, as merged_run_exact's levels; sampled averages may rise, so
-    it is not checked for increases.
+    (_split) picks its outcome.  The levels run once per block of the
+    draw, which bounds the uniforms held, keeping only the current
+    level's rows, grouped by the state they reach instead of by history,
+    and adding each part's count to its level's tally as the walk reaches
+    it.  Each (measurement, state) is measured once per run, and its rows
+    split only where outcomes part.  The audit averages over the trials
+    exactly; sampled averages may rise, so it is not checked for them.
 
     Returns the SimulationReport monte_carlo_run gives.  Refuses an audit
     past MAX_AUDIT_CELLS cells as merged_run_exact does.
@@ -1107,12 +1107,12 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
     import numpy as np
     walk = _MergedWalk(protocol, initial)
     nodes, wins, final = walk.nodes, walk.wins, walk.final
-    counts, successes = [{} for _ in walk.stages], 0
+    counts, successes = [{walk.root: trials}] + [{} for _ in range(final)], 0
     for _, uniforms in _draws(protocol, trials, seed):
-        levels = [{walk.root: np.arange(len(uniforms))}]
-        for g in range(1, final + 1):
+        level = {walk.root: np.arange(len(uniforms))}
+        for g, tally in enumerate(counts[1:], 1):
             grown = {}
-            for state, rows in levels[-1].items():
+            for state, rows in level.items():
                 node = nodes.get((g, state)) or walk.measure(g, state)
                 for pos, part in ([(0, rows)] if len(node) == 1 else _split(
                         uniforms, rows, [(a / b, post) for _, (a, b), _, post
@@ -1120,12 +1120,10 @@ def merged_sample_exact(protocol: LoccProtocol, initial: SchmidtVector,
                     idx, _, _, reached = node[pos]
                     if g == final and idx == wins:
                         successes += len(part)
+                    tally[reached] = tally.get(reached, 0) + len(part)
                     grown[reached] = (np.concatenate((grown[reached], part))
                                       if reached in grown else part)
-            levels.append(grown)
-        for tally, level in zip(counts, levels):
-            for state, rows in level.items():
-                tally[state] = tally.get(state, 0) + len(rows)
+            level = grown
     averages = _merged_audit(
         [[(state[0], Fraction(count, trials))
           for state, count in tally.items()] for tally in counts],

@@ -42,29 +42,21 @@ def entanglement_monotone(sv: SchmidtVector, k: int):
     return min(max(float(tail), 0.0), 1.0)
 
 
-def _tails(sv: SchmidtVector) -> list:
-    """[E_1, ..., E_n] of a state, each equal to entanglement_monotone's.
-
-    A float vector's tails are summed anew, left to right, and clamped as
-    there: a running float sum rounds differently, which would change the
-    amplitude-level audit (pinned by TestSamplerOracle) in its last bits.
-    """
-    if sv.is_exact:
-        return list(monotone_profile(sv).values)
-    probs = sv.probs
-    return [min(max(t, 0.0), 1.0) if isinstance(t, float) else t
-            for t in (sum(probs[k:]) for k in range(len(probs)))]
-
-
 def monotone_profile(sv: SchmidtVector) -> "MonotoneVector":
     """All n monotones of a state, from normalization down to the smallest tail.
 
     An exact vector's are the suffix sums of its integer numerators over
-    D, in one pass, with Fractions made only if ``values`` is read; a
-    float vector's are summed one by one, as entanglement_monotone does.
+    D, in one pass, with Fractions made only if ``values`` is read.  A
+    float vector's are each summed anew, left to right, and clamped to
+    [0, 1], as entanglement_monotone does: a running float sum rounds
+    differently, which would change the amplitude-level audit (pinned by
+    TestSamplerOracle) in its last bits.
     """
     if not sv.is_exact:
-        return MonotoneVector(tuple(_tails(sv)))
+        probs = sv.probs
+        return MonotoneVector(tuple([
+            min(max(t, 0.0), 1.0) if isinstance(t, float) else t
+            for t in (sum(probs[k:]) for k in range(len(probs)))]))
     nums, den = sv._scaled
     tails = tuple([*itertools.accumulate(reversed(nums))][::-1])
     # checked on the integers; if they fail, the Fraction check names it

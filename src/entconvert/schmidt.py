@@ -46,6 +46,32 @@ class InvalidStateError(ValueError):
     """A state object violates one of its structural invariants."""
 
 
+def _shown(value) -> str:
+    """str(value) for a refusal, but an integer in it past Python's limit
+    on digits (4,300 by default), whose text str refuses, as [N-digit
+    integer]."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = value.as_integer_ratio()
+        if den > 1:
+            return f"{_shown(num)}/{_shown(den)}"
+        low = int(abs(num).bit_length() * math.log10(2)) - 1   # < its digits
+        digits = low + len(str(abs(num) // 10 ** low))
+        return f"{'-' * (num < 0)}[{digits}-digit integer]"
+
+
+def _negative(value) -> InvalidStateError:
+    return InvalidStateError(f"negative squared coefficient {_shown(value)}")
+
+
+def _check_sum(nums, den):
+    """Refuse exact entries nums[i] / den that do not sum to 1."""
+    if sum(nums) != den:
+        raise InvalidStateError(
+            f"exact entries sum to {_shown(Fraction(sum(nums), den))}, not 1")
+
+
 @dataclass(frozen=True)
 class SchmidtVector(_Scaled):
     """Squared Schmidt coefficients, sorted non-increasing, summing to 1.
@@ -75,8 +101,7 @@ class SchmidtVector(_Scaled):
             den = math.lcm(*[p.denominator for p in probs])
             keys = tuple([p.numerator * (den // p.denominator) for p in probs])
             if min(keys) < 0:
-                bad = next(p for p, x in zip(probs, keys) if x < 0)
-                raise InvalidStateError(f"negative squared coefficient {bad}")
+                raise _negative(next(p for p in probs if p < 0))
             # not a field, so __eq__, __hash__ and repr still see probs alone
             object.__setattr__(self, "_scaled", (keys, den))
             slack = 0
@@ -85,8 +110,7 @@ class SchmidtVector(_Scaled):
             for p in probs:   # a float skips Fraction's costly ABC check
                 if not isinstance(p, float) and isinstance(p, Fraction):
                     if p < 0:
-                        raise InvalidStateError(
-                            f"negative squared coefficient {p}")
+                        raise _negative(p)
                     cleaned.append(p)
                 else:
                     p = float(p)
@@ -94,8 +118,7 @@ class SchmidtVector(_Scaled):
                         raise InvalidStateError(
                             f"non-finite squared coefficient {p}")
                     if p < -DEFAULT_TOL:
-                        raise InvalidStateError(
-                            f"negative squared coefficient {p}")
+                        raise _negative(p)
                     cleaned.append(max(p, 0.0))
             probs = tuple(cleaned)
             keys, slack = [float(p) for p in probs], DEFAULT_TOL
@@ -104,10 +127,9 @@ class SchmidtVector(_Scaled):
                 raise InvalidStateError(
                     f"entries not sorted non-increasing: {probs[i]} < "
                     f"{probs[i + 1]}")
-        if exact and sum(keys) != den:
-            raise InvalidStateError(
-                f"exact entries sum to {Fraction(sum(keys), den)}, not 1")
-        if not exact and abs(float(sum(probs)) - 1.0) > DEFAULT_TOL:
+        if exact:
+            _check_sum(keys, den)
+        elif abs(float(sum(probs)) - 1.0) > DEFAULT_TOL:
             raise InvalidStateError(f"entries sum to {float(sum(probs))}, not 1")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_exact", exact)
@@ -159,8 +181,7 @@ class SchmidtVector(_Scaled):
         nums = sorted(map(operator.mul, tops, map(den.__floordiv__, bottoms)),
                       reverse=True)
         if nums[-1] < 0:   # the first negative entry given is named
-            bad = next(Fraction(p, q) for p, q in given if p < 0)
-            raise InvalidStateError(f"negative squared coefficient {bad}")
+            raise _negative(next(Fraction(p, q) for p, q in given if p < 0))
         if trim:
             keep = len(nums)
             while keep > 1 and Fraction(nums[keep - 1], den) < tol:
@@ -168,9 +189,7 @@ class SchmidtVector(_Scaled):
             if keep < len(nums):   # renormalized, unless all zero
                 nums = nums[:keep]
                 den = sum(nums) or den
-        if sum(nums) != den:
-            raise InvalidStateError(
-                f"exact entries sum to {Fraction(sum(nums), den)}, not 1")
+        _check_sum(nums, den)
         return cls._of(nums, den)
 
     @classmethod
@@ -180,14 +199,13 @@ class SchmidtVector(_Scaled):
         given = [p if isinstance(p, float) else Fraction(*p) for p in given]
         for p in given:
             if isinstance(p, float) and p < -tol:
-                raise InvalidStateError(f"negative squared coefficient {p}")
+                raise _negative(p)
         given = [max(p, 0.0) if isinstance(p, float) else p for p in given]
         parsed = sorted(given, reverse=True)  # stable: ties keep input order
         # floats are clamped by now, so the last entry is negative only
         # when a rational is; the first such one given is named
         if parsed[-1] < 0:
-            raise InvalidStateError("negative squared coefficient "
-                                    f"{next(p for p in given if p < 0)}")
+            raise _negative(next(p for p in given if p < 0))
         if trim:
             keep = len(parsed)
             while keep > 1 and parsed[keep - 1] < tol:

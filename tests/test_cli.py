@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entconvert
 from entconvert import (build_full_protocol, build_plan, cli, locc,
                         optimal_probability)
 from entconvert.cli import DEMO_NAMES, main
@@ -78,6 +79,36 @@ class TestProb:
                                     "--out", str(target)])
         assert code == 0
         assert target.read_text() == out
+
+
+class TestOneOutputPath:
+    """main renders each handler's document once: --out receives the
+    bytes stdout does, and a file it cannot open fails after stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "three_a", "three_b"],
+        ["simulate", "three_a", "three_b", "--exhaustive"],
+        ["simulate", "three_a", "three_b", "--trials", "500", "--seed", "3"],
+        ["monotones", "three_a"], ["compare", "three_a", "three_b"],
+        ["tensor", "skewed", "bell", "--copies", "3"],
+        *(["demo", name] for name in DEMO_NAMES)])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, states, tmp_path,
+                                             argv):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, [states.get(a, a) for a in argv]
+                             + ["--out", str(target)])
+        assert (code, err) == (0, "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_out_into_a_missing_directory_fails_after_stdout(self, capsys,
+                                                             states,
+                                                             tmp_path):
+        argv = ["plan", states["three_a"], states["three_b"]]
+        _, whole, _ = run(capsys, argv)
+        code, out, err = run(capsys, argv + [
+            "--out", str(tmp_path / "missing" / "plan.json")])
+        assert (code, out) == (1, whole)
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPlanAndSimulate:
@@ -289,6 +320,20 @@ class TestDemos:
         assert "= 0 " in out
         assert "2/5" in out
 
+    @pytest.mark.parametrize("name, sha", [
+        ("paper-cycle", "a08df30937502c4c1cac653ce26c090b"
+                        "5813a00a84816b0fe2c7e782ae033807"),
+        ("non-additivity", "e5fa60daf372ed1400640abfbd26e12f"
+                           "fdd3e2845c02886058096a74bb2cefd4"),
+        ("lo-popescu", "0e58f260f5870db8a10cf88b82c12042"
+                       "f2ea4752f3501044c54cfcffa591fbac"),
+        ("multi-copy", "a745eae828bd9fe8a4d8a1920be580f4"
+                       "fb7655cfe509663f75ed1f2068549ab5")])
+    def test_demo_text_is_pinned(self, capsys, name, sha):
+        code, out, err = run(capsys, ["demo", name])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestArgumentParsing:
     """A subcommand's arguments are parsed by its own parser alone; the
@@ -321,6 +366,17 @@ class TestArgumentParsing:
         ["demo", "paper-cycle"], ["tensor", "--", "a", "b"]])
     def test_namespace_matches_the_whole_parser(self, argv):
         assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
+
+# entries whose refusal quotes a value past Python's 4,300-digit limit
+# on str, and how the refusal ends
+PAST_THE_DIGIT_LIMIT = {
+    "1e4300": "exact entries sum to [4301-digit integer], not 1",
+    "1e-4300": "exact entries sum to [4301-digit integer]/"
+               "[4301-digit integer], not 1",
+    "-1e4300": "negative squared coefficient -[4301-digit integer]",
+    "-1e-4300": "negative squared coefficient -1/[4301-digit integer]",
+}
 
 
 class TestFailureModes:
@@ -424,7 +480,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("argv", [
         ["prob"], ["plan"], ["compare"], ["tensor"], ["simulate"],
         ["simulate", "--exhaustive"]])
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-15", "-0.5"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-15", "-0.5",
+                                           "abc"])
     def test_invalid_tolerance_is_invalid_input(self, capsys, states,
                                                 tmp_path, argv, tolerance):
         zero = tmp_path / "zero.json"
@@ -435,6 +492,7 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert "--tolerance" in err
         assert "Traceback" not in err
+        assert err.count("error:") == 1 and f"got {tolerance!r}" in err
 
     def test_zero_tolerance_is_accepted(self, capsys, states):
         code, out, _ = run(capsys, ["prob", states["skewed"], states["bell"],
@@ -451,6 +509,31 @@ class TestFailureModes:
                                       "--mode", mode])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "exponent" in err
+
+    @pytest.mark.parametrize("entry", sorted(PAST_THE_DIGIT_LIMIT))
+    @pytest.mark.parametrize("via", ["prob", "simulate --plan"])
+    def test_value_past_the_digit_limit_is_named(self, capsys, states,
+                                                 tmp_path, entry, via):
+        # the exact text of such a value passes Python's limit on the
+        # digits str may make, so the refusal shows each long integer's size
+        if via == "prob":
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps({"schmidt_sq": [entry, "1"]}))
+            argv = ["prob", str(state), states["bell"]]
+        else:
+            plan = tmp_path / "plan.json"
+            assert run(capsys, ["plan", states["skewed"], states["bell"],
+                                "--out", str(plan)])[0] == 0
+            doc = json.loads(plan.read_text())
+            doc["source"] = [entry, "1"]
+            plan.write_text(json.dumps(doc))
+            argv = ["simulate", "--plan", str(plan), "--exhaustive"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.endswith(PAST_THE_DIGIT_LIMIT[entry] + "\n")
+        assert err.count("\n") == 1
+        assert "sys." not in err and "()" not in err
 
     @pytest.mark.parametrize("levels, copies", [(2, "17"),
                                                 (1, "1000000000")])
@@ -759,7 +842,8 @@ def test_query_stdout_is_pinned(capsys, tmp_path, name):
 # Runs cli.main on each argv of a JSON list in one fresh interpreter and
 # prints, as JSON, which modules of a second JSON list are loaded after
 # `import entconvert`, after `import entconvert.cli` and after each call,
-# with the package's __all__.  At the end it reads the lazy names: what
+# with the package's __all__ and, read first, `dir(entconvert)`.  At the
+# end it reads the lazy names: what
 # `from entconvert import *` binds, `dir(entconvert)`, and whether a name
 # served by the package is the one locc defines.
 _NUMPY_PROBE = """
@@ -768,7 +852,9 @@ argvs, watched = map(json.loads, sys.argv[1:])
 def loaded():
     return [name in sys.modules for name in watched]
 import entconvert
-report = {"import": loaded(), "all": entconvert.__all__}
+first_dir = dir(entconvert)
+report = {"import": loaded(), "all": entconvert.__all__,
+          "first dir": first_dir}
 from entconvert.cli import main
 report["import cli"] = loaded()
 for argv in argvs:
@@ -858,3 +944,12 @@ def test_locc_names_are_served_lazily():
     assert report["star"] == sorted(PACKAGE_ALL)
     assert set(PACKAGE_ALL) <= set(report["dir"])
     assert report["same"] is True
+
+
+def test_package_dir_lists_the_lazy_names_before_locc_loads():
+    report = _numpy_probe([], ["entconvert.locc"])
+    # read before any lazy name, and without loading locc
+    assert report["import"] == [False]
+    lazy = {*entconvert._LOCC, "locc"}
+    assert len(lazy) == 24 and lazy <= set(report["first dir"])
+    assert set(PACKAGE_ALL) <= set(report["first dir"])

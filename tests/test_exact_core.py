@@ -96,6 +96,20 @@ def test_exact_rejection_messages(probs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("k", [4300, 4301, 9000])
+def test_rejection_names_an_unprintable_integer_by_its_digits(k):
+    # around 10**k, where the digit count changes; past 4,300 digits str
+    # refuses the text, and the refusal counts the digits instead
+    for x in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+        digits = k + (x >= 10 ** k)
+        shown = str(x) if digits <= 4300 else f"[{digits}-digit integer]"
+        for probs, tail in (((F(1), F(-x)), f"-{shown}"),
+                            ((F(1), F(-1, x)), f"-1/{shown}")):
+            with pytest.raises(InvalidStateError) as info:
+                SchmidtVector(probs)
+            assert str(info.value) == f"negative squared coefficient {tail}"
+
+
 def test_exact_vector_equality_and_copies_see_entries_alone():
     sv = SchmidtVector((F(108, 144), F(1, 4)))
     again = SchmidtVector((F(3, 4), F(1, 4)))

@@ -500,7 +500,8 @@ _HOSTILE_LEAVES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["0", "-1", "1/2", "0.5", "1/0", "2/-3", "1e300",
                      "1e-300", "1.8e308", "5e-324", "-1e-999", "1e999",
-                     "1e4301", "0x10", " 1 ", "1/2/3"]),
+                     "1e4300", "1e-4300", "-1e4300", "-1e-4300", "1e4301",
+                     "0x10", " 1 ", "1/2/3"]),
     st.just(_DEEP))
 _HOSTILE_VALUES = st.recursive(
     _HOSTILE_LEAVES, lambda inner: st.lists(inner, max_size=4)
