@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .conversion import ConversionPlan, build_plan
-from .numeric import (DEFAULT_TOL, RATIONAL, parse_scalar, round12,
-                      scalar_to_json, values_to_json)
+from .numeric import (DEFAULT_TOL, FLOAT, RATIONAL, parse_ratios,
+                      parse_scalar, round12, scalar_to_json, values_to_json)
 from .schmidt import BipartiteState, SchmidtVector, schmidt_decompose
 
 __all__ = [
@@ -95,32 +95,34 @@ def parse_state_document(doc, *, mode=RATIONAL, tol=DEFAULT_TOL,
         raise StateFileError(
             'exactly one of "schmidt_sq" or "amplitudes" must be present')
     if has_sq:
-        values = doc["schmidt_sq"]
-        if not isinstance(values, list) or not values:
-            raise StateFileError('"schmidt_sq" must be a non-empty array')
+        values = _array(doc["schmidt_sq"], '"schmidt_sq"')
         try:
             sv = SchmidtVector.from_values(values, mode=mode, trim=trim,
                                            tol=tol)
         except ValueError as err:
             raise StateFileError(f"bad Schmidt vector: {err}") from err
         return LoadedState(label, sv, None)
-    rows = doc["amplitudes"]
-    if not isinstance(rows, list) or not rows:
-        raise StateFileError('"amplitudes" must be a non-empty array')
+    rows = _array(doc["amplitudes"], '"amplitudes"')
     for i, row in enumerate(rows):
         for j, pair in enumerate(row if isinstance(row, list) else [row]):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise StateFileError(f'"amplitudes" row {i}, column {j} '
                                      'must be an [re, im] pair')
     try:
-        matrix = [[complex(float(parse_scalar(re, "float")),
-                           float(parse_scalar(im, "float")))
-                   for re, im in row] for row in rows]
+        matrix = [[complex(*parse_ratios((re, im), FLOAT)) for re, im in row]
+                  for row in rows]
         state = BipartiteState(matrix)
     except (TypeError, ValueError) as err:
         raise StateFileError(f"bad amplitude matrix: {err}") from err
     sv = schmidt_decompose(state, trim=trim, tol=tol)
     return LoadedState(label, sv, state)
+
+
+def _array(values, name):
+    """``values``, refused as ``name`` unless a non-empty JSON array."""
+    if not isinstance(values, list) or not values:
+        raise StateFileError(f"{name} must be a non-empty array")
+    return values
 
 
 def load_state_file(path, *, mode=RATIONAL, tol=DEFAULT_TOL,
@@ -172,10 +174,14 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
         return tuple(parse_scalar(v, mode) for v in values)
 
     try:
-        source = SchmidtVector.from_values(doc["source"], mode=mode, tol=tol)
-        target = SchmidtVector.from_values(doc["target"], mode=mode, tol=tol)
+        source, target = (SchmidtVector.from_values(
+            _array(doc[key], f"malformed plan document: {key}"), mode=mode,
+            tol=tol) for key in ("source", "target"))
         got, bp_doc = {}, doc.get("breakpoints")
         if bp_doc is not None:
+            if not isinstance(bp_doc, dict):
+                raise StateFileError("malformed plan document: breakpoints "
+                                     "must be an object or null")
             bounds = bp_doc["boundaries"]
             if not (isinstance(bounds, list)
                     and all(type(b) is int for b in bounds)):
@@ -183,14 +189,15 @@ def plan_from_dict(doc, *, mode=RATIONAL, tol=DEFAULT_TOL) -> ConversionPlan:
                     "malformed plan document: breakpoints.boundaries must "
                     "be an array of integers")
             got["boundaries"] = tuple(bounds)
-            got["ratios"] = scalars(bp_doc["ratios"])
+            got["ratios"] = scalars(_array(
+                bp_doc["ratios"],
+                "malformed plan document: breakpoints.ratios"))
             for key in ("intermediate", "success_squared", "failure_squared"):
-                got[key] = scalars(doc[key])
+                got[key] = scalars(_array(doc[key],
+                                          f"malformed plan document: {key}"))
         got["probability"] = scalars((doc["probability"],))
     except KeyError as err:
         raise StateFileError(f"plan document missing key {err}") from err
-    except TypeError as err:
-        raise StateFileError(f"malformed plan document: {err}") from err
     plan, slack = build_plan(source, target), max(tol, DEFAULT_TOL)
     want = {"probability": (plan.probability,)}
     if plan.breakpoints is not None:

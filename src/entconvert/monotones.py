@@ -53,10 +53,8 @@ def monotone_profile(sv: SchmidtVector) -> "MonotoneVector":
     TestSamplerOracle) in its last bits.
     """
     if not sv.is_exact:
-        probs = sv.probs
-        return MonotoneVector(tuple([
-            min(max(t, 0.0), 1.0) if isinstance(t, float) else t
-            for t in (sum(probs[k:]) for k in range(len(probs)))]))
+        return MonotoneVector(tuple([min(max(sum(sv.probs[k:]), 0.0), 1.0)
+                                     for k in range(sv.n)]))
     nums, den = sv._scaled
     tails = tuple([*itertools.accumulate(reversed(nums))][::-1])
     # checked on the integers; if they fail, the Fraction check names it

@@ -34,10 +34,10 @@ def parse_ratios(values, mode: str = RATIONAL) -> list:
     in magnitude is refused before parsing.
     """
     exact = mode == RATIONAL
+    if not exact and mode != FLOAT:
+        raise ValueError(f"unknown numeric mode {mode!r}")
     ratios = []
     for value in values:
-        if not exact and mode != FLOAT:
-            raise ValueError(f"unknown numeric mode {mode!r}")
         if isinstance(value, str):
             # "digits/digits" needs none of Fraction's string parsing
             num, _, den = value.partition("/")
@@ -103,14 +103,18 @@ def round12(x: float) -> float:
 
 
 def scalar_to_json(value):
-    """JSON image of a scalar: rationals as strings, floats 12-sig-digit."""
-    if isinstance(value, float):
+    """JSON image of a scalar: rationals as strings, floats 12-sig-digit;
+    an exact value too long for str is refused, naming its longest part."""
+    if isinstance(value, float) or not is_exact_scalar(value):
         return round12(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if is_exact_scalar(value):
-        return str(Fraction(int(value)))
-    return round12(value)
+    try:
+        return str(value if isinstance(value, Fraction) else int(value))
+    except ValueError as err:
+        import sys
+        longest = max(abs(value.numerator), value.denominator)
+        raise ValueError(
+            f"cannot print an exact value with a {_shown(longest)}: past "
+            f"the limit of {sys.get_int_max_str_digits()} digits") from err
 
 
 def values_to_json(held, exact=True):
@@ -123,8 +127,26 @@ def values_to_json(held, exact=True):
     nums, den = held._scaled
     if not exact:
         return [round12(x / den) for x in nums]
-    return [str(x // g) if g == den else f"{x // g}/{den // g}"
-            for x, g in zip(nums, map(math.gcd, nums, [den] * len(nums)))]
+    try:
+        return [str(x // g) if g == den else f"{x // g}/{den // g}"
+                for x, g in zip(nums, map(math.gcd, nums, [den] * len(nums)))]
+    except ValueError:   # too long for str: refused by scalar_to_json
+        return [scalar_to_json(Fraction(x, den)) for x in nums]
+
+
+def _shown(value) -> str:
+    """str(value) for a refusal, but an integer in it past Python's limit
+    on digits (4,300 by default), whose text str refuses, as [N-digit
+    integer]."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = value.as_integer_ratio()
+        if den > 1:
+            return f"{_shown(num)}/{_shown(den)}"
+        low = int(abs(num).bit_length() * math.log10(2)) - 1   # < its digits
+        digits = low + len(str(abs(num) // 10 ** low))
+        return f"{'-' * (num < 0)}[{digits}-digit integer]"
 
 
 class _Lazy:

@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .numeric import DEFAULT_TOL, RATIONAL, _Scaled, parse_ratios
+from .numeric import (DEFAULT_TOL, FLOAT, RATIONAL, _Scaled, _shown,
+                      parse_ratios)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,21 +47,6 @@ class InvalidStateError(ValueError):
     """A state object violates one of its structural invariants."""
 
 
-def _shown(value) -> str:
-    """str(value) for a refusal, but an integer in it past Python's limit
-    on digits (4,300 by default), whose text str refuses, as [N-digit
-    integer]."""
-    try:
-        return str(value)
-    except ValueError:
-        num, den = value.as_integer_ratio()
-        if den > 1:
-            return f"{_shown(num)}/{_shown(den)}"
-        low = int(abs(num).bit_length() * math.log10(2)) - 1   # < its digits
-        digits = low + len(str(abs(num) // 10 ** low))
-        return f"{'-' * (num < 0)}[{digits}-digit integer]"
-
-
 def _negative(value) -> InvalidStateError:
     return InvalidStateError(f"negative squared coefficient {_shown(value)}")
 
@@ -76,10 +62,10 @@ def _check_sum(nums, den):
 class SchmidtVector(_Scaled):
     """Squared Schmidt coefficients, sorted non-increasing, summing to 1.
 
-    Entries are either exact rationals (``fractions.Fraction``) or floats;
-    a vector is *exact* when every entry is rational, and all downstream
-    arithmetic on exact vectors stays exact.  Planning reads a float
-    vector through its dyadic lift (see ``_scaled``), so it is exact too.
+    Entries are all exact rationals (``fractions.Fraction``), in an
+    *exact* vector, or all floats: one entry of another type makes every
+    entry a float.  Arithmetic on exact vectors stays exact, and planning
+    reads a float vector exactly, through its dyadic lift (see ``_scaled``).
     An exact vector made from integers (``_of``: loaded, padded, cut or
     a tensor power) makes its ``probs`` when they are first read.
     """
@@ -107,21 +93,15 @@ class SchmidtVector(_Scaled):
             slack = 0
         else:
             cleaned = []
-            for p in probs:   # a float skips Fraction's costly ABC check
-                if not isinstance(p, float) and isinstance(p, Fraction):
-                    if p < 0:
-                        raise _negative(p)
-                    cleaned.append(p)
-                else:
-                    p = float(p)
-                    if not math.isfinite(p):
-                        raise InvalidStateError(
-                            f"non-finite squared coefficient {p}")
-                    if p < -DEFAULT_TOL:
-                        raise _negative(p)
-                    cleaned.append(max(p, 0.0))
-            probs = tuple(cleaned)
-            keys, slack = [float(p) for p in probs], DEFAULT_TOL
+            for p in map(float, probs):
+                if not math.isfinite(p):
+                    raise InvalidStateError(
+                        f"non-finite squared coefficient {p}")
+                if p < -DEFAULT_TOL:
+                    raise _negative(p)
+                cleaned.append(max(p, 0.0))
+            keys = probs = tuple(cleaned)
+            slack = DEFAULT_TOL
         for i in range(len(keys) - 1):
             if keys[i] < keys[i + 1] - slack:
                 raise InvalidStateError(
@@ -129,8 +109,8 @@ class SchmidtVector(_Scaled):
                     f"{probs[i + 1]}")
         if exact:
             _check_sum(keys, den)
-        elif abs(float(sum(probs)) - 1.0) > DEFAULT_TOL:
-            raise InvalidStateError(f"entries sum to {float(sum(probs))}, not 1")
+        elif abs(sum(probs) - 1.0) > DEFAULT_TOL:
+            raise InvalidStateError(f"entries sum to {sum(probs)}, not 1")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_exact", exact)
 
@@ -163,18 +143,20 @@ class SchmidtVector(_Scaled):
     @classmethod
     def from_values(cls, values, *, mode=RATIONAL, trim=False,
                     tol=DEFAULT_TOL):
-        """Build a vector from loosely typed entries.
+        """Build a vector from a sequence of loosely typed entries.
 
         Entries are parsed per ``mode`` ("108/144" and decimal strings are
-        exact in rational mode, and read as integers over their least
-        common denominator), stably sorted in non-increasing order and
-        optionally trimmed of trailing entries below ``tol`` (with
-        renormalization); the result must sum to 1.
+        exact in rational mode, as integers over their least common
+        denominator, unless a Python float among them makes all floats),
+        stably sorted and optionally trimmed of trailing entries below
+        ``tol`` (with renormalization); the result must sum to 1.
         """
         given = parse_ratios(values, mode)
         if not given:
             raise InvalidStateError("a Schmidt vector needs at least one entry")
         if set(map(type, given)) != {tuple}:
+            if mode != FLOAT:
+                given = parse_ratios(values, FLOAT)
             return cls._from_floats(given, trim, tol)
         tops, bottoms = zip(*given)
         den = math.lcm(*set(bottoms))   # few distinct ones, as a rule
@@ -193,26 +175,22 @@ class SchmidtVector(_Scaled):
         return cls._of(nums, den)
 
     @classmethod
-    def _from_floats(cls, given, trim, tol):
-        """from_values in float mode, or given a Python float in rational
-        mode: a float vector, whose exact entries stay Fractions."""
-        given = [p if isinstance(p, float) else Fraction(*p) for p in given]
+    def _from_floats(cls, given, trim, tol, renormalize=False):
+        """from_values of the floats ``given``: an entry below -tol is
+        refused, the rest clamped to 0, sorted and, with ``trim``, trimmed,
+        then renormalized if an entry was dropped or ``renormalize`` is set."""
         for p in given:
-            if isinstance(p, float) and p < -tol:
+            if p < -tol:
                 raise _negative(p)
-        given = [max(p, 0.0) if isinstance(p, float) else p for p in given]
+        given = [max(p, 0.0) for p in given]
         parsed = sorted(given, reverse=True)  # stable: ties keep input order
-        # floats are clamped by now, so the last entry is negative only
-        # when a rational is; the first such one given is named
-        if parsed[-1] < 0:
-            raise _negative(next(p for p in given if p < 0))
         if trim:
             keep = len(parsed)
             while keep > 1 and parsed[keep - 1] < tol:
                 keep -= 1
-            if keep < len(parsed):   # renormalized, unless all zero
+            if keep < len(parsed) or renormalize:
                 parsed = parsed[:keep]
-                total = sum(parsed) or 1
+                total = sum(parsed) or 1   # all zero: left as is
                 parsed = [p / total for p in parsed]
         return cls(tuple(parsed))
 
@@ -305,25 +283,20 @@ def schmidt_decompose(state: BipartiteState, *, trim=False,
     state : BipartiteState
         Normalized pure state.
     trim : bool
-        Drop trailing entries below ``tol`` (and renormalize).  By default
-        the full min(n_A, n_B)-length vector is kept, zeros included.
+        Drop trailing entries below ``tol`` and renormalize, even if none
+        is dropped (the squares of a norm that ``BipartiteState`` allows
+        sum to within 2e-9 of 1).  By default the full min(n_A, n_B)-length
+        vector is kept, zeros included.
 
     Returns
     -------
     SchmidtVector
-        Float-mode vector of squared Schmidt coefficients.
+        The float vector of the squares, trimmed as above.
     """
     import numpy as np
     svals = np.linalg.svd(state.amplitudes, compute_uv=False)
-    probs = [max(float(s) ** 2, 0.0) for s in svals]
-    if trim:
-        keep = len(probs)
-        while keep > 1 and probs[keep - 1] < tol:
-            keep -= 1
-        probs = probs[:keep]
-        total = sum(probs)
-        probs = [p / total for p in probs]
-    return SchmidtVector(tuple(probs))
+    return SchmidtVector._from_floats([float(s) ** 2 for s in svals], trim,
+                                      tol, renormalize=True)
 
 
 def state_from_schmidt(sv: SchmidtVector) -> BipartiteState:

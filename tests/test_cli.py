@@ -535,6 +535,23 @@ class TestFailureModes:
         assert err.count("\n") == 1
         assert "sys." not in err and "()" not in err
 
+    def test_output_past_the_digit_limit_is_refused(self, capsys, tmp_path):
+        # a valid state, 1 - 10**-4300 and 10**-4300: its monotones, and
+        # a plan or prob that prints them, need a 4,301-digit denominator
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(
+            {"schmidt_sq": ["0." + "9" * 4300, "1e-4300"]}))
+        path = str(state)
+        for argv in (["monotones", path], ["prob", path, path],
+                     ["plan", path, path]):
+            assert run(capsys, argv) == (
+                1, "", "error: cannot print an exact value with a "
+                "[4301-digit integer]: past the limit of 4300 digits\n")
+        for argv in (["compare", path, path],
+                     ["simulate", path, path, "--exhaustive"]):
+            code, _, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("levels, copies", [(2, "17"),
                                                 (1, "1000000000")])
     def test_tensor_power_over_limit_is_invalid_input(self, capsys, tmp_path,
@@ -700,6 +717,44 @@ def test_exact_simulate_is_never_capped(capsys, tmp_path):
     assert doc["branches"] == 2 ** m > locc.BRANCH_CAP
     assert doc["success_probability"] == doc["predicted"] == str(p)
     assert len(doc["audit"]) == 64 * (3 * (m - 1) + 2)
+
+
+def test_infeasible_float_plan_pads_the_source(capsys, tmp_path):
+    paths = []
+    for name, values in (("a", ["0.5", "0.5"]), ("b", ["0.4", "0.3", "0.3"])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"schmidt_sq": values}))
+    code, out, err = run(capsys, ["plan", *map(str, paths), "--mode",
+                                  "float"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "breakpoints": None, "failure_squared": None, "intermediate": None,
+        "probability": 0.0, "source": [0.5, 0.5, 0.0],
+        "success_squared": None, "target": [0.4, 0.3, 0.3]},
+        indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("excess, untrimmed", [
+    (1.75e-10, 0.500000000175),
+    (7e-10, "error: entries sum to 1.0000000013999997, not 1\n")],
+    ids=["sum_in_slack", "sum_past_slack"])
+def test_trim_zeros_renormalizes_amplitudes(capsys, tmp_path, excess,
+                                            untrimmed):
+    # a norm of 1 + excess passes BipartiteState's 1e-9 check; its squares
+    # sum to about 1 + 2 * excess, and --trim-zeros renormalizes them
+    a = math.sqrt(0.5 + excess)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[[a, 0], [0, 0]],
+                                               [[0, 0], [a, 0]]]}))
+    code, out, err = run(capsys, ["monotones", str(path), "--trim-zeros"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["monotones"] == [1.0, 0.5]
+    code, out, err = run(capsys, ["monotones", str(path)])
+    if isinstance(untrimmed, str):
+        assert (code, out, err) == (1, "", untrimmed)
+    else:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["monotones"] == [1.0, untrimmed]
 
 
 class TestFloatPlanTrim:

@@ -9,12 +9,16 @@ the ``output digest`` line of ``perfbench/run.py``.  A change that keeps
 these values keeps every output of both workloads byte for byte.
 
 A benchmark change that edits ``workloads.py`` changes the inputs, and
-must pin these values again.
+must pin these values again.  Run as a script,
+``PYTHONPATH=src python tests/test_digests.py`` prints each workload's
+op count and the sha256 of the per-op digests of seeds 1-10, joined.
 """
 
 import hashlib
 import importlib
 import io
+import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -40,10 +44,9 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("workload, seed", sorted(GOLDEN))
-def test_workload_outputs_match_pinned_digest(monkeypatch, tmp_path,
-                                              workload, seed):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def op_digests(workload, seed, tmp_path):
+    """The per-op digests of one workload's ops for one seed, its input
+    files written to ``tmp_path``; ``workloads`` must be importable."""
     workloads = importlib.import_module("workloads")
     files, ops = workloads.build(workload, seed)
     for name, text in files.items():
@@ -57,5 +60,27 @@ def test_workload_outputs_match_pinned_digest(monkeypatch, tmp_path,
         digests.append(hashlib.sha256(repr(
             (op.argv, code, out.getvalue(), err.getvalue())).encode())
             .hexdigest())
-    assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
+    return digests
+
+
+def joined(digests):
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload, seed", sorted(GOLDEN))
+def test_workload_outputs_match_pinned_digest(monkeypatch, tmp_path,
+                                              workload, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert joined(op_digests(workload, seed, tmp_path)) == (
         GOLDEN[workload, seed])
+
+
+if __name__ == "__main__":
+    # each workload's op count and the sha256 of its per-op digests,
+    # joined over seeds 1-10
+    sys.path.insert(0, str(PERFBENCH))
+    for workload in ("query", "simulate"):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = [d for seed in range(1, 11)
+                       for d in op_digests(workload, seed, Path(tmp))]
+        print(workload, len(digests), joined(digests))

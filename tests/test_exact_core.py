@@ -248,6 +248,8 @@ def _old_parse_scalar(value, mode):
 def _old_from_values(values, mode, trim, tol=1e-9):
     """The former SchmidtVector.from_values: Fractions sorted, trimmed and
     checked by the constructor."""
+    if any(isinstance(v, float) for v in values):   # a float vector
+        mode = FLOAT
     given = [_old_parse_scalar(v, mode) for v in values]
     if not given:
         raise InvalidStateError("a Schmidt vector needs at least one entry")

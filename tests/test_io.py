@@ -22,8 +22,8 @@ from entconvert.cli import main
 from entconvert.io import (Audit, StateFileError, dumps, load_state_file,
                            parse_state_document, plan_from_dict,
                            plan_to_dict, report_to_dict)
-from entconvert.numeric import (MAX_DECIMAL_EXPONENT, parse_scalar, round12,
-                                scalar_to_json)
+from entconvert.numeric import (MAX_DECIMAL_EXPONENT, parse_ratios,
+                                parse_scalar, round12, scalar_to_json)
 from util import rand_rational_schmidt
 
 F = Fraction
@@ -224,6 +224,38 @@ class TestPlanRoundTrip:
             "error: malformed plan document: breakpoints.boundaries must be "
             "an array of integers\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--exhaustive"]],
+                             ids=["sampled", "exhaustive"])
+    @pytest.mark.parametrize("bad", ["1", {"1": 0}, 5, []],
+                             ids=["string", "object", "number", "empty"])
+    @pytest.mark.parametrize("field", [
+        "source", "target", "breakpoints.ratios", "intermediate",
+        "success_squared", "failure_squared"])
+    def test_vector_fields_must_be_non_empty_arrays(self, tmp_path, capsys,
+                                                    field, bad, flags):
+        # a string or an object once read as its characters or keys
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        *outer, key = field.split(".")
+        (doc[outer[0]] if outer else doc)[key] = bad
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path), *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed plan document: {field} must be a non-empty "
+            "array\n")
+
+    @pytest.mark.parametrize("breakpoints", ["x", 5, [1, 2], True])
+    def test_breakpoints_must_be_an_object_or_null(self, tmp_path, capsys,
+                                                   breakpoints):
+        doc = plan_to_dict(build_plan(ALPHA3, BETA3))
+        doc["breakpoints"] = breakpoints
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--plan", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed plan document: breakpoints must be an object "
+            "or null\n")
+
     @pytest.mark.parametrize("spell", [
         lambda v: v,
         lambda v: f" {v.numerator * 6}/{v.denominator * 6} ",
@@ -326,6 +358,25 @@ class TestPlanRoundTrip:
 
 
 Point = namedtuple("Point", "x y")
+
+
+@pytest.mark.parametrize("values", [[], ["1/2"]])
+def test_unknown_numeric_mode_is_refused(values):
+    with pytest.raises(ValueError, match="^unknown numeric mode 'x'$"):
+        parse_ratios(values, "x")
+
+
+@pytest.mark.parametrize("value, digits", [
+    (F(1, 10 ** 4300), 4301), (-10 ** 4300, 4301),
+    (F(10 ** 5000 - 1, 3), 5000)], ids=["denominator", "integer",
+                                       "numerator"])
+def test_exact_value_past_the_digit_limit_is_refused(value, digits):
+    with pytest.raises(ValueError) as info:
+        scalar_to_json(value)
+    assert str(info.value) == (
+        f"cannot print an exact value with a [{digits}-digit integer]: past "
+        "the limit of 4300 digits")
+    assert scalar_to_json(F(1, 10 ** 4299)) == "1/1" + "0" * 4299
 
 
 class SubDict(dict):

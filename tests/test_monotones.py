@@ -182,6 +182,11 @@ class TestEnsemble:
         with pytest.raises(InvalidStateError):
             Ensemble(((F(1, 2), SchmidtVector((F(1),))),))
 
+    def test_float_weights_must_sum_to_one(self):
+        with pytest.raises(InvalidStateError,
+                           match="^ensemble weights sum to 0.5$"):
+            Ensemble(((0.5, SchmidtVector((1.0,))),))
+
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidStateError):
             Ensemble(((F(-1, 2), SchmidtVector((F(1),))),

@@ -67,6 +67,25 @@ class TestSchmidtVector:
         assert repr(exact) == ("SchmidtVector(probs=(Fraction(1, 2), "
                                "Fraction(1, 2)))")
 
+    def test_a_vector_with_a_float_holds_floats_only(self):
+        sv = SchmidtVector((F(1, 2), 0.5))
+        assert sv.probs == (0.5, 0.5)
+        assert [type(p) for p in sv.probs] == [float, float]
+        with pytest.raises(InvalidStateError,
+                           match=r"^negative squared coefficient -0\.5$"):
+            SchmidtVector((1.5, -0.5))
+
+    def test_a_python_float_loads_every_entry_as_a_float(self):
+        mixed = SchmidtVector.from_values(["1/3", 0.5, "1/6"])
+        assert not mixed.is_exact
+        assert repr(mixed) == repr(SchmidtVector.from_values(
+            ["1/3", 0.5, "1/6"], mode="float"))
+        trimmed = SchmidtVector.from_values(["108/144", -1e-12], trim=True)
+        assert not trimmed.is_exact and trimmed.probs == (1.0,)
+        with pytest.raises(InvalidStateError, match=(
+                r"^negative squared coefficient -0\.16666666666666666$")):
+            SchmidtVector.from_values(["1/3", 0.5, "-1/6"])
+
     def test_tiny_float_negative_clamped(self):
         sv = SchmidtVector((1.0, -1e-15))
         assert sv.probs[1] == 0.0
@@ -156,6 +175,26 @@ class TestDecomposition:
         amp[0, 0] = amp[1, 1] = 1 / math.sqrt(2)
         sv = schmidt_decompose(BipartiteState(amp), trim=True)
         assert sv.n == 2
+
+    @pytest.mark.parametrize("trim", [False, True])
+    def test_decomposition_loads_as_float_mode_does(self, trim):
+        amp = np.zeros((4, 4), dtype=complex)
+        amp[:3, :3] = rand_state(np.random.default_rng(7), 3, 3).amplitudes
+        state = BipartiteState(amp)
+        squares = [float(s) ** 2 for s in
+                   np.linalg.svd(state.amplitudes, compute_uv=False)]
+        sv = schmidt_decompose(state, trim=trim)
+        assert sv.n == 4 - trim
+        assert repr(sv) == repr(SchmidtVector.from_values(
+            squares, mode="float", trim=trim))
+
+    def test_trim_renormalizes_when_nothing_is_dropped(self):
+        # a norm within the tolerance of 1, but not 1: unlike a load, the
+        # decomposition renormalizes under trim even if no entry is dropped
+        amp = np.diag([math.sqrt(0.5 + 2e-10)] * 2).astype(complex)
+        state = BipartiteState(amp)
+        assert schmidt_decompose(state, trim=True).probs == (0.5, 0.5)
+        assert schmidt_decompose(state).probs != (0.5, 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reduced_density_spectrum(self, seed):
