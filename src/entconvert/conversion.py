@@ -7,9 +7,10 @@ coefficients ``alpha`` into one with ``beta`` is
     P = min over l of  (sum_{i>=l} alpha_i) / (sum_{i>=l} beta_i),
 
 tails with zero denominator imposing no constraint.  This module
-evaluates that closed form directly and, by an independent route, builds
-the object that achieves it: a partition of the index range into
-segments with strictly increasing tail ratios, an intermediate state
+evaluates that closed form by one scan of the tail ratios and, by
+independent code that pools adjacent levels, builds the object that
+achieves it: a partition of the index range into segments with
+strictly increasing tail ratios, an intermediate state
 reachable deterministically, and a final two-outcome filter whose
 success branch lands exactly on the target.  The filter pair are
 diagonal ExactMonomials, the one exact operator type, from which locc
@@ -90,19 +91,6 @@ def _tail_sums(alpha: SchmidtVector, beta: SchmidtVector):
     return tail_a, tail_b, da, db, n
 
 
-def _least_ratio(tail_a, tail_b, upper):
-    """(numerator, denominator, l) of the least tail ratio of the head
-    range 1..upper, the smallest l on ties; None when no target tail
-    there carries weight.  Ratios compare by cross-multiplying."""
-    base_a, base_b = tail_a[upper + 1], tail_b[upper + 1]
-    best = None
-    for l in range(upper, 0, -1):
-        run_a, run_b = tail_a[l] - base_a, tail_b[l] - base_b
-        if run_b and (best is None or run_a * best[1] <= best[0] * run_b):
-            best = (run_a, run_b, l)
-    return best
-
-
 def optimal_probability(alpha: SchmidtVector, beta: SchmidtVector):
     """Best LOCC conversion probability from ``alpha`` to ``beta``.
 
@@ -117,21 +105,25 @@ def optimal_probability(alpha: SchmidtVector, beta: SchmidtVector):
 def optimal_probability_detail(alpha: SchmidtVector, beta: SchmidtVector):
     """(probability, minimizing tail index l); smallest l on ties."""
     tail_a, tail_b, da, db, n = _tail_sums(alpha, beta)
-    best = _least_ratio(tail_a, tail_b, n)
-    if best is None:
-        raise InvalidStateError("target state carries no weight")
-    return _typed(Fraction(best[0] * db, best[1] * da), alpha, beta), best[2]
+    # ratios compare by cross-multiplying; tail_b[1] = D_b is never 0
+    best_a, best_b, best = tail_a[1], tail_b[1], 1
+    for l in range(2, n + 1):
+        if tail_b[l] and tail_a[l] * best_b < best_a * tail_b[l]:
+            best_a, best_b, best = tail_a[l], tail_b[l], l
+    return _typed(Fraction(best_a * db, best_b * da), alpha, beta), best
 
 
 def breakpoints(alpha: SchmidtVector, beta: SchmidtVector) -> "Breakpoints":
     """Segment boundaries and tail ratios of the optimal conversion.
 
-    The last boundary l_1 is the smallest minimizer of the global tail
-    ratio; the construction then recurses on the head range [1, l_1 - 1],
-    producing strictly increasing ratios r_1 < r_2 < ...  Trailing
-    positions where both vectors are zero are treated as absent
-    dimensions.  The ratios are exact, those of the dyadic lifts for
-    float inputs.
+    One pass pools adjacent levels from level n down to 1: each level
+    starts a segment, which joins the segment after it while that
+    segment's ratio is not below its own (a tie joins, so each boundary
+    is the least l).  The segments left have strictly increasing ratios
+    r_1 < r_2 < ..., and l_1 is the smallest minimizer of the global
+    tail ratio.  Trailing positions where both vectors are zero are
+    treated as absent dimensions; the ratios are exact, those of the
+    dyadic lifts for float inputs.
 
     Raises
     ------
@@ -143,18 +135,18 @@ def breakpoints(alpha: SchmidtVector, beta: SchmidtVector) -> "Breakpoints":
         raise InfeasibleConversionError(
             "target has more nonzero Schmidt coefficients than source; "
             "conversion probability is 0")
-    tail_a, tail_b, da, db, upper = _tail_sums(alpha, beta)
-    boundaries, ratios = [upper + 1], []
-    while upper:   # the unresolved head range is 1..upper
-        best = _least_ratio(tail_a, tail_b, upper)
-        if best is None:
-            raise InfeasibleConversionError(
-                "no admissible tail ratio in the remaining range")
-        run_a, run_b, l = best
-        boundaries.append(l)
-        ratios.append(Fraction(run_a * db, run_b * da))
-        upper = l - 1
-    return Breakpoints(tuple(boundaries), tuple(ratios))
+    tail_a, tail_b, da, db, n = _tail_sums(alpha, beta)
+    pooled = []   # (source sum, target sum, first level), last segment first
+    for l in range(n, 0, -1):
+        a, b = tail_a[l] - tail_a[l + 1], tail_b[l] - tail_b[l + 1]
+        # ratios compare by cross-multiplying; a target sum of 0 is an
+        # infinite ratio, which the level before it always joins
+        while pooled and pooled[-1][0] * b >= a * pooled[-1][1]:
+            top_a, top_b, _ = pooled.pop()
+            a, b = a + top_a, b + top_b
+        pooled.append((a, b, l))
+    return Breakpoints((n + 1, *[l for _, _, l in pooled]),
+                       tuple([Fraction(a * db, b * da) for a, b, _ in pooled]))
 
 
 @dataclass(frozen=True)

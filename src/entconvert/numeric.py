@@ -17,6 +17,8 @@ DEFAULT_TOL = 1e-9
 # 10**exponent, whose cost grows fast with it.  Equal to Python's default
 # limit on integer string digits, which already bounds the mantissa.
 MAX_DECIMAL_EXPONENT = 4300
+# Longest integer a refusal quotes whole; a longer one is named by its size.
+MAX_SHOWN_DIGITS = 50
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -135,18 +137,20 @@ def values_to_json(held, exact=True):
 
 
 def _shown(value) -> str:
-    """str(value) for a refusal, but an integer in it past Python's limit
-    on digits (4,300 by default), whose text str refuses, as [N-digit
-    integer]."""
-    try:
+    """str(value) for a refusal, but an integer in it of more than
+    MAX_SHOWN_DIGITS digits as [N-digit integer]: that keeps the line
+    short, and str refuses the text of one past Python's limit on digits
+    (4,300 by default)."""
+    if not isinstance(value, (int, Fraction)):
         return str(value)
-    except ValueError:
-        num, den = value.as_integer_ratio()
-        if den > 1:
-            return f"{_shown(num)}/{_shown(den)}"
-        low = int(abs(num).bit_length() * math.log10(2)) - 1   # < its digits
-        digits = low + len(str(abs(num) // 10 ** low))
-        return f"{'-' * (num < 0)}[{digits}-digit integer]"
+    num, den = value.numerator, value.denominator
+    if den > 1:
+        return f"{_shown(num)}/{_shown(den)}"
+    if abs(num) < 10 ** MAX_SHOWN_DIGITS:
+        return str(num)
+    low = int(abs(num).bit_length() * math.log10(2)) - 1   # < its digits
+    digits = low + len(str(abs(num) // 10 ** low))
+    return f"{'-' * (num < 0)}[{digits}-digit integer]"
 
 
 class _Lazy:

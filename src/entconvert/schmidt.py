@@ -93,7 +93,13 @@ class SchmidtVector(_Scaled):
             slack = 0
         else:
             cleaned = []
-            for p in map(float, probs):
+            for given in probs:
+                try:
+                    p = float(given)
+                except OverflowError:
+                    raise InvalidStateError(
+                        f"squared coefficient {_shown(given)} is too large "
+                        "for a float") from None
                 if not math.isfinite(p):
                     raise InvalidStateError(
                         f"non-finite squared coefficient {p}")
@@ -184,14 +190,13 @@ class SchmidtVector(_Scaled):
                 raise _negative(p)
         given = [max(p, 0.0) for p in given]
         parsed = sorted(given, reverse=True)  # stable: ties keep input order
-        if trim:
-            keep = len(parsed)
-            while keep > 1 and parsed[keep - 1] < tol:
-                keep -= 1
-            if keep < len(parsed) or renormalize:
-                parsed = parsed[:keep]
-                total = sum(parsed) or 1   # all zero: left as is
-                parsed = [p / total for p in parsed]
+        keep = len(parsed)
+        while trim and keep > 1 and parsed[keep - 1] < tol:
+            keep -= 1
+        if keep < len(parsed) or renormalize:
+            parsed = parsed[:keep]
+            total = sum(parsed) or 1   # all zero: left as is
+            parsed = [p / total for p in parsed]
         return cls(tuple(parsed))
 
     @property
@@ -284,19 +289,22 @@ def schmidt_decompose(state: BipartiteState, *, trim=False,
         Normalized pure state.
     trim : bool
         Drop trailing entries below ``tol`` and renormalize, even if none
-        is dropped (the squares of a norm that ``BipartiteState`` allows
-        sum to within 2e-9 of 1).  By default the full min(n_A, n_B)-length
-        vector is kept, zeros included.
+        is dropped.  By default the full min(n_A, n_B)-length vector is
+        kept, zeros included.
 
     Returns
     -------
     SchmidtVector
-        The float vector of the squares, trimmed as above.
+        The float vector of the squares, trimmed as above.  Untrimmed,
+        they are renormalized only if they miss 1 by more than DEFAULT_TOL
+        (a norm that ``BipartiteState`` allows puts them within 2e-9).
     """
     import numpy as np
     svals = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return SchmidtVector._from_floats([float(s) ** 2 for s in svals], trim,
-                                      tol, renormalize=True)
+    squares = [float(s) ** 2 for s in svals]
+    return SchmidtVector._from_floats(
+        squares, trim, tol,
+        renormalize=trim or abs(sum(squares) - 1.0) > DEFAULT_TOL)
 
 
 def state_from_schmidt(sv: SchmidtVector) -> BipartiteState:

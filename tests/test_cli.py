@@ -368,14 +368,22 @@ class TestArgumentParsing:
         assert cli._parse(argv) == cli.build_parser().parse_args(argv)
 
 
-# entries whose refusal quotes a value past Python's 4,300-digit limit
-# on str, and how the refusal ends
+# state entries whose refusal quotes an integer of more than
+# MAX_SHOWN_DIGITS digits, up to and past Python's 4,300-digit limit on
+# str, and how the refusal ends
 PAST_THE_DIGIT_LIMIT = {
-    "1e4300": "exact entries sum to [4301-digit integer], not 1",
-    "1e-4300": "exact entries sum to [4301-digit integer]/"
-               "[4301-digit integer], not 1",
-    "-1e4300": "negative squared coefficient -[4301-digit integer]",
-    "-1e-4300": "negative squared coefficient -1/[4301-digit integer]",
+    "1e4300": (["1e4300", "1"],
+               "exact entries sum to [4301-digit integer], not 1"),
+    "1e-4300": (["1e-4300", "1"],
+                "exact entries sum to [4301-digit integer]/"
+                "[4301-digit integer], not 1"),
+    "-1e4300": (["-1e4300", "1"],
+                "negative squared coefficient -[4301-digit integer]"),
+    "-1e-4300": (["-1e-4300", "1"],
+                 "negative squared coefficient -1/[4301-digit integer]"),
+    "0.5+1e-4300": (["0.5", "1e-4300"],
+                    "exact entries sum to [4300-digit integer]/"
+                    "[4301-digit integer], not 1"),
 }
 
 
@@ -514,24 +522,25 @@ class TestFailureModes:
     @pytest.mark.parametrize("via", ["prob", "simulate --plan"])
     def test_value_past_the_digit_limit_is_named(self, capsys, states,
                                                  tmp_path, entry, via):
-        # the exact text of such a value passes Python's limit on the
-        # digits str may make, so the refusal shows each long integer's size
+        # the refusal shows each long integer's size, not its digits,
+        # whose text may pass the limit on the digits str may make
+        entries, ending = PAST_THE_DIGIT_LIMIT[entry]
         if via == "prob":
             state = tmp_path / "state.json"
-            state.write_text(json.dumps({"schmidt_sq": [entry, "1"]}))
+            state.write_text(json.dumps({"schmidt_sq": entries}))
             argv = ["prob", str(state), states["bell"]]
         else:
             plan = tmp_path / "plan.json"
             assert run(capsys, ["plan", states["skewed"], states["bell"],
                                 "--out", str(plan)])[0] == 0
             doc = json.loads(plan.read_text())
-            doc["source"] = [entry, "1"]
+            doc["source"] = entries
             plan.write_text(json.dumps(doc))
             argv = ["simulate", "--plan", str(plan), "--exhaustive"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
-        assert err.endswith(PAST_THE_DIGIT_LIMIT[entry] + "\n")
+        assert err.endswith(ending + "\n")
         assert err.count("\n") == 1
         assert "sys." not in err and "()" not in err
 
@@ -735,13 +744,13 @@ def test_infeasible_float_plan_pads_the_source(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("excess, untrimmed", [
-    (1.75e-10, 0.500000000175),
-    (7e-10, "error: entries sum to 1.0000000013999997, not 1\n")],
-    ids=["sum_in_slack", "sum_past_slack"])
+    (1.75e-10, 0.500000000175), (7e-10, 0.5), (-7e-10, 0.5)],
+    ids=["sum_in_slack", "sum_past_slack", "sum_short_of_slack"])
 def test_trim_zeros_renormalizes_amplitudes(capsys, tmp_path, excess,
                                             untrimmed):
     # a norm of 1 + excess passes BipartiteState's 1e-9 check; its squares
-    # sum to about 1 + 2 * excess, and --trim-zeros renormalizes them
+    # sum to about 1 + 2 * excess.  --trim-zeros renormalizes them, and
+    # so does the untrimmed load once they miss 1 by more than 1e-9
     a = math.sqrt(0.5 + excess)
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"amplitudes": [[[a, 0], [0, 0]],
@@ -750,11 +759,8 @@ def test_trim_zeros_renormalizes_amplitudes(capsys, tmp_path, excess,
     assert (code, err) == (0, "")
     assert json.loads(out)["monotones"] == [1.0, 0.5]
     code, out, err = run(capsys, ["monotones", str(path)])
-    if isinstance(untrimmed, str):
-        assert (code, out, err) == (1, "", untrimmed)
-    else:
-        assert (code, err) == (0, "")
-        assert json.loads(out)["monotones"] == [1.0, untrimmed]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["monotones"] == [1.0, untrimmed]
 
 
 class TestFloatPlanTrim:

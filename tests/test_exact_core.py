@@ -24,7 +24,7 @@ from entconvert import (ExactMonomial, InfeasibleConversionError,
                         build_full_protocol, build_plan, conversion, locc,
                         majorizes, optimal_probability,
                         optimal_probability_detail, tensor_power)
-from entconvert.numeric import FLOAT, RATIONAL, parse_scalar
+from entconvert.numeric import FLOAT, MAX_SHOWN_DIGITS, RATIONAL, parse_scalar
 from util import (ref_breakpoints, ref_majorizes, ref_nonzero_count,
                   ref_optimal_probability_detail, ref_tensor_power)
 
@@ -69,6 +69,51 @@ def test_exact_core_matches_fraction_reference(alpha, beta):
         assert sv.nonzero_count() == ref_nonzero_count(sv)
 
 
+@st.composite
+def runs_to_a_uniform_target(draw):
+    """(source, uniform target, runs): a source of runs of equal entries,
+    strictly decreasing from run to run, and the run lengths.  Each level
+    then has tail ratio n * alpha_l, so every run is one segment; with
+    runs of 1 that is one segment per level."""
+    values = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=30,
+                           unique=True))
+    runs = ([1] * len(values) if draw(st.booleans()) else
+            draw(st.lists(st.integers(1, 4), min_size=len(values),
+                          max_size=len(values))))
+    weights = [v for v, k in zip(sorted(values, reverse=True), runs)
+               for _ in range(k)]
+    n, total = len(weights), sum(weights)
+    return (SchmidtVector(tuple([F(w, total) for w in weights])),
+            SchmidtVector((F(1, n),) * n), runs)
+
+
+@given(runs_to_a_uniform_target())
+@settings(max_examples=200, deadline=None)
+def test_breakpoints_pool_runs_into_one_segment_each(pair):
+    alpha, beta, runs = pair
+    n = alpha.n
+    firsts = [1 + sum(runs[:j]) for j in range(len(runs))]
+    bp = breakpoints(alpha, beta)
+    assert (bp.boundaries, bp.ratios) == ref_breakpoints(alpha, beta)
+    # equal ratios pool, so each boundary is the first level of its run
+    assert bp.boundaries == (n + 1, *firsts[::-1])
+    assert bp.ratios == tuple([n * alpha.probs[l - 1] for l in firsts[::-1]])
+    assert optimal_probability_detail(alpha, beta) == (bp.ratios[0],
+                                                       bp.boundaries[1])
+
+
+def test_breakpoints_of_one_segment_per_level_at_n_2000():
+    # source proportional to (n, n - 1, ..., 1), uniform target: level l's
+    # ratio is n * alpha_l = 2 (n - l + 1) / (n + 1)
+    n = 2000
+    alpha = SchmidtVector(tuple([F(2 * (n - i), n * (n + 1))
+                                 for i in range(n)]))
+    bp = breakpoints(alpha, SchmidtVector((F(1, n),) * n))
+    assert bp.boundaries == tuple(range(n + 1, 0, -1))
+    assert bp.ratios == tuple([F(2 * (n - l + 1), n + 1)
+                               for l in range(n, 0, -1)])
+
+
 @given(exact_vectors(max_n=8), st.sampled_from((2, 3)))
 @settings(max_examples=60, deadline=None)
 def test_tensor_power_matches_fraction_reference(sv, copies):
@@ -96,13 +141,15 @@ def test_exact_rejection_messages(probs, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("k", [4300, 4301, 9000])
+@pytest.mark.parametrize("k", [50, 51, 4300, 4301, 9000])
 def test_rejection_names_an_unprintable_integer_by_its_digits(k):
-    # around 10**k, where the digit count changes; past 4,300 digits str
-    # refuses the text, and the refusal counts the digits instead
+    # around 10**k, where the digit count changes; past MAX_SHOWN_DIGITS
+    # digits the refusal counts the digits instead of quoting them, also
+    # past 4,300, where str refuses the text
     for x in (10 ** k - 1, 10 ** k, 10 ** k + 1):
         digits = k + (x >= 10 ** k)
-        shown = str(x) if digits <= 4300 else f"[{digits}-digit integer]"
+        shown = (str(x) if digits <= MAX_SHOWN_DIGITS
+                 else f"[{digits}-digit integer]")
         for probs, tail in (((F(1), F(-x)), f"-{shown}"),
                             ((F(1), F(-1, x)), f"-1/{shown}")):
             with pytest.raises(InvalidStateError) as info:

@@ -602,9 +602,11 @@ def _hostile_text(draw, docs):
 class TestHostileDocuments:
     """Every state or plan document, run through every subcommand that
     reads it in both numeric modes, ends in exit 0, 1 or 2 with no
-    traceback and no advice to call a Python function."""
+    traceback and no advice to call a Python function; a refusal is one
+    line of at most MAX_REFUSAL_CHARS characters."""
 
     OK = {"schmidt_sq": ["2/5", "2/5", "1/5"]}
+    MAX_REFUSAL_CHARS = 200
 
     @staticmethod
     def _assert_ends_plainly(argv):
@@ -615,6 +617,10 @@ class TestHostileDocuments:
         assert code in (0, 1, 2), (argv, errors)
         assert "Traceback" not in errors
         assert "()" not in errors and "sys." not in errors, errors
+        if code:
+            line, end, rest = errors.partition("\n")
+            assert (end, rest) == ("\n", ""), errors
+            assert len(line) <= TestHostileDocuments.MAX_REFUSAL_CHARS, line
 
     @settings(max_examples=60, deadline=timedelta(seconds=2),
               derandomize=True,
@@ -622,6 +628,8 @@ class TestHostileDocuments:
     @given(_hostile_text(_STATE_DOCS), st.booleans())
     # finite amplitudes whose norm overflows printed a numpy warning
     @example('{"amplitudes": [[[1e300, 0]], [[1e300, 0]]]}', False)
+    # an exact sum of 1,000 digits, quoted by a refusal
+    @example('{"schmidt_sq": ["1e999", "1"]}', True)
     def test_state_documents(self, tmp_path, text, as_second):
         doc, ok = tmp_path / "doc.json", tmp_path / "ok.json"
         doc.write_text(text, encoding="utf-8")

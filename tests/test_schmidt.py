@@ -75,6 +75,18 @@ class TestSchmidtVector:
                            match=r"^negative squared coefficient -0\.5$"):
             SchmidtVector((1.5, -0.5))
 
+    @pytest.mark.parametrize("big, shown", [
+        (F(10 ** 400), "[401-digit integer]"),
+        (10 ** 400, "[401-digit integer]"),
+        (F(-10 ** 400, 3), "-[401-digit integer]/3")],
+        ids=["fraction", "integer", "negative_fraction"])
+    def test_an_entry_too_large_for_a_float_is_refused(self, big, shown):
+        # one float entry makes every entry a float, and this one has none
+        with pytest.raises(InvalidStateError) as info:
+            SchmidtVector((big, 0.5))
+        assert str(info.value) == (
+            f"squared coefficient {shown} is too large for a float")
+
     def test_a_python_float_loads_every_entry_as_a_float(self):
         mixed = SchmidtVector.from_values(["1/3", 0.5, "1/6"])
         assert not mixed.is_exact
